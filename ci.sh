@@ -29,12 +29,15 @@ cargo test --release --offline -p fednum-transport --test proptest_messages \
     regression_max_varint_fields_round_trip -- --exact
 cargo test --release --offline -p fednum-transport --test proptest_messages \
     regression_hostile_count_fails_closed -- --exact
-# Batched-wire anchors: a hostile chunk frame claiming 2^40 slots and a
-# non-canonical padding bit past the slot count must both fail closed.
+# Batched-wire anchors: a hostile chunk frame claiming 2^40 slots, a
+# non-canonical padding bit past the slot count, and a slot occupied on
+# two planes (a client counted twice) must all fail closed.
 cargo test --release --offline -p fednum-transport --test proptest_messages \
     regression_hostile_batch_slot_count_fails_closed -- --exact
 cargo test --release --offline -p fednum-transport --test proptest_messages \
     regression_batch_noncanonical_padding_rejected -- --exact
+cargo test --release --offline -p fednum-transport --test proptest_messages \
+    regression_batch_slot_on_two_planes_rejected -- --exact
 PROPTEST_CASES=1 cargo test --release --offline -p fednum-transport \
     --test proptest_messages encode_decode_identity
 # Straggler-salvage regression anchor: a pinned seed that must keep
@@ -44,6 +47,22 @@ cargo test --release --offline -p fednum-transport --test salvage \
 
 step "cargo test (workspace)"
 cargo test -q --release --offline --workspace
+
+step "benchmark selftest + quick traced run (correctness harness, 10 min budget)"
+# benchmark/ is its own Cargo workspace (own target dir), so neither the
+# workspace build nor the workspace tests above touch it. selftest runs
+# its unit tests (wrong-truth detection, decomposed round == engine);
+# --quick --trace runs all five workloads at a tenth of the length with
+# every check on, untraced then traced, and exits non-zero on any failed
+# op. The three in-process workloads must each publish all three
+# decomposed rounds bit-identically to the engine. Timings printed here
+# are not gated: claims go through `benchmark/run.sh compare`.
+timeout 600 bash benchmark/run.sh selftest
+BENCH_QUICK_LOG=$(mktemp)
+timeout 600 bash benchmark/run.sh --quick --trace | tee "$BENCH_QUICK_LOG"
+[[ $(grep -Ec 'round\.decomposed_matches_engine +3\.0+ count' "$BENCH_QUICK_LOG") -eq 3 ]] \
+    || { echo "a decomposed round diverged from the engine"; exit 1; }
+rm -f "$BENCH_QUICK_LOG"
 
 step "hierarchical chaos matrix (both secagg tiers under fault injection)"
 cargo test -q --release --offline --test chaos \

@@ -105,19 +105,51 @@ pub fn estimator_variance(bit_means: &[f64], probs: &[f64], n: usize) -> f64 {
 /// `ones[j] += bit; counts[j] += 1`, so plane aggregation is bit-identical
 /// to the frame-at-a-time accumulate it replaces.
 ///
-/// The in-memory layout doubles as the batched wire layout (per plane:
+/// The logical layout doubles as the batched wire layout (per plane:
 /// occupancy words, then value words, little-endian `u64`s), so a batched
 /// frame decodes straight into a `BitPlanes` without touching individual
-/// client reports.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// client reports. In memory each plane may reserve spare words past
+/// `words_per_plane()` (see [`merge`](Self::merge)); the spare is always
+/// zero, never reaches the wire, and equality ignores it.
+#[derive(Clone, Debug)]
 pub struct BitPlanes {
     bits: u32,
     slots: usize,
-    /// Words per plane: `slots.div_ceil(64)`.
+    /// Words per plane in use: `slots.div_ceil(64)`.
     words: usize,
-    /// `bits * words` words; plane `j` is `[j * words, (j + 1) * words)`.
+    /// Words reserved per plane, `>= words`; words `[words, stride)` of
+    /// every plane stay zero.
+    stride: usize,
+    /// `bits * stride` words; plane `j` is `[j * stride, j * stride + words)`.
     occupancy: Vec<u64>,
     value: Vec<u64>,
+}
+
+impl PartialEq for BitPlanes {
+    /// Logical equality: same shape and same plane bitmaps, whatever spare
+    /// capacity either side holds.
+    fn eq(&self, other: &Self) -> bool {
+        self.bits == other.bits
+            && self.slots == other.slots
+            && (0..self.bits as usize).all(|j| {
+                self.plane_occupancy(j) == other.plane_occupancy(j)
+                    && self.plane_value(j) == other.plane_value(j)
+            })
+    }
+}
+
+impl Eq for BitPlanes {}
+
+/// ORs `src`, shifted left by `shift` bits across word boundaries, into
+/// `dst`; `dst` is as long as `src` or one word longer (the spill).
+fn or_shifted(dst: &mut [u64], src: &[u64], shift: u32) {
+    let mut carry = 0u64;
+    for (i, d) in dst.iter_mut().enumerate() {
+        let s = src.get(i).copied().unwrap_or(0);
+        *d |= (s << shift) | carry;
+        carry = s.checked_shr(64 - shift).unwrap_or(0);
+    }
+    debug_assert_eq!(carry, 0, "padding bits set in the appended planes");
 }
 
 impl BitPlanes {
@@ -133,6 +165,7 @@ impl BitPlanes {
             bits,
             slots,
             words,
+            stride: words,
             occupancy: vec![0; bits as usize * words],
             value: vec![0; bits as usize * words],
         }
@@ -164,7 +197,7 @@ impl BitPlanes {
     pub fn record(&mut self, slot: usize, plane: u32, value: bool) {
         assert!(slot < self.slots, "slot {slot} out of {}", self.slots);
         assert!(plane < self.bits, "plane {plane} out of {}", self.bits);
-        let idx = plane as usize * self.words + slot / 64;
+        let idx = plane as usize * self.stride + slot / 64;
         let mask = 1u64 << (slot % 64);
         assert_eq!(self.occupancy[idx] & mask, 0, "slot {slot} reported twice");
         self.occupancy[idx] |= mask;
@@ -243,7 +276,7 @@ impl BitPlanes {
     /// Panics if `j` is out of range.
     #[must_use]
     pub fn plane_occupancy(&self, j: usize) -> &[u64] {
-        &self.occupancy[j * self.words..(j + 1) * self.words]
+        &self.occupancy[j * self.stride..j * self.stride + self.words]
     }
 
     /// The value bitmap of plane `j`.
@@ -252,13 +285,15 @@ impl BitPlanes {
     /// Panics if `j` is out of range.
     #[must_use]
     pub fn plane_value(&self, j: usize) -> &[u64] {
-        &self.value[j * self.words..(j + 1) * self.words]
+        &self.value[j * self.stride..j * self.stride + self.words]
     }
 
     /// Rebuilds planes from raw bitmap words (the batched-wire decode
     /// path). Fails closed on any non-canonical input: wrong word counts,
-    /// set padding bits past `slots`, or a value bit outside its occupancy
-    /// bit.
+    /// set padding bits past `slots`, a value bit outside its occupancy
+    /// bit, or a slot occupied on more than one plane (each slot carries
+    /// exactly one report; accepting it would let one frame count a client
+    /// once per plane).
     ///
     /// # Errors
     /// Returns a static description of the first violated invariant.
@@ -287,16 +322,33 @@ impl BitPlanes {
         if occupancy.iter().zip(&value).any(|(o, v)| v & !o != 0) {
             return Err("value bit outside occupancy");
         }
+        for w in 0..words {
+            let mut seen = 0u64;
+            for j in 0..bits as usize {
+                let o = occupancy[j * words + w];
+                if seen & o != 0 {
+                    return Err("slot occupied on more than one plane");
+                }
+                seen |= o;
+            }
+        }
         Ok(Self {
             bits,
             slots,
             words,
+            stride: words,
             occupancy,
             value,
         })
     }
 
-    /// Appends `other`'s slots after this plane set's slots (shard fan-in).
+    /// Appends `other`'s slots after this plane set's slots (shard fan-in,
+    /// chunk-by-chunk collect), in place.
+    ///
+    /// Costs O(`other`) amortised: `other`'s words are ORed in at the slot
+    /// offset, and storage is regrown — geometrically, so at most
+    /// O(log(total / first)) times over any sequence of appends — only
+    /// when a plane outgrows its reserved words.
     ///
     /// # Panics
     /// Panics if the plane counts differ.
@@ -304,29 +356,36 @@ impl BitPlanes {
         assert_eq!(self.bits, other.bits, "plane count mismatch");
         let new_slots = self.slots + other.slots;
         let new_words = new_slots.div_ceil(64);
+        if new_words > self.stride {
+            self.regrow(new_words.max(2 * self.stride));
+        }
         let word_off = self.slots / 64;
         let shift = (self.slots % 64) as u32;
-        let mut occupancy = vec![0u64; self.bits as usize * new_words];
-        let mut value = vec![0u64; self.bits as usize * new_words];
         for j in 0..self.bits as usize {
-            let dst = j * new_words;
-            occupancy[dst..dst + self.words].copy_from_slice(self.plane_occupancy(j));
-            value[dst..dst + self.words].copy_from_slice(self.plane_value(j));
-            for w in 0..other.words {
-                let o = other.plane_occupancy(j)[w];
-                let v = other.plane_value(j)[w];
-                occupancy[dst + word_off + w] |= o << shift;
-                value[dst + word_off + w] |= v << shift;
-                if shift != 0 && dst + word_off + w + 1 < dst + new_words {
-                    occupancy[dst + word_off + w + 1] |= o >> (64 - shift);
-                    value[dst + word_off + w + 1] |= v >> (64 - shift);
-                }
-            }
+            let window = j * self.stride + word_off..j * self.stride + new_words;
+            or_shifted(
+                &mut self.occupancy[window.clone()],
+                other.plane_occupancy(j),
+                shift,
+            );
+            or_shifted(&mut self.value[window], other.plane_value(j), shift);
         }
         self.slots = new_slots;
         self.words = new_words;
-        self.occupancy = occupancy;
-        self.value = value;
+    }
+
+    /// Moves every plane to a per-plane reservation of `stride` words.
+    fn regrow(&mut self, stride: usize) {
+        let (bits, words, old) = (self.bits as usize, self.words, self.stride);
+        for buf in [&mut self.occupancy, &mut self.value] {
+            let mut grown = vec![0u64; bits * stride];
+            for j in 0..bits {
+                grown[j * stride..j * stride + words]
+                    .copy_from_slice(&buf[j * old..j * old + words]);
+            }
+            *buf = grown;
+        }
+        self.stride = stride;
     }
 }
 
@@ -471,26 +530,116 @@ mod tests {
         assert_eq!(planes.counts_masked(&keep), counts);
     }
 
+    /// Planes holding `reports`, one slot each in order.
+    fn pack(reports: &[(u32, bool)], bits: u32) -> BitPlanes {
+        let mut planes = BitPlanes::new(bits, reports.len());
+        for (slot, &(plane, value)) in reports.iter().enumerate() {
+            planes.record(slot, plane, value);
+        }
+        planes
+    }
+
+    /// The storage invariant `merge` relies on: every word a plane
+    /// reserves past `words_per_plane()` is zero.
+    fn assert_spare_is_zero(planes: &BitPlanes) {
+        for buf in [&planes.occupancy, &planes.value] {
+            assert_eq!(buf.len(), planes.bits as usize * planes.stride);
+            for plane in buf.chunks(planes.stride.max(1)) {
+                assert!(plane[planes.words..].iter().all(|&w| w == 0));
+            }
+        }
+    }
+
     #[test]
     fn merge_concatenates_slots_at_unaligned_boundaries() {
         let bits = 4;
-        for (na, nb) in [(0, 5), (5, 0), (63, 1), (64, 64), (65, 129), (10, 300)] {
-            let ra = synthetic_reports(na, bits);
-            let rb: Vec<_> = synthetic_reports(na + nb, bits).split_off(na);
-            let mut a = BitPlanes::new(bits, na);
-            let mut b = BitPlanes::new(bits, nb);
-            let mut whole = BitPlanes::new(bits, na + nb);
-            for (slot, &(plane, value)) in ra.iter().enumerate() {
-                a.record(slot, plane, value);
-                whole.record(slot, plane, value);
-            }
-            for (slot, &(plane, value)) in rb.iter().enumerate() {
-                b.record(slot, plane, value);
-                whole.record(na + slot, plane, value);
-            }
-            a.merge(&b);
-            assert_eq!(a, whole, "merge mismatch at ({na}, {nb})");
+        // Empty self, empty other, a one-slot spill into a fresh word,
+        // word-aligned and unaligned offsets, multi-word chunks.
+        for (na, nb) in [
+            (0, 0),
+            (0, 5),
+            (5, 0),
+            (63, 1),
+            (63, 2),
+            (64, 64),
+            (65, 129),
+            (10, 300),
+        ] {
+            let reports = synthetic_reports(na + nb, bits);
+            let mut a = pack(&reports[..na], bits);
+            a.merge(&pack(&reports[na..], bits));
+            assert_eq!(a, pack(&reports, bits), "merge mismatch at ({na}, {nb})");
+            assert_spare_is_zero(&a);
         }
+    }
+
+    #[test]
+    fn chunked_merges_across_regrowths_equal_single_shot_planes() {
+        use crate::wire::BatchReportMessage;
+        let bits = 5;
+        let chunks = [0usize, 1, 63, 64, 65, 0, 130, 7, 512, 300, 64, 1];
+        let reports = synthetic_reports(chunks.iter().sum(), bits);
+        let mut grown = BitPlanes::new(bits, 0);
+        let mut regrowths = 0;
+        let mut done = 0;
+        for len in chunks {
+            let stride = grown.stride;
+            grown.merge(&pack(&reports[done..done + len], bits));
+            regrowths += usize::from(grown.stride != stride);
+            done += len;
+            assert_eq!(grown, pack(&reports[..done], bits), "after {done} slots");
+            assert_spare_is_zero(&grown);
+        }
+        assert!(regrowths > 2, "the chunking must cross several regrowths");
+        assert!(grown.stride > grown.words, "must end holding spare words");
+
+        // Spare capacity is invisible: equality, clones, raw words and the
+        // wire bytes match planes built in one shot.
+        let whole = pack(&reports, bits);
+        assert_eq!(grown.clone(), whole);
+        let flat = |plane: fn(&BitPlanes, usize) -> &[u64]| -> Vec<u64> {
+            (0..bits as usize)
+                .flat_map(|j| plane(&grown, j).to_vec())
+                .collect()
+        };
+        let rebuilt = BitPlanes::from_words(
+            bits,
+            done,
+            flat(BitPlanes::plane_occupancy),
+            flat(BitPlanes::plane_value),
+        )
+        .unwrap();
+        assert_eq!(rebuilt, grown);
+        assert_eq!(grown.ones(), whole.ones());
+        assert_eq!(grown.counts(), whole.counts());
+        let encode = |planes: BitPlanes| BatchReportMessage { task_id: 9, planes }.encode();
+        let bytes = encode(whole);
+        assert_eq!(encode(grown.clone()), bytes);
+        assert_eq!(encode(rebuilt), bytes);
+        assert_eq!(BatchReportMessage::decode(&bytes).unwrap().planes, grown);
+    }
+
+    #[test]
+    fn merging_many_chunks_regrows_logarithmically() {
+        // The batched collect appends ~2,000 chunks per 1M-client round; a
+        // merge that reallocates per chunk makes the round quadratic.
+        let (bits, chunks, chunk_slots) = (10, 2_048usize, 512);
+        let chunk = pack(&synthetic_reports(chunk_slots, bits), bits);
+        let mut planes = BitPlanes::new(bits, 0);
+        let mut regrowths = 0;
+        for _ in 0..chunks {
+            let stride = planes.stride;
+            planes.merge(&chunk);
+            regrowths += u32::from(planes.stride != stride);
+        }
+        assert_eq!(planes.slots(), chunks * chunk_slots);
+        assert!(
+            regrowths <= chunks.ilog2() + 1,
+            "{regrowths} regrowths over {chunks} chunks"
+        );
+        let per_chunk = chunk.counts();
+        let expected: Vec<u64> = per_chunk.iter().map(|c| c * chunks as u64).collect();
+        assert_eq!(planes.counts(), expected);
     }
 
     #[test]
@@ -521,6 +670,11 @@ mod tests {
         assert!(BitPlanes::from_words(1, 10, vec![0b01], vec![0b10]).is_err());
         // Zero planes.
         assert!(BitPlanes::from_words(0, 10, vec![], vec![]).is_err());
+        // One slot occupied on two planes: it would be tallied twice.
+        assert_eq!(
+            BitPlanes::from_words(3, 10, vec![0b01, 0b10, 0b01], vec![0; 3]),
+            Err("slot occupied on more than one plane")
+        );
     }
 
     #[test]

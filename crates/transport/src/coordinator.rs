@@ -1482,41 +1482,35 @@ pub(crate) fn collect_batched(
         });
 
         // Client model in slot order — the exact draw order the scalar
-        // path's serialized delivery chains produce.
+        // path's serialized delivery chains produce — packed at the edge as
+        // it goes: one BatchReport frame per chunk, slots local to the
+        // chunk, sent when the chunk's first client would have reported on
+        // the scalar wire.
         let mut slot_fate = vec![Fate::DropsBeforeReport; batch.len()];
-        let mut staged: Vec<Option<(u32, bool)>> = vec![None; batch.len()];
-        for (slot, &client) in batch.iter().enumerate() {
-            let j = assignment[slot];
-            let fate = config.dropout.sample(rng);
-            if fate == Fate::DropsBeforeReport {
-                continue;
-            }
-            let raw = bit(codes[client], j);
-            let sent = match &config.protocol.privacy {
-                Some(rr) => rr.flip(raw, rng),
-                None => raw,
-            };
-            if let Some(ledger) = ledger.as_deref_mut() {
-                ledger.charge_round(client_offset + client as u64, round_id, 1, epsilon)?;
-            }
-            slot_fate[slot] = fate;
-            staged[slot] = Some((j, sent));
-        }
-
-        // Edge packing: one BatchReport frame per chunk, slots local to
-        // the chunk, sent when the chunk's first client would have
-        // reported on the scalar wire.
         let n_chunks = batch.len().div_ceil(chunk);
-        for (ci, chunk_slots) in staged.chunks(chunk).enumerate() {
+        for (ci, chunk_clients) in batch.chunks(chunk).enumerate() {
             let start = ci * chunk;
-            let mut planes = BitPlanes::new(bits, chunk_slots.len());
-            for (s, entry) in chunk_slots.iter().enumerate() {
-                if let Some((j, sent)) = entry {
-                    planes.record(s, *j, *sent);
+            let mut planes = BitPlanes::new(bits, chunk_clients.len());
+            for (s, &client) in chunk_clients.iter().enumerate() {
+                let slot = start + s;
+                let j = assignment[slot];
+                let fate = config.dropout.sample(rng);
+                if fate == Fate::DropsBeforeReport {
+                    continue;
                 }
+                let raw = bit(codes[client], j);
+                let sent = match &config.protocol.privacy {
+                    Some(rr) => rr.flip(raw, rng),
+                    None => raw,
+                };
+                if let Some(ledger) = ledger.as_deref_mut() {
+                    ledger.charge_round(client_offset + client as u64, round_id, 1, epsilon)?;
+                }
+                slot_fate[slot] = fate;
+                planes.record(s, j, sent);
             }
             transport.send(Envelope {
-                from: client_offset + batch[start] as u64,
+                from: client_offset + chunk_clients[0] as u64,
                 to: COORDINATOR,
                 sent_at: t0 + start as f64 * STEP + 2.0 * HOP,
                 payload: Message::BatchReport(BatchReport {
@@ -1554,46 +1548,43 @@ pub(crate) fn collect_batched(
         }
         completion_time += wave_time;
 
-        // Close the wave in batch order off the *decoded* planes: a chunk
-        // the wire lost contributes uniform "nothing arrived" records.
+        // Close the wave in batch order off the *decoded* planes: every
+        // slot starts as a "nothing arrived" record (all a lost or
+        // misshapen chunk contributes), then one pass per plane over its
+        // set occupancy bits fills in the reports. A decoded slot sits on
+        // exactly one plane (`BitPlanes::from_words`), so `counts`,
+        // `contacts` and the plane tally agree.
+        contacts.reserve(batch.len());
         for (ci, decoded) in arrived.into_iter().enumerate() {
             let start = ci * chunk;
             let len = chunk.min(batch.len() - start);
+            let base = contacts.len();
+            contacts.extend((start..start + len).map(|slot| Contact {
+                client: batch[slot],
+                bit: assignment[slot],
+                report: None,
+                fate: Fate::DropsBeforeReport,
+                copies: 0,
+            }));
             let decoded = match decoded {
                 Some(p) if p.bits() == bits && p.slots() == len => p,
                 _ => BitPlanes::new(bits, len),
             };
-            for s in 0..len {
-                let slot = start + s;
-                let client = batch[slot];
-                let word = s / 64;
-                let mask = 1u64 << (s % 64);
-                let mut report = None;
-                for j in 0..bits as usize {
-                    if decoded.plane_occupancy(j)[word] & mask != 0 {
-                        report = Some((j, decoded.plane_value(j)[word] & mask != 0));
-                        break;
-                    }
-                }
-                match report {
-                    Some((j, value)) => {
-                        counts[j] += 1;
-                        contacts.push(Contact {
-                            client,
-                            bit: j as u32,
-                            report: Some(value),
-                            fate: slot_fate[slot],
-                            copies: 1,
-                        });
-                    }
-                    None => {
-                        contacts.push(Contact {
-                            client,
-                            bit: assignment[slot],
-                            report: None,
-                            fate: Fate::DropsBeforeReport,
-                            copies: 0,
-                        });
+            for (j, count) in counts.iter_mut().enumerate() {
+                let occupancy = decoded.plane_occupancy(j);
+                let value = decoded.plane_value(j);
+                for (w, (&occ, &val)) in occupancy.iter().zip(value).enumerate() {
+                    *count += u64::from(occ.count_ones());
+                    let mut rest = occ;
+                    while rest != 0 {
+                        let b = rest.trailing_zeros() as usize;
+                        rest &= rest - 1;
+                        let s = w * 64 + b;
+                        let contact = &mut contacts[base + s];
+                        contact.bit = j as u32;
+                        contact.report = Some((val >> b) & 1 == 1);
+                        contact.fate = slot_fate[start + s];
+                        contact.copies = 1;
                     }
                 }
             }
@@ -2087,6 +2078,88 @@ mod tests {
                 .messages,
             0
         );
+    }
+
+    /// Forwards to an in-memory wire, but rewrites the chunk frame with
+    /// nonce `victim` so every slot is occupied on *every* plane — a
+    /// hostile edge trying to have each client tallied `bits` times.
+    struct StuffedChunk {
+        inner: InMemoryTransport,
+        victim: u64,
+    }
+
+    impl Transport for StuffedChunk {
+        fn send(&mut self, mut env: Envelope) {
+            if let Ok(Message::BatchReport(mut br)) = Message::decode(&env.payload) {
+                if br.nonce == self.victim {
+                    let (bits, slots) = (br.body.planes.bits(), br.body.planes.slots());
+                    let mut stuffed = BitPlanes::new(bits, slots);
+                    for slot in 0..slots {
+                        for plane in 0..bits {
+                            stuffed.record(slot, plane, true);
+                        }
+                    }
+                    br.body.planes = stuffed;
+                    env.payload = Message::BatchReport(br).encode();
+                }
+            }
+            self.inner.send(env);
+        }
+
+        fn poll(&mut self) -> Option<(f64, Envelope)> {
+            self.inner.poll()
+        }
+
+        fn peek_time(&self) -> Option<f64> {
+            self.inner.peek_time()
+        }
+    }
+
+    #[test]
+    fn chunk_occupying_a_slot_on_several_planes_is_dropped_not_double_counted() {
+        let vs = values(2_000, 100);
+        let cfg = base_config(7);
+        let (codes, _) = cfg.protocol.codec.encode_all(&vs);
+        let mut hostile = StuffedChunk {
+            inner: InMemoryTransport::new(4),
+            victim: 1,
+        };
+        let (st, planes) = collect_batched(
+            &codes,
+            &cfg,
+            128,
+            0,
+            None,
+            &mut hostile,
+            &mut StdRng::seed_from_u64(4),
+        )
+        .unwrap();
+        // The stuffed frame fails closed as a whole: its 128 clients read
+        // as "nothing arrived", everyone else reports exactly once.
+        assert_eq!(st.contacts.len(), 2_000);
+        for (i, c) in st.contacts.iter().enumerate() {
+            assert_eq!(c.report.is_some(), !(128..256).contains(&i), "contact {i}");
+        }
+        let reporters = st.contacts.iter().filter(|c| c.report.is_some()).count() as u64;
+        assert_eq!(reporters, 2_000 - 128);
+        assert_eq!(st.counts.iter().sum::<u64>(), reporters);
+        assert_eq!(planes.counts().iter().sum::<u64>(), reporters);
+        assert_eq!(planes.counts(), st.counts);
+        assert_eq!(planes.ones(), direct_tally(&st.contacts, 7));
+
+        // End to end, the published report count and the tally agree.
+        hostile.inner = InMemoryTransport::new(4);
+        let out = run_session_batched(
+            &vs,
+            &cfg,
+            128,
+            None,
+            &mut hostile,
+            &mut StdRng::seed_from_u64(4),
+        )
+        .unwrap();
+        assert_eq!(out.reports, reporters);
+        assert_eq!(out.outcome.accumulator.total_reports(), reporters);
     }
 
     #[test]

@@ -269,6 +269,20 @@ fn regression_batch_noncanonical_padding_rejected() {
 }
 
 #[test]
+fn regression_batch_slot_on_two_planes_rejected() {
+    // One slot occupied on two planes is two reports from one client: the
+    // plane tally would count it once per plane, so the frame fails closed.
+    let mut planes = BitPlanes::new(3, 5);
+    planes.record(2, 0, true);
+    planes.record(2, 2, false);
+    let msg = Message::BatchReport(BatchReport {
+        nonce: 7,
+        body: BatchReportMessage { task_id: 7, planes },
+    });
+    assert!(Message::decode(&msg.encode()).is_err());
+}
+
+#[test]
 fn regression_hostile_count_fails_closed() {
     // KeyShares claiming u64::MAX shares in a 12-byte buffer: must fail
     // before any allocation, with a typed error.

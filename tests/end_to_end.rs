@@ -165,3 +165,84 @@ fn one_bit_per_client_invariant_holds() {
     let out = protocol.run(ds.values(), &mut rng);
     assert_eq!(out.accumulator.total_reports(), 7_000);
 }
+
+#[test]
+fn batched_planes_match_the_scalar_wire_at_a_hundred_thousand_clients() {
+    // Large enough that the round's planes regrow several times as the
+    // 512-slot chunks are appended, with a ragged last chunk in each wave
+    // and a deficit refill wave: the statistical surface must equal the
+    // per-client wire's seed for seed, and the secure-aggregation phases
+    // (which both wires run over the same cohort) must bill identically.
+    use fednum::fedsim::traffic::{Direction, TrafficPhase};
+    use fednum::transport::InMemoryTransport;
+    let ds = Dataset::draw(&Normal::new(500.0, 100.0), 100_003, 3);
+    let plain = FederatedMeanConfig::new(
+        BasicConfig::new(
+            FixedPointCodec::integer(10),
+            BitSampling::geometric(10, 1.0),
+        )
+        .with_privacy(RandomizedResponse::from_epsilon(1.0)),
+    )
+    .with_dropout(DropoutModel::bernoulli(0.1))
+    .with_auto_adjust(3, 150, 0.6);
+    // The share-level scalar secure round costs ~10 s at this size: one
+    // seed there, three on the plain wire.
+    for (tag, secure, seeds) in [
+        ("plain", None, 11u64..14),
+        ("secure", Some(SecAggSettings::default()), 11..12),
+    ] {
+        for seed in seeds {
+            let run = |chunk: Option<usize>| {
+                let mut transport = InMemoryTransport::new(seed);
+                let mut round = RoundBuilder::new(plain.clone())
+                    .seed(seed)
+                    .via(&mut transport);
+                if let Some(settings) = secure {
+                    round = round.secure(settings);
+                }
+                if let Some(chunk) = chunk {
+                    round = round.batched(chunk);
+                }
+                round.run(ds.values()).unwrap().flat().unwrap().clone()
+            };
+            let (scalar, batched) = (run(None), run(Some(512)));
+            let at = format!("{tag} seed {seed}");
+            assert_eq!(
+                scalar.outcome.estimate.to_bits(),
+                batched.outcome.estimate.to_bits(),
+                "{at}"
+            );
+            assert_eq!(scalar.outcome.bit_means, batched.outcome.bit_means, "{at}");
+            assert_eq!(scalar.reports, batched.reports, "{at}");
+            assert_eq!(scalar.contacted, batched.contacted, "{at}");
+            assert_eq!(scalar.waves_used, batched.waves_used, "{at}");
+            assert!(batched.waves_used > 1, "{at}: no refill wave ran");
+            assert_eq!(scalar.secagg, batched.secagg, "{at}");
+            let (st, bt) = (&scalar.robustness.traffic, &batched.robustness.traffic);
+            for phase in [
+                TrafficPhase::KeyExchange,
+                TrafficPhase::Masking,
+                TrafficPhase::Unmask,
+                TrafficPhase::Publish,
+            ] {
+                for direction in [Direction::Uplink, Direction::Downlink] {
+                    assert_eq!(
+                        st.get(phase, direction),
+                        bt.get(phase, direction),
+                        "{at}: {phase:?} {direction:?}"
+                    );
+                }
+            }
+            // One collect-uplink frame per chunk, the last chunk of each
+            // wave ragged, against one per reporting client on the scalar
+            // wire.
+            let frames = bt.get(TrafficPhase::Collect, Direction::Uplink).messages;
+            let full = batched.contacted.div_ceil(512) as u64;
+            assert!(
+                (full..full + u64::from(batched.waves_used)).contains(&frames),
+                "{at}: {frames} chunk frames for {} contacts",
+                batched.contacted
+            );
+        }
+    }
+}

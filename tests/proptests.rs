@@ -8,7 +8,7 @@ use fednum::core::sampling::BitSampling;
 use fednum::ldp::ValueRange;
 use fednum::secagg::field::{Fe, MODULUS};
 use fednum::secagg::shamir::{reconstruct as shamir_reconstruct, share};
-use fednum::BitPlanes;
+use fednum::{BatchReportMessage, BitPlanes};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -198,13 +198,15 @@ proptest! {
         prop_assert_eq!(planes.counts_masked(&keep), m_counts);
     }
 
-    /// Merging planes is exactly slot concatenation: packing two report
-    /// sequences separately and merging equals packing them back to back.
+    /// Merging planes is exactly slot concatenation, under any chunking:
+    /// packing a report sequence chunk by chunk (zero-length and
+    /// non-multiple-of-64 chunks included) and merging in order equals
+    /// packing it in one shot, down to the encoded wire bytes.
     #[test]
     fn bit_planes_merge_is_concatenation(
         bits in 1u32..=8,
-        left in prop::collection::vec((0u32..10, any::<bool>()), 0..100),
-        right in prop::collection::vec((0u32..10, any::<bool>()), 0..100),
+        reports in prop::collection::vec((0u32..10, any::<bool>()), 0..600),
+        cuts in prop::collection::vec(0usize..200, 0..12),
     ) {
         // j >= 8 marks a dropped-out slot (no report recorded).
         let pack = |reports: &[(u32, bool)]| {
@@ -216,11 +218,18 @@ proptest! {
             }
             planes
         };
-        let mut merged = pack(&left);
-        merged.merge(&pack(&right));
-        let mut whole: Vec<(u32, bool)> = left;
-        whole.extend(right);
-        prop_assert_eq!(merged, pack(&whole));
+        let mut merged = BitPlanes::new(bits, 0);
+        let mut rest = reports.as_slice();
+        for cut in cuts {
+            let (chunk, tail) = rest.split_at(cut.min(rest.len()));
+            merged.merge(&pack(chunk));
+            rest = tail;
+        }
+        merged.merge(&pack(rest));
+        let whole = pack(&reports);
+        prop_assert_eq!(&merged, &whole);
+        let encode = |planes| BatchReportMessage { task_id: 7, planes }.encode();
+        prop_assert_eq!(encode(merged), encode(whole));
     }
 }
 
