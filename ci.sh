@@ -11,6 +11,19 @@ cd "$(dirname "$0")"
 
 step() { printf '\n== %s ==\n' "$1"; }
 
+# exact_test <cargo test target args...> <test name>: runs one pinned test
+# by exact name and fails unless exactly one test ran — a moved or renamed
+# test matches zero tests, which `cargo test` alone reports as green.
+exact_test() {
+    local log ran
+    log=$(mktemp)
+    cargo test --release --offline "$@" -- --exact 2>&1 | tee "$log"
+    ran=$(awk '/^test result: ok\./ { ran += $4 } END { print ran + 0 }' "$log")
+    rm -f "$log"
+    [[ "$ran" -eq 1 ]] \
+        || { echo "expected exactly one test to run for: $*; ran $ran"; exit 1; }
+}
+
 step "cargo build --release"
 cargo build --release --offline --workspace
 
@@ -19,34 +32,36 @@ step "proptest regression seeds (deterministic smoke)"
 # replayed twice: once as explicit unit tests (runner-independent), once by
 # the proptest runner itself, which reads the seed file before generating
 # novel cases. PROPTEST_CASES=1 keeps the second pass to (seeds + 1 case).
-cargo test --release --offline --test proptests \
-    regression_constant_population_v945_seed0_n2 -- --exact
+exact_test --test proptests \
+    regression_constant_population_v945_seed0_n2
 PROPTEST_CASES=1 cargo test --release --offline --test proptests \
     constant_population_underestimates_by_unsampled_bits
 # Transport wire-codec regression anchors (boundary frames pinned as unit
 # tests), plus a 1-case proptest replay of the round-trip property.
-cargo test --release --offline -p fednum-transport --test proptest_messages \
-    regression_max_varint_fields_round_trip -- --exact
-cargo test --release --offline -p fednum-transport --test proptest_messages \
-    regression_hostile_count_fails_closed -- --exact
+exact_test -p fednum-transport --test proptest_messages \
+    regression_max_varint_fields_round_trip
+exact_test -p fednum-transport --test proptest_messages \
+    regression_hostile_count_fails_closed
 # Batched-wire anchors: a hostile chunk frame claiming 2^40 slots, a
 # non-canonical padding bit past the slot count, and a slot occupied on
 # two planes (a client counted twice) must all fail closed.
-cargo test --release --offline -p fednum-transport --test proptest_messages \
-    regression_hostile_batch_slot_count_fails_closed -- --exact
-cargo test --release --offline -p fednum-transport --test proptest_messages \
-    regression_batch_noncanonical_padding_rejected -- --exact
-cargo test --release --offline -p fednum-transport --test proptest_messages \
-    regression_batch_slot_on_two_planes_rejected -- --exact
+exact_test -p fednum-transport --test proptest_messages \
+    regression_hostile_batch_slot_count_fails_closed
+exact_test -p fednum-transport --test proptest_messages \
+    regression_batch_noncanonical_padding_rejected
+exact_test -p fednum-transport --test proptest_messages \
+    regression_batch_slot_on_two_planes_rejected
 PROPTEST_CASES=1 cargo test --release --offline -p fednum-transport \
     --test proptest_messages encode_decode_identity
 # Straggler-salvage regression anchor: a pinned seed that must keep
 # recovering >50 stragglers and replaying bit-identically.
-cargo test --release --offline -p fednum-transport --test salvage \
-    regression_salvage_seed_0x5a17_recovers_and_stays_pinned -- --exact
+exact_test -p fednum-transport --test salvage \
+    regression_salvage_seed_0x5a17_recovers_and_stays_pinned
 
 step "cargo test (workspace)"
-cargo test -q --release --offline --workspace
+# --include-ignored: the process-spawning suites (fleet_e2e, chaos_e2e) are
+# `#[ignore]`d out of a bare `cargo test` and run here.
+cargo test -q --release --offline --workspace -- --include-ignored
 
 step "benchmark selftest + quick traced run (correctness harness, 10 min budget)"
 # benchmark/ is its own Cargo workspace (own target dir), so neither the
@@ -65,12 +80,12 @@ timeout 600 bash benchmark/run.sh --quick --trace | tee "$BENCH_QUICK_LOG"
 rm -f "$BENCH_QUICK_LOG"
 
 step "hierarchical chaos matrix (both secagg tiers under fault injection)"
-cargo test -q --release --offline --test chaos \
-    chaos_matrix_composes_with_hierarchical_secagg -- --exact
+exact_test -q --test chaos \
+    chaos_matrix_composes_with_hierarchical_secagg
 
 step "salvage chaos pass (salvage never worse than discard)"
-cargo test -q --release --offline --test chaos \
-    salvage_never_worsens_the_estimate_across_the_chaos_grid -- --exact
+exact_test -q --test chaos \
+    salvage_never_worsens_the_estimate_across_the_chaos_grid
 
 step "bench_transport --hiersec smoke (fixed seed, 10s budget)"
 # Quick grid (50k clients, K in {4,16}, 1/4 workers); the binary itself
@@ -122,10 +137,10 @@ step "bench_tcp --longitudinal smoke (amortized per-round overhead gate)"
 step "bench_tcp --planes smoke (bit-plane wire: >=10x + scalar parity gates)"
 # Pinned parity regression seeds first: batched plain/secagg rounds must
 # stay bit-identical to the scalar path per seed across chunk sizes.
-cargo test --release --offline -p fednum-transport --lib \
-    coordinator::tests::batched_plain_round_is_bit_identical_per_seed -- --exact
-cargo test --release --offline -p fednum-transport --lib \
-    coordinator::tests::batched_secagg_round_is_bit_identical_per_seed -- --exact
+exact_test -p fednum-transport --lib \
+    coordinator::tests::batched_plain_round_is_bit_identical_per_seed
+exact_test -p fednum-transport --lib \
+    coordinator::tests::batched_secagg_round_is_bit_identical_per_seed
 # Then the throughput panel: the binary enforces batched-vs-scalar
 # estimate parity over the socket (plain + secagg, 3 seeds) and the
 # >=10x client-aggregation speedup over the scalar wire's frames/s.
@@ -277,8 +292,8 @@ step "amplification regression anchor (fixed (eps, n, delta) pinned to 1e-12)"
 # (local epsilon, cohort, delta) triples must reproduce their recorded
 # amplified epsilons to 1e-12, so a numerics drift can never silently
 # loosen what the durable ledger bills.
-cargo test --release --offline -p fednum-core --lib \
-    privacy::amplification::tests::regression_amplified_epsilon_pinned_to_1e12 -- --exact
+exact_test -p fednum-core --lib \
+    privacy::amplification::tests::regression_amplified_epsilon_pinned_to_1e12
 
 step "bench_tcp --shuffle smoke (TCP parity + amplified-epsilon gates)"
 # One shuffled round (clients -> shuffler session -> anonymized batch ->
@@ -361,9 +376,7 @@ if [[ "${1:-}" != "quick" ]]; then
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
     step "cargo clippy --workspace --all-targets -- -D warnings"
-    # -D warnings includes deprecation warnings: internal code may not
-    # call the deprecated run_* wrappers superseded by RoundBuilder. The
-    # vendored offline stand-ins (vendor/) are excluded — they mirror
+    # The vendored offline stand-ins (vendor/) are excluded — they mirror
     # external crates and are not held to repo lint standards.
     cargo clippy --workspace \
         --exclude serde --exclude serde_derive --exclude serde_json \

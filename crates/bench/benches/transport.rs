@@ -15,7 +15,7 @@ use fednum_transport::{EventQueue, InMemoryTransport, Message, RoundBuilder, Tra
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-// Builder-backed stand-ins for the deprecated free functions; the bench
+// Builder-backed stand-ins for the removed free functions; the bench
 // bodies below keep their original call shapes.
 fn run_federated_mean(
     values: &[f64],

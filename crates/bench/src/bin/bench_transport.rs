@@ -50,7 +50,7 @@ use fednum_transport::{InMemoryTransport, RoundBuilder, Transport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-// Builder-backed stand-ins for the deprecated free functions; the bench
+// Builder-backed stand-ins for the removed free functions; the bench
 // bodies keep their original call shapes.
 fn run_sharded_mean(
     values: &[f64],

@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use crate::figures::{normal_population, Budget};
 use crate::runner::clipped_with_mean;
 
-// Builder-backed stand-ins for the deprecated free functions; the figure
+// Builder-backed stand-ins for the removed free functions; the figure
 // bodies keep their original call shapes.
 fn run_federated_mean(
     values: &[f64],

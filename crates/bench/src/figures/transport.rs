@@ -19,7 +19,7 @@ use rand::SeedableRng;
 
 use super::{normal_population, Budget};
 
-// Builder-backed stand-ins for the deprecated free functions; the figure
+// Builder-backed stand-ins for the removed free functions; the figure
 // bodies keep their original call shapes.
 fn run_federated_mean(
     values: &[f64],

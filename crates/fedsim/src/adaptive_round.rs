@@ -14,7 +14,7 @@ use fednum_core::sampling::BitSampling;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::round::{run_round_impl, FederatedMeanConfig, FederatedOutcome, RoundError};
+use crate::round::{run_round, Direct, FederatedMeanConfig, FederatedOutcome, RoundError};
 
 /// Configuration for a federated adaptive task: the environment settings of
 /// [`FederatedMeanConfig`] plus the Algorithm 2 parameters.
@@ -81,19 +81,29 @@ pub struct FederatedAdaptiveOutcome {
     pub completion_time: f64,
 }
 
-/// The synchronous two-round engine behind the `RoundBuilder` facade: two
-/// federated rounds with weight re-optimization in between. Not part of the
-/// public API surface — call it through
-/// `fednum::transport::RoundBuilder::new(config).adaptive()`.
+/// Algorithm 2 over any way of running one round: δ / (1−δ) cohort split,
+/// round 1 on geometric(γ) weights publishing its per-bit means as
+/// feedback, round 2 on the weights re-optimized from that feedback, pooled
+/// estimate. `run_round(cohort, environment, rng, with_feedback)` runs one
+/// flat round and hands back its outcome plus the feedback *as published* —
+/// local memory on the synchronous path, the decoded Publish frame over a
+/// transport. The shared RNG is consumed in one order everywhere: cohort
+/// shuffle, then round 1's draws, then round 2's.
 ///
 /// # Errors
 /// [`RoundError::PopulationTooSmall`] unless there are at least two clients;
 /// otherwise propagates the error of either round.
 #[doc(hidden)]
-pub fn run_adaptive_impl(
+pub fn run_adaptive(
     values: &[f64],
     config: &FederatedAdaptiveConfig,
     rng: &mut dyn Rng,
+    mut run_round: impl FnMut(
+        &[f64],
+        &FederatedMeanConfig,
+        &mut dyn Rng,
+        bool,
+    ) -> Result<(FederatedOutcome, Vec<f64>), RoundError>,
 ) -> Result<FederatedAdaptiveOutcome, RoundError> {
     if values.len() < 2 {
         return Err(RoundError::PopulationTooSmall {
@@ -111,24 +121,25 @@ pub fn run_adaptive_impl(
     let cohort1: Vec<f64> = order[..n1].iter().map(|&i| values[i]).collect();
     let cohort2: Vec<f64> = order[n1..].iter().map(|&i| values[i]).collect();
 
-    let make_env = |protocol: BasicConfig| {
+    let make_env = |sampling: BitSampling| {
         let mut env = config.environment.clone();
-        env.protocol = protocol;
+        env.protocol = rebuild(base, sampling);
         env
     };
 
     // Round 1: geometric(γ).
-    let round1_protocol = rebuild(base, BitSampling::geometric(bits, config.gamma));
-    let round1 = run_round_impl(&cohort1, &make_env(round1_protocol), None, rng)?;
+    let round1_env = make_env(BitSampling::geometric(bits, config.gamma));
+    let (round1, feedback) = run_round(&cohort1, &round1_env, rng, true)?;
 
-    // Re-optimize from round-1 bit means (already squashed by the protocol
-    // if configured); fall back to round-1 weights for degenerate signals.
-    let sampling2 = BitSampling::adaptive_weights(&round1.outcome.bit_means, config.alpha)
+    // Re-optimize from the published round-1 bit means (already squashed by
+    // the protocol if configured); fall back to round-1 weights for
+    // degenerate signals.
+    debug_assert_eq!(feedback.len(), bits as usize);
+    let sampling2 = BitSampling::adaptive_weights(&feedback, config.alpha)
         .unwrap_or_else(|| BitSampling::geometric(bits, config.gamma));
 
     // Round 2 on the remaining clients.
-    let round2_protocol = rebuild(base, sampling2.clone());
-    let round2 = run_round_impl(&cohort2, &make_env(round2_protocol), None, rng)?;
+    let (round2, _) = run_round(&cohort2, &make_env(sampling2.clone()), rng, false)?;
 
     // Pool both rounds' histograms ("caching"), using round-1 means as the
     // prior for bits round 2 deliberately stopped sampling.
@@ -153,6 +164,23 @@ pub fn run_adaptive_impl(
     })
 }
 
+/// The synchronous two-round protocol behind the `RoundBuilder` facade.
+/// Not part of the public API surface — call it through
+/// `fednum::transport::RoundBuilder::new_adaptive(config)`.
+///
+/// # Errors
+/// See [`run_adaptive`].
+#[doc(hidden)]
+pub fn run_adaptive_impl(
+    values: &[f64],
+    config: &FederatedAdaptiveConfig,
+    rng: &mut dyn Rng,
+) -> Result<FederatedAdaptiveOutcome, RoundError> {
+    run_adaptive(values, config, rng, |cohort, env, rng, with_feedback| {
+        run_round(cohort, env, None, &mut Direct, rng, with_feedback)
+    })
+}
+
 /// Rebuilds a protocol config with a different sampling distribution,
 /// preserving codec / privacy / squash / assignment.
 fn rebuild(base: &BasicConfig, sampling: BitSampling) -> BasicConfig {
@@ -174,6 +202,7 @@ mod tests {
     use super::*;
     use crate::dropout::DropoutModel;
     use crate::latency::LatencyModel;
+    use crate::round::run_round_impl;
     use fednum_core::encoding::FixedPointCodec;
     use fednum_core::privacy::RandomizedResponse;
     use rand::rngs::StdRng;

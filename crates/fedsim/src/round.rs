@@ -1,31 +1,40 @@
-//! Federated round orchestration.
+//! The federated round, written once.
 //!
 //! Wires the full deployment pipeline together: contact a cohort in one or
 //! more waves, apply the dropout model and any injected faults, let each
 //! client extract (and randomize) its assigned bit, validate what the
-//! transport delivers, carry the reports either directly or through the
+//! transport delivers, tally the reports either directly or through the
 //! simulated secure-aggregation protocol — retrying a failed unmask over
 //! the survivors — and hand the per-bit histograms to `fednum-core` for
 //! estimation.
+//!
+//! All of that is one driver ([`collect`] → [`check_cohort`] →
+//! [`secagg_tally`] → [`finish`], composed by [`run_round`]) generic over a
+//! [`Carrier`]: the small part that differs by how messages travel. The
+//! synchronous carrier, [`Direct`], lives here; `fednum-transport` supplies
+//! the per-client and chunked wires and reuses the same pieces for its
+//! sharded, hierarchical and shuffled shapes.
 //!
 //! Auto-adjustment (Section 4.3: "the bit sampling probabilities were
 //! auto-adjusted based on the dropout rate, improving utility"): after the
 //! first wave, bits whose report counts fell below the target are re-sampled
 //! in follow-up waves over previously uncontacted clients, with weights
-//! proportional to their deficit. Between waves the orchestrator backs off
-//! on the capped exponential schedule of its [`RetryPolicy`].
+//! proportional to their deficit. Between waves the driver backs off on the
+//! capped exponential schedule of its [`RetryPolicy`].
 //!
 //! Everything that can go wrong at runtime — total dropout, a cohort below
 //! the privacy minimum, secure aggregation failing past its retry budget —
-//! surfaces as a typed [`FedError`]; the orchestration path never panics on
-//! fleet behaviour.
+//! surfaces as a typed [`FedError`]; the round never panics on fleet
+//! behaviour.
 
 use fednum_core::accumulator::BitAccumulator;
 use fednum_core::bits::bit;
 use fednum_core::privacy::PrivacyLedger;
 use fednum_core::protocol::basic::{BasicBitPushing, BasicConfig, Outcome};
 use fednum_core::sampling::BitSampling;
-use fednum_secagg::protocol::{run_secure_aggregation, DropoutPlan, SecAggConfig, SecAggError};
+use fednum_secagg::protocol::{
+    run_secure_aggregation, DropoutPlan, SecAggConfig, SecAggError, SecAggOutcome,
+};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -95,9 +104,9 @@ pub struct FederatedMeanConfig {
     /// Straggler salvage: park post-deadline report frames in a bounded
     /// buffer and, once the base estimate is tallied, run a follow-up
     /// session that re-validates and re-admits them (exact-count merge into
-    /// the published estimate). Implemented by the event-driven transport
-    /// coordinator; the legacy synchronous orchestrator ignores it — it has
-    /// no wire on which a frame can be late yet present. Requires
+    /// the published estimate). Implemented by the per-client wire carrier;
+    /// the synchronous carrier ignores it — it has no wire on which a frame
+    /// can be late yet present. Requires
     /// `validate` (the naive server accepts stragglers directly, leaving
     /// nothing to salvage).
     pub salvage: Option<SalvagePolicy>,
@@ -108,8 +117,8 @@ pub struct FederatedMeanConfig {
     /// per wave plus a 1-byte per-client assigned-bit delta, instead of a
     /// full `RoundConfig` frame per client. Purely a wire-path codec choice
     /// — estimates are unaffected; byte savings are credited to
-    /// `TrafficStats::config_bytes_saved`. The legacy synchronous
-    /// orchestrator ignores it (nothing crosses a wire there).
+    /// `TrafficStats::config_bytes_saved`. The synchronous carrier ignores
+    /// it (nothing crosses a wire there).
     pub compress_config: bool,
 }
 
@@ -302,7 +311,7 @@ pub struct RobustnessReport {
     /// leaves `rejections.straggler` at zero.
     pub late_frames: u64,
     /// Straggler-salvage telemetry; `None` when salvage is not configured
-    /// or the path (legacy synchronous) does not implement it.
+    /// or the carrier (synchronous) has nothing to salvage.
     pub salvage: Option<SalvageOutcome>,
     /// Re-masked secure-aggregation retries performed.
     pub secagg_retries: u32,
@@ -310,20 +319,11 @@ pub struct RobustnessReport {
     pub faults_injected: u64,
     /// Wall-clock spent backing off between waves and retries.
     pub backoff_time: f64,
-    /// Per-phase, per-direction message traffic. All-zero on the legacy
-    /// synchronous path (nothing crosses a wire there); filled in by the
-    /// `fednum-transport` coordinator.
+    /// Per-phase, per-direction message traffic. All-zero on the
+    /// synchronous carrier (nothing crosses a wire there); filled in by the
+    /// `fednum-transport` session.
     pub traffic: TrafficStats,
 }
-
-/// The old name of [`RobustnessReport`], freed up so the unified
-/// [`RoundBuilder`](https://docs.rs/fednum) result could take it.
-#[deprecated(
-    since = "0.2.0",
-    note = "renamed to `RobustnessReport`; `RoundOutcome` now names the \
-            unified result of `fednum::transport::RoundBuilder`"
-)]
-pub type RoundOutcome = RobustnessReport;
 
 /// Result of a federated mean-estimation task.
 #[derive(Debug, Clone)]
@@ -348,225 +348,783 @@ pub struct FederatedOutcome {
 }
 
 /// One contacted client's record, as the server saw it after validation.
+#[doc(hidden)]
 #[derive(Clone)]
-struct Contact {
-    client: usize,
-    bit: u32,
-    report: Option<bool>, // None = nothing (valid) delivered
-    fate: Fate,
-    copies: u64, // > 1 only for unvalidated duplicate deliveries
+pub struct Contact {
+    /// Population index, local to the coordinator that contacted it.
+    pub client: usize,
+    pub bit: u32,
+    pub report: Option<bool>, // None = nothing (valid) delivered
+    pub fate: Fate,
+    pub copies: u64, // > 1 only for unvalidated duplicate deliveries
 }
 
-/// The synchronous round engine behind the `RoundBuilder` facade: a
-/// complete federated mean-estimation task over one private value per
-/// client, optionally metering every client's disclosure through a
-/// [`PrivacyLedger`] (one bit, and the randomized-response ε if configured,
-/// per client per round, idempotently across secure-aggregation retry
-/// waves; the round identifier is `config.session_seed`). Not part of the
-/// public API surface — call it through
-/// `fednum::transport::RoundBuilder::new(config)` (plus `.metered(ledger)`
-/// for the billed flavor).
+/// What carries a round's messages. The round itself — wave schedule,
+/// client model, cohort checks, secure-aggregation retry loop, estimator
+/// tail — is written once in this module and is generic over a carrier,
+/// which answers only three things: play one wave's reports, aggregate one
+/// secure-aggregation attempt, publish the result. [`Direct`] carries
+/// nothing anywhere (the synchronous front door); the per-client and
+/// chunked wires live in `fednum-transport`.
 #[doc(hidden)]
-#[allow(clippy::too_many_lines)]
-pub fn run_round_impl(
-    values: &[f64],
-    config: &FederatedMeanConfig,
-    mut ledger: Option<&mut PrivacyLedger>,
-    rng: &mut dyn Rng,
-) -> Result<FederatedOutcome, FedError> {
-    if values.is_empty() {
-        return Err(FedError::PopulationTooSmall { got: 0, need: 1 });
+pub trait Carrier {
+    /// Plays one wave: has every client in `wave.batch` told its assigned
+    /// bit, asks the wave how each one [responds](Wave::respond), carries
+    /// the responses to the server, and appends one [`Contact`] per batch
+    /// slot, in batch order, to the wave's collect state.
+    ///
+    /// # Errors
+    /// A privacy-budget refusal from the client model.
+    fn play_wave(&mut self, wave: &mut Wave<'_>) -> Result<(), FedError>;
+
+    /// Carries one secure-aggregation attempt over `attempt.cohort` and
+    /// returns its aggregate `[ones | counts]` vector.
+    ///
+    /// # Errors
+    /// Whatever the aggregation reports; the driver retries
+    /// `TooFewSurvivors` over the survivors.
+    fn aggregate(
+        &mut self,
+        attempt: &SecAggAttempt<'_>,
+        rng: &mut dyn Rng,
+    ) -> Result<SecAggOutcome, SecAggError>;
+
+    /// Broadcasts the result and returns `feedback` as the next round's
+    /// clients read it (the adaptive protocol's round-1 → round-2 channel).
+    ///
+    /// # Errors
+    /// A carrier whose broadcast does not read back.
+    fn publish(
+        &mut self,
+        round_id: u64,
+        estimate: f64,
+        reports: u64,
+        feedback: Vec<f64>,
+    ) -> Result<Vec<f64>, FedError>;
+}
+
+/// A client that did not vanish before reporting.
+#[doc(hidden)]
+pub struct Response {
+    /// The (randomized) bit the client discloses.
+    pub sent: bool,
+    pub fate: Fate,
+    /// The injected fault, for the carrier to act out on its wire.
+    pub fault: Option<FaultKind>,
+}
+
+/// The wave a [`Carrier`] is playing: who was contacted and what each was
+/// assigned, the client model to ask how each one
+/// [responds](Self::respond), and the round's collect state to record what
+/// arrived in. By the time `play_wave` returns, `st.contacts` has grown by
+/// one record per batch slot in batch order and `st.counts` / `st.ones`
+/// tally the accepted copies; [`accept`](Self::accept) and
+/// [`nothing`](Self::nothing) do both for a carrier that closes its slots
+/// in order.
+#[doc(hidden)]
+pub struct Wave<'a> {
+    pub config: &'a FederatedMeanConfig,
+    pub index: u32,
+    pub batch: &'a [usize],
+    pub assignment: &'a [u32],
+    /// Engages only under fault injection: without faults every delivery
+    /// is trivially valid and the identical tallies come out unvalidated.
+    pub validator: Option<ReportValidator>,
+    /// Report frames that arrived after the wave deadline.
+    pub stragglers: u64,
+    pub st: &'a mut Collected,
+    rng: &'a mut dyn Rng,
+    codes: &'a [u64],
+    /// Shifts local population indices into fleet-wide client identities
+    /// (nonzero under sharding), which fault plans and ledgers key on.
+    client_offset: u64,
+    epsilon: f64,
+    ledger: Option<&'a mut PrivacyLedger>,
+}
+
+impl Wave<'_> {
+    /// Fleet-wide identity of local population index `client`.
+    #[must_use]
+    pub fn id(&self, client: usize) -> u64 {
+        self.client_offset + client as u64
     }
-    let codec = config.protocol.codec;
-    let bits = codec.bits();
-    let (codes, clip_fraction) = codec.encode_all(values);
-    let round_id = config.session_seed;
-    let epsilon = config
-        .protocol
-        .privacy
-        .as_ref()
-        .map_or(0.0, fednum_core::privacy::RandomizedResponse::epsilon);
+
+    /// Size of this coordinator's population.
+    #[must_use]
+    pub fn population(&self) -> usize {
+        self.codes.len()
+    }
+
+    /// The client model: what `client` does on learning it was assigned
+    /// bit `j` — dropout fate, client-phase fault, randomized-response
+    /// flip and privacy charge, in that RNG draw order — or `None` when it
+    /// vanishes before reporting. Carriers call this at the moment their
+    /// wire delivers the client its assignment.
+    ///
+    /// # Errors
+    /// The ledger refusing the charge.
+    // `always`: this is the per-client body of every carrier's hot loop, and
+    // across the crate boundary a plain hint is not taken (the wire carriers
+    // got one out-of-line copy, a call per client).
+    #[inline(always)]
+    pub fn respond(&mut self, client: usize, j: u32) -> Result<Option<Response>, FedError> {
+        let round_id = self.config.session_seed;
+        let id = self.id(client);
+        let mut fate = self.config.dropout.sample(self.rng);
+        let fault = self
+            .config
+            .faults
+            .as_ref()
+            .and_then(|p| p.fault_for(round_id, id));
+        if fault.is_some() {
+            self.st.faults_injected += 1;
+        }
+        if fault == Some(FaultKind::DropBeforeReport) {
+            fate = Fate::DropsBeforeReport;
+        }
+        if fate == Fate::DropsBeforeReport {
+            return Ok(None);
+        }
+        // The client computes and sends its randomized bit. This is the
+        // privacy disclosure: it is metered here, once per round, no
+        // matter what the carrier then does to the report. A stale-round
+        // fault sends an *old* report instead, so nothing new is disclosed.
+        let raw = bit(self.codes[client], j);
+        let sent = match &self.config.protocol.privacy {
+            Some(rr) => rr.flip(raw, self.rng),
+            None => raw,
+        };
+        if fault != Some(FaultKind::StaleRound) {
+            if let Some(ledger) = self.ledger.as_deref_mut() {
+                ledger.charge_round(id, round_id, 1, self.epsilon)?;
+            }
+        }
+        if fault == Some(FaultKind::DropBeforeUnmask) && fate == Fate::Responds {
+            fate = Fate::DropsAfterReport;
+        }
+        Ok(Some(Response { sent, fate, fault }))
+    }
+
+    /// The payload of the old report a `StaleRound` fault re-sends:
+    /// uncorrelated with this round's assignment.
+    #[must_use]
+    pub fn stale_payload(&self, client: usize) -> bool {
+        self.config
+            .faults
+            .as_ref()
+            .expect("fault implies plan")
+            .payload_bit(self.config.session_seed, self.id(client))
+    }
+
+    /// Records `copies` accepted deliveries of `value` on `bit` from the
+    /// next batch slot's `client`.
+    #[inline]
+    pub fn accept(&mut self, client: usize, bit: u32, value: bool, fate: Fate, copies: u64) {
+        self.st.counts[bit as usize] += copies;
+        self.st.ones[bit as usize] += u64::from(value) * copies;
+        self.st.contacts.push(Contact {
+            client,
+            bit,
+            report: Some(value),
+            fate,
+            copies,
+        });
+    }
+
+    /// Records that nothing (valid) arrived from the next batch slot's
+    /// `client`, assigned `bit` — vanished client, enforced deadline,
+    /// rejected-everything transport alike; for secure aggregation it
+    /// contributes no masked input.
+    #[inline]
+    pub fn nothing(&mut self, client: usize, bit: u32) {
+        self.st.contacts.push(Contact {
+            client,
+            bit,
+            report: None,
+            fate: Fate::DropsBeforeReport,
+            copies: 0,
+        });
+    }
+}
+
+/// Everything the collect phase produced, ready for the tally stage.
+#[doc(hidden)]
+#[derive(Default)]
+pub struct Collected {
+    pub contacts: Vec<Contact>,
+    /// Accepted report copies per bit.
+    pub counts: Vec<u64>,
+    /// Accepted one-valued copies per bit: the direct tally.
+    pub ones: Vec<u64>,
+    pub completion_time: f64,
+    pub backoff_time: f64,
+    pub waves_used: u32,
+    pub rejections: RejectionCounts,
+    pub faults_injected: u64,
+    pub late_frames: u64,
+}
+
+impl Collected {
+    /// Accepted report copies.
+    #[must_use]
+    pub fn reports(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+
+    /// Clients with at least one accepted report.
+    #[must_use]
+    pub fn reporters(&self) -> usize {
+        self.contacts.iter().filter(|c| c.report.is_some()).count()
+    }
+}
+
+/// The collect phase: contacts the cohort in waves — deficit-weighted
+/// refills over previously uncontacted clients, capped exponential backoff
+/// between them — and has `carrier` play each wave. The shared RNG is
+/// consumed in one fixed order on every carrier: pool shuffle, then per
+/// wave assignment and latency, then per client dropout and randomized
+/// response.
+///
+/// # Errors
+/// See [`Carrier::play_wave`].
+#[doc(hidden)]
+pub fn collect<C: Carrier>(
+    codes: &[u64],
+    config: &FederatedMeanConfig,
+    client_offset: u64,
+    mut ledger: Option<&mut PrivacyLedger>,
+    carrier: &mut C,
+    rng: &mut dyn Rng,
+) -> Result<Collected, FedError> {
+    let bits = config.protocol.codec.bits();
+    let base_probs = config.protocol.sampling.probs();
 
     // Uncontacted-client pool, randomly ordered.
     let mut pool: Vec<usize> = (0..codes.len()).collect();
     pool.shuffle(rng);
 
-    let base_probs = config.protocol.sampling.probs().to_vec();
-    let mut counts = vec![0u64; bits as usize];
-    let mut contacts: Vec<Contact> = Vec::new();
-    let mut completion_time = 0.0;
-    let mut backoff_time = 0.0;
-    let mut waves_used = 0;
-    let mut rejections = RejectionCounts::default();
-    let mut faults_injected: u64 = 0;
-    let mut late_frames: u64 = 0;
+    let epsilon = local_epsilon(config);
+    let mut st = Collected {
+        counts: vec![0; bits as usize],
+        ones: vec![0; bits as usize],
+        ..Collected::default()
+    };
 
-    for wave in 0..config.max_waves {
+    for index in 0..config.max_waves {
         if pool.is_empty() {
             break;
         }
-        // Sampling distribution for this wave.
-        let sampling = if wave == 0 {
-            config.protocol.sampling.clone()
+        // First wave: the configured distribution over the configured
+        // fraction of the pool. Refill waves: deficit-weighted over the
+        // bits the base distribution cares about, contacting just enough
+        // clients to cover the deficit at the expected response rate.
+        let (sampling, wave_size) = if index == 0 {
+            let size = (config.wave_fraction * pool.len() as f64).ceil() as usize;
+            (config.protocol.sampling.clone(), size)
         } else {
-            // Deficit-weighted refill over bits the base distribution cares
-            // about.
-            let deficits: Vec<f64> = base_probs
+            let deficits: Vec<u64> = base_probs
                 .iter()
-                .zip(&counts)
+                .zip(&st.counts)
                 .map(|(&p, &c)| {
-                    if p > 0.0 && c < config.min_reports_per_bit {
-                        (config.min_reports_per_bit - c) as f64
+                    if p > 0.0 {
+                        config.min_reports_per_bit.saturating_sub(c)
                     } else {
-                        0.0
+                        0
                     }
                 })
                 .collect();
-            if deficits.iter().all(|&d| d == 0.0) {
+            let deficit_total: u64 = deficits.iter().sum();
+            if deficit_total == 0 {
                 break; // every bit satisfied
             }
-            BitSampling::custom(deficits)
+            let needed = deficit_total as f64 / config.dropout.response_rate().max(0.01);
+            let pause = config.retry.backoff(index - 1);
+            st.backoff_time += pause;
+            st.completion_time += pause;
+            (
+                BitSampling::custom(deficits.iter().map(|&d| d as f64).collect()),
+                needed.ceil() as usize,
+            )
         };
+        st.waves_used = index + 1;
 
-        // Wave size: first wave takes the configured fraction; refill waves
-        // contact just enough clients to cover the remaining deficit at the
-        // expected response rate.
-        let wave_size = if wave == 0 {
-            ((config.wave_fraction * pool.len() as f64).ceil() as usize).clamp(1, pool.len())
-        } else {
-            let deficit_total: u64 = base_probs
-                .iter()
-                .zip(&counts)
-                .filter(|(&p, &c)| p > 0.0 && c < config.min_reports_per_bit)
-                .map(|(_, &c)| config.min_reports_per_bit - c)
-                .sum();
-            let needed =
-                (deficit_total as f64 / config.dropout.response_rate().max(0.01)).ceil() as usize;
-            needed.clamp(1, pool.len())
-        };
-        if wave > 0 {
-            // Capped exponential backoff before each refill wave.
-            let pause = config.retry.backoff(wave - 1);
-            backoff_time += pause;
-            completion_time += pause;
-        }
-        waves_used = wave + 1;
-
-        let batch: Vec<usize> = pool.drain(..wave_size).collect();
+        let batch: Vec<usize> = pool.drain(..wave_size.clamp(1, pool.len())).collect();
         let assignment = sampling.assign(config.protocol.assignment, batch.len(), rng);
         let mut wave_time = match &config.latency {
             Some(lat) => lat.simulate_round(batch.len(), 0.9, rng).completion_time,
             None => 0.0,
         };
-        // The validator only engages under fault injection: without faults
-        // every delivery is trivially valid and the identical tallies come
-        // out of the fast path below.
-        let mut validator = if config.validate && config.faults.is_some() {
+        let validator = (config.validate && config.faults.is_some()).then(|| {
             let assigned: Vec<(u64, u32)> = batch
                 .iter()
                 .zip(&assignment)
-                .map(|(&c, &j)| (c as u64, j))
+                .map(|(&c, &j)| (client_offset + c as u64, j))
                 .collect();
-            Some(ReportValidator::for_round(bits, &assigned, round_id))
-        } else {
-            None
+            ReportValidator::for_round(bits, &assigned, config.session_seed)
+        });
+
+        let contacted = st.contacts.len();
+        let mut wave = Wave {
+            config,
+            index,
+            batch: &batch,
+            assignment: &assignment,
+            validator,
+            stragglers: 0,
+            st: &mut st,
+            rng: &mut *rng,
+            codes,
+            client_offset,
+            epsilon,
+            ledger: ledger.as_deref_mut(),
         };
-        let mut wave_stragglers = 0u64;
+        carrier.play_wave(&mut wave)?;
+        let (validator, stragglers) = (wave.validator, wave.stragglers);
+        debug_assert_eq!(st.contacts.len(), contacted + batch.len());
+
+        if let Some(v) = validator {
+            st.rejections.absorb(&v.rejection_counts());
+        }
+        if stragglers > 0 {
+            if config.validate {
+                // Past the wave deadline: discarded, and the client misses
+                // the masking round. The naive server waits and accepts.
+                st.rejections.straggler += stragglers;
+            }
+            if let Some(lat) = &config.latency {
+                // Stragglers hold the wave open to its deadline.
+                wave_time = wave_time.max(lat.timeout);
+            }
+        }
+        st.late_frames += stragglers;
+        st.completion_time += wave_time;
+    }
+    Ok(st)
+}
+
+/// Fails a round nobody reported to, or whose surviving cohort is below the
+/// privacy minimum.
+///
+/// # Errors
+/// [`FedError::NoReports`] / [`FedError::CohortTooSmall`].
+#[doc(hidden)]
+pub fn check_cohort(
+    reports: u64,
+    reporters: usize,
+    config: &FederatedMeanConfig,
+) -> Result<(), FedError> {
+    if reports == 0 {
+        return Err(FedError::NoReports);
+    }
+    if reporters < config.retry.min_cohort {
+        return Err(FedError::CohortTooSmall {
+            survivors: reporters,
+            minimum: config.retry.min_cohort,
+        });
+    }
+    Ok(())
+}
+
+/// One secure-aggregation attempt, as the driver hands it to a
+/// [`Carrier`]: `cohort[i]` indexes the contact sitting at protocol
+/// position `i`, which is what `plan` is keyed on.
+#[doc(hidden)]
+pub struct SecAggAttempt<'a> {
+    pub config: &'a SecAggConfig,
+    pub contacts: &'a [Contact],
+    pub cohort: &'a [usize],
+    pub plan: &'a DropoutPlan,
+    pub bits: u32,
+    pub round_id: u64,
+}
+
+impl SecAggAttempt<'_> {
+    /// Share-level aggregation: every member's one-hot `[ones | counts]`
+    /// vector through the field-arithmetic protocol.
+    ///
+    /// # Errors
+    /// See [`run_secure_aggregation`].
+    pub fn aggregate_shares(&self, rng: &mut dyn Rng) -> Result<SecAggOutcome, SecAggError> {
+        let bits = self.bits as usize;
+        let inputs: Vec<Vec<u64>> = self
+            .cohort
+            .iter()
+            .map(|&ci| {
+                let c = &self.contacts[ci];
+                let mut v = vec![0u64; 2 * bits];
+                if let Some(sent) = c.report {
+                    v[c.bit as usize] = u64::from(sent);
+                    v[bits + c.bit as usize] = 1;
+                }
+                v
+            })
+            .collect();
+        run_secure_aggregation(self.config, &inputs, self.plan, rng)
+    }
+}
+
+/// Per-bit `(ones, counts)` behind the estimate, and how they were reached.
+#[doc(hidden)]
+pub struct Tally {
+    pub ones: Vec<u64>,
+    pub eff_counts: Vec<u64>,
+    pub summary: Option<SecAggSummary>,
+    pub retries: u32,
+}
+
+impl Tally {
+    /// The tally of reports the server received in the clear.
+    #[must_use]
+    pub fn direct(st: &Collected) -> Self {
+        Self {
+            ones: st.ones.clone(),
+            eff_counts: st.counts.clone(),
+            summary: None,
+            retries: 0,
+        }
+    }
+}
+
+/// The secure-aggregation tally over an already-collected cohort. The
+/// first attempt runs over every contact (reporting or not); when the
+/// unmask fails for `TooFewSurvivors` the late droppers' inputs are
+/// unrecoverable, so after an exponential backoff the verified survivors
+/// re-send re-masked reports — which discloses nothing new, as the
+/// idempotent per-round charge reflects. `settings` and `session_base` are
+/// parameters (not read off `config`) so each instance of a hierarchy, and
+/// a salvage follow-up, derives its own key graph and retry sessions.
+///
+/// # Errors
+/// `TooFewSurvivors` after the last permitted retry surfaces as
+/// [`FedError::SecAgg`]; a cohort shrunk below the privacy minimum as
+/// [`FedError::CohortTooSmall`].
+#[doc(hidden)]
+pub fn secagg_tally<C: Carrier>(
+    st: &mut Collected,
+    config: &FederatedMeanConfig,
+    settings: &SecAggSettings,
+    session_base: u64,
+    mut ledger: Option<&mut PrivacyLedger>,
+    carrier: &mut C,
+    rng: &mut dyn Rng,
+) -> Result<Tally, FedError> {
+    let bits = config.protocol.codec.bits();
+    let round_id = config.session_seed;
+    let epsilon = local_epsilon(config);
+    let vector_len = 2 * bits as usize;
+    let mut retries = 0u32;
+    let mut cohort: Vec<usize> = (0..st.contacts.len()).collect();
+    loop {
+        let n = cohort.len();
+        let threshold = ((settings.threshold_fraction * n as f64).ceil() as usize).clamp(1, n);
+        let mut plan = DropoutPlan::none();
+        let mut eff = vec![0u64; bits as usize];
+        for (i, &ci) in cohort.iter().enumerate() {
+            let c = &st.contacts[ci];
+            if c.report.is_none() {
+                plan.before_masking.insert(i);
+                continue;
+            }
+            eff[c.bit as usize] += 1;
+            if c.fate == Fate::DropsAfterReport {
+                plan.after_masking.insert(i);
+            }
+        }
+        // Fresh masks per attempt, deterministically derived.
+        let session = session_base ^ u64::from(retries).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut sa_config = SecAggConfig::new(n, threshold, vector_len, session);
+        if let Some(k) = settings.neighbors {
+            sa_config = sa_config.with_neighbors(k);
+        }
+        let attempt = SecAggAttempt {
+            config: &sa_config,
+            contacts: &st.contacts,
+            cohort: &cohort,
+            plan: &plan,
+            bits,
+            round_id,
+        };
+        match carrier.aggregate(&attempt, rng) {
+            Ok(out) => {
+                // Sanity: the securely aggregated counts match the tally
+                // over this attempt's cohort.
+                debug_assert_eq!(&out.sum[bits as usize..], eff.as_slice());
+                return Ok(Tally {
+                    ones: out.sum[..bits as usize].to_vec(),
+                    eff_counts: eff,
+                    summary: Some(SecAggSummary {
+                        contributors: out.contributors.len(),
+                        recovered_pairwise: out.pairwise_masks_reconstructed,
+                    }),
+                    retries,
+                });
+            }
+            Err(e @ SecAggError::TooFewSurvivors { .. }) => {
+                if retries >= config.retry.max_secagg_retries {
+                    return Err(e.into());
+                }
+                let pause = config.retry.backoff(retries);
+                retries += 1;
+                st.backoff_time += pause;
+                st.completion_time += pause;
+                cohort.retain(|&ci| {
+                    st.contacts[ci].fate == Fate::Responds && st.contacts[ci].report.is_some()
+                });
+                if cohort.len() < config.retry.min_cohort {
+                    return Err(FedError::CohortTooSmall {
+                        survivors: cohort.len(),
+                        minimum: config.retry.min_cohort,
+                    });
+                }
+                if cohort.is_empty() {
+                    return Err(FedError::NoReports);
+                }
+                if let Some(ledger) = ledger.as_deref_mut() {
+                    for &ci in &cohort {
+                        let client = st.contacts[ci].client as u64;
+                        ledger.charge_round(client, round_id, 1, epsilon)?;
+                    }
+                }
+            }
+            Err(e) => return Err(e.into()),
+        }
+    }
+}
+
+/// The estimator tail every round shape ends in.
+#[doc(hidden)]
+pub struct Finished {
+    pub outcome: Outcome,
+    /// Bits with positive sampling probability that ended below the report
+    /// target.
+    pub starved_bits: Vec<u32>,
+    pub degraded: DegradedMode,
+}
+
+/// Debiases the per-bit sums (randomized response is affine, so debiasing
+/// the sum equals debiasing every report), finishes through the core
+/// protocol — squashing, reconstruction, decoding, predicted error — and
+/// grades how degraded the path to the estimate was.
+#[doc(hidden)]
+#[must_use]
+pub fn finish(
+    config: &FederatedMeanConfig,
+    ones: &[u64],
+    eff_counts: Vec<u64>,
+    clip_fraction: f64,
+    secagg_retries: u32,
+    waves_used: u32,
+) -> Finished {
+    let sums: Vec<f64> = ones
+        .iter()
+        .zip(&eff_counts)
+        .map(|(&o, &c)| match (&config.protocol.privacy, c) {
+            (_, 0) => 0.0,
+            (Some(rr), c) => c as f64 * rr.debias_mean(o as f64 / c as f64),
+            (None, _) => o as f64,
+        })
+        .collect();
+    let starved_bits: Vec<u32> = config
+        .protocol
+        .sampling
+        .probs()
+        .iter()
+        .zip(&eff_counts)
+        .enumerate()
+        .filter(|(_, (&p, &c))| p > 0.0 && c < config.min_reports_per_bit)
+        .map(|(j, _)| j as u32)
+        .collect();
+    let acc = BitAccumulator::from_parts(sums, eff_counts);
+    let outcome = BasicBitPushing::new(config.protocol.clone()).finish(acc, clip_fraction);
+    let degraded = if !starved_bits.is_empty() {
+        DegradedMode::Partial
+    } else if secagg_retries > 0 {
+        DegradedMode::Retried
+    } else if waves_used > 1 {
+        DegradedMode::Refilled
+    } else {
+        DegradedMode::Clean
+    };
+    Finished {
+        outcome,
+        starved_bits,
+        degraded,
+    }
+}
+
+/// A flat round between its tally and its publication — where a carrier
+/// with a wire may still merge a salvage session's late reports.
+#[doc(hidden)]
+pub struct Tallied {
+    pub collected: Collected,
+    pub tally: Tally,
+    /// Reports behind the estimate.
+    pub reports: u64,
+    clip_fraction: f64,
+}
+
+/// Collects and tallies one flat round over `carrier`: encode, contact the
+/// cohort in waves, check the surviving cohort, aggregate directly or
+/// through secure aggregation.
+///
+/// # Errors
+/// See [`FedError`].
+#[doc(hidden)]
+pub fn tally_round<C: Carrier>(
+    values: &[f64],
+    config: &FederatedMeanConfig,
+    mut ledger: Option<&mut PrivacyLedger>,
+    carrier: &mut C,
+    rng: &mut dyn Rng,
+) -> Result<Tallied, FedError> {
+    if values.is_empty() {
+        return Err(FedError::PopulationTooSmall { got: 0, need: 1 });
+    }
+    let (codes, clip_fraction) = config.protocol.codec.encode_all(values);
+    let mut collected = collect(&codes, config, 0, ledger.as_deref_mut(), carrier, rng)?;
+    let reports = collected.reports();
+    check_cohort(reports, collected.reporters(), config)?;
+    let tally = match &config.secagg {
+        Some(settings) => secagg_tally(
+            &mut collected,
+            config,
+            settings,
+            config.session_seed,
+            ledger,
+            carrier,
+            rng,
+        )?,
+        None => Tally::direct(&collected),
+    };
+    Ok(Tallied {
+        collected,
+        tally,
+        reports,
+        clip_fraction,
+    })
+}
+
+impl Tallied {
+    /// Finishes the estimate and publishes it over `carrier`, embedding
+    /// the per-bit means as feedback when a follow-up round wants them.
+    /// Returns the outcome (traffic and salvage telemetry left for a wire
+    /// carrier to fill in) and the feedback as published.
+    ///
+    /// # Errors
+    /// See [`Carrier::publish`].
+    pub fn publish<C: Carrier>(
+        self,
+        config: &FederatedMeanConfig,
+        carrier: &mut C,
+        with_feedback: bool,
+    ) -> Result<(FederatedOutcome, Vec<f64>), FedError> {
+        let st = self.collected;
+        let fin = finish(
+            config,
+            &self.tally.ones,
+            self.tally.eff_counts,
+            self.clip_fraction,
+            self.tally.retries,
+            st.waves_used,
+        );
+        let feedback = if with_feedback {
+            fin.outcome.bit_means.clone()
+        } else {
+            Vec::new()
+        };
+        let feedback = carrier.publish(
+            config.session_seed,
+            fin.outcome.estimate,
+            self.reports,
+            feedback,
+        )?;
+        let outcome = FederatedOutcome {
+            outcome: fin.outcome,
+            contacted: st.contacts.len(),
+            reports: self.reports,
+            waves_used: st.waves_used,
+            completion_time: st.completion_time,
+            starved_bits: fin.starved_bits,
+            secagg: self.tally.summary,
+            robustness: RobustnessReport {
+                degraded: fin.degraded,
+                rejections: st.rejections,
+                late_frames: st.late_frames,
+                salvage: None,
+                secagg_retries: self.tally.retries,
+                faults_injected: st.faults_injected,
+                backoff_time: st.backoff_time,
+                traffic: TrafficStats::default(),
+            },
+        };
+        Ok((outcome, feedback))
+    }
+}
+
+/// The per-report ε a client's randomizer spends (0 without one).
+#[doc(hidden)]
+#[must_use]
+pub fn local_epsilon(config: &FederatedMeanConfig) -> f64 {
+    config
+        .protocol
+        .privacy
+        .as_ref()
+        .map_or(0.0, fednum_core::privacy::RandomizedResponse::epsilon)
+}
+
+/// The synchronous carrier: nothing crosses a wire. Reports reach the
+/// server inline, so this is also where the wire-level fault kinds
+/// (straggle, corrupt, duplicate, replay, stale) are acted out as a
+/// delivery matrix instead of by a transport.
+#[doc(hidden)]
+pub struct Direct;
+
+impl Carrier for Direct {
+    fn play_wave(&mut self, wave: &mut Wave<'_>) -> Result<(), FedError> {
+        let config = wave.config;
+        let round_id = config.session_seed;
         // The most recent delivery, for replay faults: (bit, value, nonce).
         let mut last_delivered: Option<(u32, bool, u64)> = None;
 
-        for (slot, &client) in batch.iter().enumerate() {
-            let j = assignment[slot];
-            let mut fate = config.dropout.sample(rng);
-            let fault = config
-                .faults
-                .as_ref()
-                .and_then(|p| p.fault_for(round_id, client as u64));
-            faults_injected += u64::from(fault.is_some());
-            if fault == Some(FaultKind::DropBeforeReport) {
-                fate = Fate::DropsBeforeReport;
-            }
-            if fate == Fate::DropsBeforeReport {
-                contacts.push(Contact {
-                    client,
-                    bit: j,
-                    report: None,
-                    fate,
-                    copies: 0,
-                });
+        for (&client, &j) in wave.batch.iter().zip(wave.assignment) {
+            let Some(Response { sent, fate, fault }) = wave.respond(client, j)? else {
+                wave.nothing(client, j);
                 continue;
-            }
-
-            // The client computes and sends its randomized bit. This is the
-            // privacy disclosure: it is metered here, once per round, no
-            // matter what the transport then does to the report. A
-            // stale-round fault sends an *old* report instead, so nothing
-            // new is disclosed.
-            let raw = bit(codes[client], j);
-            let sent = match &config.protocol.privacy {
-                Some(rr) => rr.flip(raw, rng),
-                None => raw,
             };
-            if fault != Some(FaultKind::StaleRound) {
-                if let Some(ledger) = ledger.as_deref_mut() {
-                    ledger.charge_round(client as u64, round_id, 1, epsilon)?;
-                }
-            }
-            if fault == Some(FaultKind::DropBeforeUnmask) && fate == Fate::Responds {
-                fate = Fate::DropsAfterReport;
-            }
 
             // What arrives at the server: (bit, value, round tag, nonce,
             // delivered copies).
-            let nonce = client as u64;
+            let id = wave.id(client);
             let delivery = match fault {
                 Some(FaultKind::Straggle) => {
-                    wave_stragglers += 1;
+                    wave.stragglers += 1;
                     if config.validate {
-                        // Past the wave deadline: the report is discarded
-                        // and the client misses the masking round.
-                        rejections.straggler += 1;
-                        contacts.push(Contact {
-                            client,
-                            bit: j,
-                            report: None,
-                            fate: Fate::DropsBeforeReport,
-                            copies: 0,
-                        });
+                        wave.nothing(client, j);
                         continue;
                     }
-                    // The naive server waits past the deadline and accepts.
-                    (j, sent, round_id, nonce, 1)
+                    (j, sent, round_id, id, 1)
                 }
-                Some(FaultKind::CorruptBit) => (j, !sent, round_id, nonce, 1),
-                Some(FaultKind::DuplicateReport) => (j, sent, round_id, nonce, 2),
+                Some(FaultKind::CorruptBit) => (j, !sent, round_id, id, 1),
+                Some(FaultKind::DuplicateReport) => (j, sent, round_id, id, 2),
                 Some(FaultKind::ReplayReport) => match last_delivered {
                     // The fresh report is replaced by a verbatim copy of an
                     // earlier one — same nonce, so validation catches it.
                     Some((pb, pv, pn)) => (pb, pv, round_id, pn, 1),
                     // Nothing to replay yet: the report is simply lost.
                     None => {
-                        contacts.push(Contact {
-                            client,
-                            bit: j,
-                            report: None,
-                            fate: Fate::DropsBeforeReport,
-                            copies: 0,
-                        });
+                        wave.nothing(client, j);
                         continue;
                     }
                 },
-                Some(FaultKind::StaleRound) => {
-                    // A report from a previous collection: wrong round tag,
-                    // payload uncorrelated with this round's assignment.
-                    let stale = config
-                        .faults
-                        .as_ref()
-                        .expect("fault implies plan")
-                        .payload_bit(round_id, client as u64);
-                    (j, stale, round_id.wrapping_sub(1), nonce, 1)
-                }
-                _ => (j, sent, round_id, nonce, 1),
+                // A report from a previous collection: wrong round tag.
+                Some(FaultKind::StaleRound) => (
+                    j,
+                    wave.stale_payload(client),
+                    round_id.wrapping_sub(1),
+                    id,
+                    1,
+                ),
+                _ => (j, sent, round_id, id, 1),
             };
             let (d_bit, d_value, d_round, d_nonce, d_copies) = delivery;
             // Secure aggregation carries one masked vector per client, so
@@ -577,7 +1135,7 @@ pub fn run_round_impl(
                 d_copies
             };
 
-            let accepted = match &mut validator {
+            let accepted = match &mut wave.validator {
                 Some(v) => {
                     let mut ok = 0u64;
                     for copy in 0..d_copies {
@@ -588,14 +1146,9 @@ pub fn run_round_impl(
                         } else {
                             d_nonce | (1 << 63)
                         };
-                        if v.submit_tagged(
-                            client as u64,
-                            d_bit,
-                            f64::from(u8::from(d_value)),
-                            d_round,
-                            copy_nonce,
-                        )
-                        .is_ok()
+                        let value = f64::from(u8::from(d_value));
+                        if v.submit_tagged(id, d_bit, value, d_round, copy_nonce)
+                            .is_ok()
                         {
                             ok += 1;
                         }
@@ -605,210 +1158,71 @@ pub fn run_round_impl(
                 None => d_copies,
             };
             if accepted == 0 {
-                // Everything this client's transport produced was rejected;
-                // for secure aggregation it contributes no masked input.
-                contacts.push(Contact {
-                    client,
-                    bit: j,
-                    report: None,
-                    fate: Fate::DropsBeforeReport,
-                    copies: 0,
-                });
+                wave.nothing(client, j);
                 continue;
             }
             last_delivered = Some((d_bit, d_value, d_nonce));
-            counts[d_bit as usize] += accepted;
-            contacts.push(Contact {
-                client,
-                bit: d_bit,
-                report: Some(d_value),
-                fate,
-                copies: accepted,
-            });
+            wave.accept(client, d_bit, d_value, fate, accepted);
         }
-
-        if let Some(v) = validator {
-            rejections.absorb(&v.rejection_counts());
-        }
-        if let Some(lat) = &config.latency {
-            if wave_stragglers > 0 {
-                // Stragglers hold the wave open to its deadline.
-                wave_time = wave_time.max(lat.timeout);
-            }
-        }
-        late_frames += wave_stragglers;
-        completion_time += wave_time;
+        Ok(())
     }
 
-    let total_reports: u64 = counts.iter().sum();
-    if total_reports == 0 {
-        return Err(FedError::NoReports);
-    }
-    let reporters = contacts.iter().filter(|c| c.report.is_some()).count();
-    if reporters < config.retry.min_cohort {
-        return Err(FedError::CohortTooSmall {
-            survivors: reporters,
-            minimum: config.retry.min_cohort,
-        });
+    fn aggregate(
+        &mut self,
+        attempt: &SecAggAttempt<'_>,
+        rng: &mut dyn Rng,
+    ) -> Result<SecAggOutcome, SecAggError> {
+        attempt.aggregate_shares(rng)
     }
 
-    // Transport: aggregate per-bit (ones, counts).
-    let mut secagg_retries = 0u32;
-    let (ones, eff_counts, secagg_summary) = match &config.secagg {
-        Some(settings) => {
-            let vector_len = 2 * bits as usize;
-            // First attempt runs over every contact (reporting or not);
-            // retries re-mask over the verified survivors only.
-            let mut cohort: Vec<usize> = (0..contacts.len()).collect();
-            loop {
-                let n = cohort.len();
-                let threshold =
-                    ((settings.threshold_fraction * n as f64).ceil() as usize).clamp(1, n);
-                let mut inputs = Vec::with_capacity(n);
-                let mut plan = DropoutPlan::none();
-                let mut eff = vec![0u64; bits as usize];
-                for (i, &ci) in cohort.iter().enumerate() {
-                    let c = &contacts[ci];
-                    let mut v = vec![0u64; vector_len];
-                    match c.report {
-                        Some(sent) => {
-                            v[c.bit as usize] = u64::from(sent);
-                            v[bits as usize + c.bit as usize] = 1;
-                            eff[c.bit as usize] += 1;
-                            if c.fate == Fate::DropsAfterReport {
-                                plan.after_masking.insert(i);
-                            }
-                        }
-                        None => {
-                            plan.before_masking.insert(i);
-                        }
-                    }
-                    inputs.push(v);
-                }
-                // Fresh masks per attempt, deterministically derived.
-                let session = config.session_seed
-                    ^ u64::from(secagg_retries).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let mut sa_config = SecAggConfig::new(n, threshold, vector_len, session);
-                if let Some(k) = settings.neighbors {
-                    sa_config = sa_config.with_neighbors(k);
-                }
-                match run_secure_aggregation(&sa_config, &inputs, &plan, rng) {
-                    Ok(out) => {
-                        // Sanity: the securely aggregated counts match the
-                        // tally over this attempt's cohort.
-                        debug_assert_eq!(&out.sum[bits as usize..], eff.as_slice());
-                        let ones: Vec<u64> = out.sum[..bits as usize].to_vec();
-                        break (
-                            ones,
-                            eff,
-                            Some(SecAggSummary {
-                                contributors: out.contributors.len(),
-                                recovered_pairwise: out.pairwise_masks_reconstructed,
-                            }),
-                        );
-                    }
-                    Err(e @ SecAggError::TooFewSurvivors { .. }) => {
-                        if secagg_retries >= config.retry.max_secagg_retries {
-                            return Err(e.into());
-                        }
-                        let pause = config.retry.backoff(secagg_retries);
-                        secagg_retries += 1;
-                        backoff_time += pause;
-                        completion_time += pause;
-                        // The unmask failed: the late droppers' inputs are
-                        // unrecoverable, so the survivors re-send re-masked
-                        // reports. That re-send discloses nothing new, which
-                        // the idempotent per-round charge reflects.
-                        cohort.retain(|&ci| {
-                            contacts[ci].fate == Fate::Responds && contacts[ci].report.is_some()
-                        });
-                        if cohort.len() < config.retry.min_cohort {
-                            return Err(FedError::CohortTooSmall {
-                                survivors: cohort.len(),
-                                minimum: config.retry.min_cohort,
-                            });
-                        }
-                        if cohort.is_empty() {
-                            return Err(FedError::NoReports);
-                        }
-                        if let Some(ledger) = ledger.as_deref_mut() {
-                            for &ci in &cohort {
-                                ledger.charge_round(
-                                    contacts[ci].client as u64,
-                                    round_id,
-                                    1,
-                                    epsilon,
-                                )?;
-                            }
-                        }
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
-        }
-        None => {
-            let mut ones = vec![0u64; bits as usize];
-            for c in &contacts {
-                if let Some(true) = c.report {
-                    ones[c.bit as usize] += c.copies;
-                }
-            }
-            (ones, counts.clone(), None)
-        }
-    };
+    fn publish(
+        &mut self,
+        _round_id: u64,
+        _estimate: f64,
+        _reports: u64,
+        feedback: Vec<f64>,
+    ) -> Result<Vec<f64>, FedError> {
+        Ok(feedback)
+    }
+}
 
-    // Debias the per-bit sums (randomized response is affine, so debiasing
-    // the sum equals debiasing every report) and finish through the core
-    // protocol: squashing, reconstruction, decoding, predicted error.
-    let sums: Vec<f64> = ones
-        .iter()
-        .zip(&eff_counts)
-        .map(|(&o, &c)| match (&config.protocol.privacy, c) {
-            (_, 0) => 0.0,
-            (Some(rr), c) => c as f64 * rr.debias_mean(o as f64 / c as f64),
-            (None, _) => o as f64,
-        })
-        .collect();
-    let acc = BitAccumulator::from_parts(sums, eff_counts.clone());
-    let outcome = BasicBitPushing::new(config.protocol.clone()).finish(acc, clip_fraction);
+/// One flat round over `carrier`, start to published estimate; the second
+/// value is the published feedback (see [`Tallied::publish`]).
+///
+/// # Errors
+/// See [`FedError`].
+#[doc(hidden)]
+pub fn run_round<C: Carrier>(
+    values: &[f64],
+    config: &FederatedMeanConfig,
+    ledger: Option<&mut PrivacyLedger>,
+    carrier: &mut C,
+    rng: &mut dyn Rng,
+    with_feedback: bool,
+) -> Result<(FederatedOutcome, Vec<f64>), FedError> {
+    tally_round(values, config, ledger, carrier, rng)?.publish(config, carrier, with_feedback)
+}
 
-    let starved_bits: Vec<u32> = base_probs
-        .iter()
-        .zip(&eff_counts)
-        .enumerate()
-        .filter(|(_, (&p, &c))| p > 0.0 && c < config.min_reports_per_bit)
-        .map(|(j, _)| j as u32)
-        .collect();
-
-    let degraded = if !starved_bits.is_empty() {
-        DegradedMode::Partial
-    } else if secagg_retries > 0 {
-        DegradedMode::Retried
-    } else if waves_used > 1 {
-        DegradedMode::Refilled
-    } else {
-        DegradedMode::Clean
-    };
-
-    Ok(FederatedOutcome {
-        outcome,
-        contacted: contacts.len(),
-        reports: total_reports,
-        waves_used,
-        completion_time,
-        starved_bits,
-        secagg: secagg_summary,
-        robustness: RobustnessReport {
-            degraded,
-            rejections,
-            late_frames,
-            salvage: None,
-            secagg_retries,
-            faults_injected,
-            backoff_time,
-            traffic: TrafficStats::default(),
-        },
-    })
+/// The synchronous round behind the `RoundBuilder` facade: a complete
+/// federated mean-estimation task over one private value per client,
+/// optionally metering every client's disclosure through a
+/// [`PrivacyLedger`] (one bit, and the randomized-response ε if configured,
+/// per client per round, idempotently across secure-aggregation retry
+/// waves; the round identifier is `config.session_seed`). Not part of the
+/// public API surface — call it through
+/// `fednum::transport::RoundBuilder::new(config)` (plus `.metered(ledger)`
+/// for the billed flavor).
+///
+/// # Errors
+/// See [`FedError`].
+#[doc(hidden)]
+pub fn run_round_impl(
+    values: &[f64],
+    config: &FederatedMeanConfig,
+    ledger: Option<&mut PrivacyLedger>,
+    rng: &mut dyn Rng,
+) -> Result<FederatedOutcome, FedError> {
+    run_round(values, config, ledger, &mut Direct, rng, false).map(|(out, _)| out)
 }
 
 #[cfg(test)]

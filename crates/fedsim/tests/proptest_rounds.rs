@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-// Non-deprecated stand-in for the legacy free function; the property bodies
+// Stand-in for the removed free function; the property bodies
 // below keep their original call shape.
 fn run_federated_mean(
     values: &[f64],

@@ -22,20 +22,23 @@
 //! assert!(outcome.estimate().is_finite());
 //! ```
 //!
-//! The builder decides the engine from what was configured:
+//! There is one round (`fednum_fedsim::round`); what the builder decides
+//! from the call shape is the *carrier* it rides and the topology around
+//! it:
 //!
-//! | builder calls                         | engine                                  |
-//! |---------------------------------------|-----------------------------------------|
-//! | `new(config)`                         | sync flat round (fedsim)                |
-//! | `new(config).via(transport)`          | transport-backed flat session           |
-//! | `new(config).metered(ledger)…`        | either of the above, ledger-billed      |
-//! | `new_adaptive(config)`                | sync two-round adaptive                 |
-//! | `new_adaptive(config).via(transport)` | two sessions on one shared transport    |
-//! | `new(config).sharded(k, seed)`        | K independent coordinator shards        |
-//! | `new(config).hierarchical(hier, w)`   | two-tier secure aggregation over shards |
+//! | builder calls                         | carrier                                            |
+//! |---------------------------------------|----------------------------------------------------|
+//! | `new(config)`                         | synchronous (`Direct`): nothing crosses a wire     |
+//! | `new(config).via(transport)`          | per-client wire over `transport`                   |
+//! | `….batched(chunk)`                    | chunked wire (over `.via`, else in-memory)         |
+//! | `….metered(ledger)`                   | any of the above, ledger-billed                    |
+//! | `new_adaptive(config)…`               | the same carriers, two rounds on one timeline      |
+//! | `new(config).shuffled(shuffle)`       | shuffler session (over `.via`, else in-memory)     |
+//! | `new(config).sharded(k, seed)`        | K coordinators, one in-memory wire each            |
+//! | `new(config).hierarchical(hier, w)`   | K secure coordinators (`.shard_transports`) + merge |
 //!
 //! Every path funnels into [`RoundOutcome`], which carries the
-//! engine-specific detail plus the wire totals when the round actually
+//! shape-specific detail plus the wire totals when the round actually
 //! crossed a metered transport. Invalid combinations — a ledger on a
 //! sharded round, `.via` on a hierarchical one — are rejected up front
 //! with [`FedError::InvalidConfig`] rather than silently ignored.
@@ -52,8 +55,8 @@ use fednum_fedsim::retry::SalvagePolicy;
 use fednum_fedsim::round::{run_round_impl, FederatedMeanConfig, FederatedOutcome, SecAggSettings};
 use fednum_hiersec::HierSecConfig;
 
-use crate::adaptive::adaptive_transport_impl;
-use crate::coordinator::{run_session, run_session_batched};
+use crate::adaptive::run_adaptive_sessions;
+use crate::coordinator::run_session;
 use crate::hier::{hierarchical_impl, HierShardedOutcome, ShardTransportFactory};
 use crate::net::{InMemoryTransport, Transport, WireMetrics};
 use crate::shard::{sharded_impl, ShardedOutcome};
@@ -81,7 +84,7 @@ enum Topology {
 /// Construct with [`RoundBuilder::new`] (flat) or
 /// [`RoundBuilder::new_adaptive`] (two-round adaptive), layer on
 /// options, then [`run`](RoundBuilder::run). See the module docs for
-/// the call-shape → engine table and a complete example.
+/// the call-shape → carrier table and a complete example.
 pub struct RoundBuilder<'a> {
     mode: Mode,
     topology: Topology,
@@ -184,24 +187,18 @@ impl<'a> RoundBuilder<'a> {
     /// Starts a flat estimation round from `config`.
     #[must_use]
     pub fn new(config: FederatedMeanConfig) -> Self {
-        Self {
-            mode: Mode::Flat(config),
-            topology: Topology::Single,
-            ledger: None,
-            transport: None,
-            factory: None,
-            rng: None,
-            seed: None,
-            shuffle: None,
-            batched: None,
-        }
+        Self::with_mode(Mode::Flat(config))
     }
 
     /// Starts the two-round adaptive protocol from `config`.
     #[must_use]
     pub fn new_adaptive(config: FederatedAdaptiveConfig) -> Self {
+        Self::with_mode(Mode::Adaptive(config))
+    }
+
+    fn with_mode(mode: Mode) -> Self {
         Self {
-            mode: Mode::Adaptive(config),
+            mode,
             topology: Topology::Single,
             ledger: None,
             transport: None,
@@ -266,12 +263,11 @@ impl<'a> RoundBuilder<'a> {
     /// when `.secure(..)` is set. Estimates are bit-identical to the
     /// scalar wire per seed; only the traffic shape changes.
     ///
-    /// Valid for flat, sharded, and hierarchical rounds, with or without
-    /// `.via(transport)` / `.metered(ledger)`. Shapes whose semantics live
-    /// in per-client frames cannot batch and are rejected up front at
-    /// [`run`](Self::run): the adaptive protocol, `.shuffled(..)`,
-    /// `config.faults`, and `.salvage(..)`. A zero `chunk` is rejected
-    /// too.
+    /// Valid for flat, adaptive, sharded, and hierarchical rounds, with or
+    /// without `.via(transport)` / `.metered(ledger)`. Shapes whose
+    /// semantics live in per-client frames cannot batch and are rejected
+    /// up front at [`run`](Self::run): `.shuffled(..)`, `config.faults`,
+    /// and `.salvage(..)`. A zero `chunk` is rejected too.
     #[must_use]
     pub fn batched(mut self, chunk: usize) -> Self {
         self.batched = Some(chunk);
@@ -357,141 +353,79 @@ impl<'a> RoundBuilder<'a> {
     pub fn run(self, values: &[f64]) -> Result<RoundOutcome, FedError> {
         self.check_shape()?;
         let seed = self.seed.unwrap_or(self.config().session_seed);
-        match (self.mode, self.topology) {
-            (Mode::Flat(cfg), Topology::Single) => {
-                let mut default_rng = StdRng::seed_from_u64(seed);
-                let rng: &mut dyn Rng = match self.rng {
-                    Some(r) => r,
-                    None => &mut default_rng,
-                };
-                if let Some(shuffle) = self.shuffle {
-                    return match self.transport {
-                        Some(transport) => {
-                            let res = run_shuffled_session(
-                                values,
-                                &cfg,
-                                &shuffle,
-                                self.ledger,
-                                transport,
-                                rng,
-                            );
-                            finish_via(res, transport).map(|(out, wire)| RoundOutcome {
-                                detail: RoundDetail::Shuffled(out),
-                                wire,
-                            })
-                        }
-                        None => {
-                            // Purely in-process shuffled round: a fresh
-                            // seeded in-memory transport, same as `.via`
-                            // with `InMemoryTransport::new(seed)`.
-                            let mut transport = InMemoryTransport::new(seed);
-                            run_shuffled_session(
-                                values,
-                                &cfg,
-                                &shuffle,
-                                self.ledger,
-                                &mut transport,
-                                rng,
-                            )
-                            .map(|out| RoundOutcome {
-                                detail: RoundDetail::Shuffled(out),
-                                wire: None,
-                            })
-                        }
-                    };
-                }
-                if let Some(chunk) = self.batched {
-                    return match self.transport {
-                        Some(transport) => {
-                            let res = run_session_batched(
-                                values,
-                                &cfg,
-                                chunk,
-                                self.ledger,
-                                transport,
-                                rng,
-                            );
-                            finish_via(res, transport).map(|(out, wire)| RoundOutcome {
-                                detail: RoundDetail::Flat(out),
-                                wire,
-                            })
-                        }
-                        None => {
-                            // Purely in-process batched round: a fresh
-                            // seeded in-memory transport, same as `.via`
-                            // with `InMemoryTransport::new(seed)`.
-                            let mut transport = InMemoryTransport::new(seed);
-                            run_session_batched(
-                                values,
-                                &cfg,
-                                chunk,
-                                self.ledger,
-                                &mut transport,
-                                rng,
-                            )
-                            .map(|out| RoundOutcome {
-                                detail: RoundDetail::Flat(out),
-                                wire: None,
-                            })
-                        }
-                    };
-                }
-                match self.transport {
-                    Some(transport) => {
-                        let res = run_session(values, &cfg, self.ledger, transport, rng);
-                        finish_via(res, transport).map(|(out, wire)| RoundOutcome {
-                            detail: RoundDetail::Flat(out),
-                            wire,
-                        })
-                    }
-                    None => {
-                        run_round_impl(values, &cfg, self.ledger, rng).map(|out| RoundOutcome {
-                            detail: RoundDetail::Flat(out),
-                            wire: None,
-                        })
-                    }
-                }
-            }
-            (Mode::Adaptive(cfg), Topology::Single) => {
-                let mut default_rng = StdRng::seed_from_u64(seed);
-                let rng: &mut dyn Rng = match self.rng {
-                    Some(r) => r,
-                    None => &mut default_rng,
-                };
-                match self.transport {
-                    Some(transport) => {
-                        let res = adaptive_transport_impl(values, &cfg, transport, rng);
-                        finish_via(res, transport).map(|(out, wire)| RoundOutcome {
-                            detail: RoundDetail::Adaptive(out),
-                            wire,
-                        })
-                    }
-                    None => run_adaptive_impl(values, &cfg, rng).map(|out| RoundOutcome {
-                        detail: RoundDetail::Adaptive(out),
-                        wire: None,
-                    }),
-                }
-            }
+        let batched = self.batched;
+        let mode = match (self.mode, self.topology) {
+            (mode, Topology::Single) => mode,
             (Mode::Flat(cfg), Topology::Sharded { shards, seed }) => {
-                sharded_impl(values, &cfg, shards, seed, self.batched).map(|out| RoundOutcome {
+                return sharded_impl(values, &cfg, shards, seed, batched).map(|out| RoundOutcome {
                     detail: RoundDetail::Sharded(out),
                     wire: None,
-                })
+                });
             }
-            (Mode::Flat(cfg), Topology::Hierarchical { hier, workers }) => hierarchical_impl(
-                values,
-                &cfg,
-                &hier,
-                workers,
-                seed,
-                self.factory,
-                self.batched,
-            )
-            .map(|(out, wire)| RoundOutcome {
-                detail: RoundDetail::Hierarchical(out),
-                wire,
-            }),
+            (Mode::Flat(cfg), Topology::Hierarchical { hier, workers }) => {
+                return hierarchical_impl(
+                    values,
+                    &cfg,
+                    &hier,
+                    workers,
+                    seed,
+                    self.factory,
+                    batched,
+                )
+                .map(|(out, wire)| RoundOutcome {
+                    detail: RoundDetail::Hierarchical(out),
+                    wire,
+                });
+            }
             (Mode::Adaptive(_), _) => unreachable!("rejected by check_shape"),
+        };
+        // One coordinator. The shuffle tier and the chunked wire need a
+        // transport to ride: without `.via` that is a fresh seeded
+        // in-memory one, same as `.via(InMemoryTransport::new(seed))`.
+        let mut default_rng = StdRng::seed_from_u64(seed);
+        let rng: &mut dyn Rng = match self.rng {
+            Some(r) => r,
+            None => &mut default_rng,
+        };
+        let mut in_process;
+        let transport: Option<&mut dyn Transport> = match self.transport {
+            Some(t) => Some(t),
+            None if self.shuffle.is_some() || batched.is_some() => {
+                in_process = InMemoryTransport::new(seed);
+                Some(&mut in_process)
+            }
+            None => None,
+        };
+        let Some(transport) = transport else {
+            // The synchronous carrier: nothing crosses a wire.
+            let detail = match mode {
+                Mode::Flat(cfg) => {
+                    RoundDetail::Flat(run_round_impl(values, &cfg, self.ledger, rng)?)
+                }
+                Mode::Adaptive(cfg) => RoundDetail::Adaptive(run_adaptive_impl(values, &cfg, rng)?),
+            };
+            return Ok(RoundOutcome { detail, wire: None });
+        };
+        let res = match (mode, self.shuffle) {
+            (Mode::Flat(cfg), Some(shuffle)) => {
+                run_shuffled_session(values, &cfg, &shuffle, self.ledger, transport, rng)
+                    .map(RoundDetail::Shuffled)
+            }
+            (Mode::Flat(cfg), None) => {
+                run_session(values, &cfg, self.ledger, transport, batched, rng, false)
+                    .map(|(out, _)| RoundDetail::Flat(out))
+            }
+            (Mode::Adaptive(cfg), _) => {
+                run_adaptive_sessions(values, &cfg, transport, batched, rng)
+                    .map(RoundDetail::Adaptive)
+            }
+        };
+        // A latched transport error overrides round-logic success.
+        let latched = transport.take_error();
+        let wire = transport.wire_metrics();
+        match (res, latched) {
+            (_, Some(err)) | (Err(err), None) => Err(err),
+            (Ok(detail), None) => Ok(RoundOutcome { detail, wire }),
         }
     }
 
@@ -537,13 +471,6 @@ impl<'a> RoundBuilder<'a> {
                 return Err(FedError::InvalidConfig(
                     "`.batched(chunk)` needs a chunk of at least one client \
                      per frame"
-                        .into(),
-                ));
-            }
-            if matches!(self.mode, Mode::Adaptive(_)) {
-                return Err(FedError::InvalidConfig(
-                    "the adaptive protocol's round-1 feedback rides per-client \
-                     frames; run it on the scalar wire (drop `.batched(..)`)"
                         .into(),
                 ));
             }
@@ -615,21 +542,6 @@ impl<'a> RoundBuilder<'a> {
     }
 }
 
-/// Folds a `.via` run's result with the transport's latched I/O error
-/// and wire totals: a latched error overrides round-logic success.
-fn finish_via<T>(
-    res: Result<T, FedError>,
-    transport: &mut dyn Transport,
-) -> Result<(T, Option<WireMetrics>), FedError> {
-    let latched = transport.take_error();
-    let wire = transport.wire_metrics();
-    match (res, latched) {
-        (_, Some(err)) => Err(err),
-        (Ok(out), None) => Ok((out, wire)),
-        (Err(err), None) => Err(err),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -670,7 +582,8 @@ mod tests {
         let vs = values(4_000, 64);
         let cfg = config(6);
         let mut ta = InMemoryTransport::new(9);
-        let direct = run_session(&vs, &cfg, None, &mut ta, &mut StdRng::seed_from_u64(3)).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let (direct, _) = run_session(&vs, &cfg, None, &mut ta, None, &mut rng, false).unwrap();
         let mut tb = InMemoryTransport::new(9);
         let out = RoundBuilder::new(cfg)
             .seed(3)
@@ -839,6 +752,20 @@ mod tests {
             scalar.sharded().unwrap().reports
         );
 
+        // Adaptive: round-1 feedback rides the Publish frame on either
+        // wire, so both sessions batch.
+        let cfg = FederatedAdaptiveConfig::new(config(10));
+        let scalar = RoundBuilder::new_adaptive(cfg.clone())
+            .seed(2)
+            .run(&vs)
+            .unwrap();
+        let batched = RoundBuilder::new_adaptive(cfg)
+            .seed(2)
+            .batched(256)
+            .run(&vs)
+            .unwrap();
+        assert_eq!(batched.estimate().to_bits(), scalar.estimate().to_bits());
+
         // Hierarchical: plane-popcount secure tallies per shard.
         let cfg = config(6).with_secagg(SecAggSettings::default());
         let hier = hier3();
@@ -871,14 +798,6 @@ mod tests {
         // Zero chunk.
         let err = RoundBuilder::new(config(4))
             .batched(0)
-            .run(&vs)
-            .unwrap_err();
-        assert!(matches!(err, FedError::InvalidConfig(_)));
-
-        // Adaptive mode: round-1 feedback rides per-client frames.
-        let cfg = FederatedAdaptiveConfig::new(config(4));
-        let err = RoundBuilder::new_adaptive(cfg)
-            .batched(64)
             .run(&vs)
             .unwrap_err();
         assert!(matches!(err, FedError::InvalidConfig(_)));

@@ -1,7 +1,7 @@
 //! Hierarchical secure aggregation over sharded coordinators.
 //!
-//! [`run_sharded_mean`](crate::shard::run_sharded_mean) rejects secagg
-//! configs because masked vectors cancel only within one unmask domain.
+//! A plain sharded round (`RoundBuilder::sharded`) rejects secagg configs
+//! because masked vectors cancel only within one unmask domain.
 //! This module is the resolution: every shard runs its *own* independent
 //! Bonawitz-style instance over its cohort (own key graph, own Shamir
 //! threshold, its four message rounds framed through the shard's
@@ -25,30 +25,29 @@
 //! any `workers` count produces bit-identical outcomes (pinned by the
 //! parity suite).
 
-use fednum_core::accumulator::BitAccumulator;
-use fednum_core::protocol::basic::{BasicBitPushing, Outcome};
+use fednum_core::protocol::basic::Outcome;
 use fednum_hiersec::{merge_salvaged_shard_sums, merge_shard_sums, run_indexed, HierSecConfig};
 use fednum_secagg::{add_assign, client_mask_ring, Fe};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fednum_fedsim::error::FedError;
-use fednum_fedsim::round::{DegradedMode, FederatedMeanConfig, SalvageOutcome};
-use fednum_fedsim::traffic::{Direction, TrafficPhase, TrafficStats};
+use fednum_fedsim::round::{
+    check_cohort, collect, finish, secagg_tally, DegradedMode, FederatedMeanConfig, SalvageOutcome,
+};
+use fednum_fedsim::traffic::{TrafficPhase, TrafficStats};
 use fednum_fedsim::validation::RejectionCounts;
 
-use crate::coordinator::{
-    collect_batched, collect_waves, debias_sums, fill_derived, run_salvage, secagg_tally,
-    secagg_tally_planes,
-};
+use crate::coordinator::{fill_derived, record_publish, run_salvage, Session};
 use crate::message::{
-    EncryptedShare, KeyAdvertise, KeyShares, MaskedInput, Message, Publish, UnmaskShares,
+    EncryptedShare, KeyAdvertise, KeyShares, MaskedInput, Message, UnmaskShares,
     ENCRYPTED_SHARE_LEN, PUBLIC_KEY_LEN,
 };
 use crate::net::{
     Envelope, InMemoryTransport, SimNetTransport, Transport, WireMetrics, COORDINATOR,
 };
 use crate::scheduler::mix;
+use crate::shard::{contacted_reporters, partition};
 
 /// Per-shard transport factory for a hierarchical round: called once per
 /// shard with that shard's scheduler seed (`mix(seed ^ s ^ TRANSPORT_TAG)`,
@@ -67,7 +66,7 @@ pub type ShardTransportFactory<'a> =
 
 /// Virtual-time spacing between merge-tier frames.
 const STEP: f64 = 3e-9;
-/// Scheduler-seed tag for per-shard transports (same as `run_sharded_mean`).
+/// Scheduler-seed tag for per-shard transports (same as a plain sharded round).
 const TRANSPORT_TAG: u64 = 0xA24B_AED4_963E_E407;
 /// Scheduler-seed tag for the merge-tier transport and RNG.
 const MERGE_TAG: u64 = 0x1F83_D9AB_FB41_BD6B;
@@ -131,6 +130,7 @@ pub struct HierShardedOutcome {
 }
 
 /// What one shard session produced (pool job output).
+#[derive(Default)]
 struct ShardRun {
     traffic: TrafficStats,
     contacted: usize,
@@ -158,14 +158,20 @@ struct ShardRun {
 /// Runs one federated mean round with the population partitioned across
 /// `hier.shards` coordinator shards, each shard's reports aggregated by
 /// its own secure-aggregation instance, and the per-shard sums merged
-/// through a second instance among the shard aggregators.
+/// through a second instance among the shard aggregators — the engine
+/// behind `RoundBuilder::new(config).hierarchical(hier, workers)`.
 ///
 /// `config.secagg` must be set (its settings configure the per-shard tier,
 /// mirrored by `hier.shard`); `workers` bounds the OS threads running
 /// shard sessions concurrently — any value yields bit-identical results;
-/// `seed` drives every stream, exactly as in `run_sharded_mean`, with the
-/// secagg instances additionally keyed by `hier.session_seed` per tier and
-/// shard.
+/// `seed` drives every stream, exactly as in a plain sharded round, with
+/// the secagg instances additionally keyed by `hier.session_seed` per tier
+/// and shard. `factory`, when given, supplies each shard's transport (see
+/// [`ShardTransportFactory`]); the second return value is the merged wire
+/// totals of the shard transports, `None` when none of them meter a wire.
+/// `batched` switches every shard onto the chunked multi-client wire with
+/// plane-popcount secure tallies, bit-identical per seed to the per-client
+/// wire.
 ///
 /// # Errors
 /// `InvalidConfig` when secagg is off or the partition violates the
@@ -173,30 +179,6 @@ struct ShardRun {
 /// `CohortTooSmall` against the merged cohort; `SecAgg` when the merge
 /// instance fails (map to [`DegradedMode::Aborted`] in telemetry) or a
 /// shard instance fails for a non-degrading reason.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `fednum::transport::RoundBuilder::new(config)\
-            .hierarchical(hier, workers).run(values)`"
-)]
-pub fn run_hierarchical_mean(
-    values: &[f64],
-    config: &FederatedMeanConfig,
-    hier: &HierSecConfig,
-    workers: usize,
-    seed: u64,
-) -> Result<HierShardedOutcome, FedError> {
-    hierarchical_impl(values, config, hier, workers, seed, None, None).map(|(out, _)| out)
-}
-
-/// The two-tier engine behind the deprecated free function and the
-/// `RoundBuilder` facade. `factory`, when given, supplies each shard's
-/// transport (see [`ShardTransportFactory`]); the second return value is
-/// the merged wire totals of the shard transports, `None` when none of
-/// them meter a wire. `batched` switches every shard onto the chunked
-/// multi-client wire with plane-popcount secure tallies
-/// ([`collect_batched`](crate::coordinator::collect_batched) +
-/// [`secagg_tally_planes`](crate::coordinator::secagg_tally_planes)),
-/// bit-identical per seed to the scalar wire.
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 pub(crate) fn hierarchical_impl(
     values: &[f64],
@@ -211,7 +193,7 @@ pub(crate) fn hierarchical_impl(
         return Err(FedError::InvalidConfig(
             "hierarchical aggregation is the secure path: set \
              FederatedMeanConfig::with_secagg (for direct sharding use \
-             run_sharded_mean)"
+             `.sharded(..)`)"
                 .into(),
         ));
     };
@@ -226,17 +208,7 @@ pub(crate) fn hierarchical_impl(
 
     // Contiguous partition: shard s owns [offsets[s], offsets[s] + sizes[s]).
     let k = hier.shards;
-    let base = codes.len() / k;
-    let extra = codes.len() % k;
-    let mut sizes = Vec::with_capacity(k);
-    let mut offsets = Vec::with_capacity(k);
-    let mut start = 0usize;
-    for s in 0..k {
-        let len = base + usize::from(s < extra);
-        sizes.push(len);
-        offsets.push(start);
-        start += len;
-    }
+    let (offsets, sizes): (Vec<usize>, Vec<usize>) = partition(codes.len(), k).unzip();
     hier.validate_cohorts(&sizes)?;
 
     // Tier 1: K independent shard sessions on the deterministic pool.
@@ -250,74 +222,30 @@ pub(crate) fn hierarchical_impl(
             None if config.faults.is_some() => Box::new(SimNetTransport::for_config(config, tseed)),
             None => Box::new(InMemoryTransport::new(tseed)),
         };
-        let (mut st, planes) = match batched {
-            Some(chunk) => {
-                let (st, planes) = collect_batched(
-                    slice,
-                    config,
-                    chunk,
-                    offsets[s] as u64,
-                    None,
-                    transport.as_mut(),
-                    &mut rng,
-                )?;
-                (st, Some(planes))
-            }
-            None => {
-                let st = collect_waves(
-                    slice,
-                    config,
-                    offsets[s] as u64,
-                    None,
-                    transport.as_mut(),
-                    &mut rng,
-                )?;
-                (st, None)
-            }
-        };
-        let collected: u64 = st.counts.iter().sum();
-        let reporters = st.contacts.iter().filter(|c| c.report.is_some()).count();
+        let offset = offsets[s] as u64;
+        let mut session = Session::open(transport.as_mut(), config, batched, offset);
+        let mut st = collect(slice, config, offset, None, &mut session, &mut rng)?;
         let mut run = ShardRun {
-            traffic: TrafficStats::new(),
             contacted: st.contacts.len(),
-            collected,
+            collected: st.reports(),
             waves_used: st.waves_used,
-            completion: 0.0,
             rejections: st.rejections,
             late_frames: st.late_frames,
             faults_injected: st.faults_injected,
-            retries: 0,
-            sum: None,
-            late_sum: None,
-            salvaged: 0,
-            compute_seconds: 0.0,
-            wire: None,
+            ..ShardRun::default()
         };
-        if reporters > 0 {
+        if st.reporters() > 0 {
             // The shard's own secagg instance, keyed by tier and index so
             // its key graph is independent of every sibling's.
-            let tally = match &planes {
-                Some(p) => secagg_tally_planes(
-                    &mut st,
-                    p,
-                    config,
-                    &hier.shard,
-                    hier.shard_session(s),
-                    round_id,
-                    None,
-                    transport.as_mut(),
-                ),
-                None => secagg_tally(
-                    &mut st,
-                    config,
-                    &hier.shard,
-                    hier.shard_session(s),
-                    round_id,
-                    None,
-                    transport.as_mut(),
-                    &mut rng,
-                ),
-            };
+            let tally = secagg_tally(
+                &mut st,
+                config,
+                &hier.shard,
+                hier.shard_session(s),
+                None,
+                &mut session,
+                &mut rng,
+            );
             match tally {
                 Ok(tally) => {
                     let mut sum = tally.ones;
@@ -342,27 +270,25 @@ pub(crate) fn hierarchical_impl(
         // Deterministic per shard, so any worker count stays bit-identical.
         if let Some(policy) = &config.salvage {
             if config.validate {
-                let res = run_salvage(
+                let (outcome, late) = run_salvage(
                     &mut st,
+                    &mut session,
                     config,
                     policy,
                     Some(&hier.shard),
                     hier.salvage_shard_session(s),
-                    round_id,
-                    offsets[s] as u64,
                     None,
-                    transport.as_mut(),
                     &mut rng,
                 );
-                if matches!(res.outcome, SalvageOutcome::Salvaged { .. }) {
-                    let mut sum = res.ones;
-                    sum.extend_from_slice(&res.counts);
+                if let (SalvageOutcome::Salvaged { reports }, Some(late)) = (outcome, late) {
+                    let mut sum = late.ones;
+                    sum.extend_from_slice(&late.eff_counts);
                     run.late_sum = Some(sum);
-                    run.salvaged = res.reports;
+                    run.salvaged = reports;
                 }
             }
         }
-        run.traffic = st.traffic;
+        run.traffic = session.into_traffic();
         run.completion = st.completion_time + st.backoff_time;
         run.compute_seconds = clock.elapsed().as_secs_f64();
         // A transport that failed underneath the session drained silently;
@@ -412,16 +338,7 @@ pub(crate) fn hierarchical_impl(
         shard_compute_seconds.push(run.compute_seconds);
     }
 
-    if collected == 0 {
-        return Err(FedError::NoReports);
-    }
-    let reporters = usize::try_from(collected).map_or(contacted, |r| r.min(contacted));
-    if reporters < config.retry.min_cohort {
-        return Err(FedError::CohortTooSmall {
-            survivors: reporters,
-            minimum: config.retry.min_cohort,
-        });
-    }
+    check_cohort(collected, contacted_reporters(collected, contacted), config)?;
 
     // Tier 2: frame the merge session — the K shard aggregators are the
     // cohort now — then run the merge instance. The masked-input frames
@@ -431,7 +348,8 @@ pub(crate) fn hierarchical_impl(
     let mut merge_transport = InMemoryTransport::new(mix(seed ^ MERGE_TAG));
     let merge_session = hier.merge_session();
     let base_parties: Vec<u64> = (0..k as u64).collect();
-    frame_merge_session(
+    let mut merge_frames = Vec::new();
+    let mut merge_traffic = frame_merge_session(
         &mut merge_transport,
         &base_parties,
         &shard_sums,
@@ -439,17 +357,8 @@ pub(crate) fn hierarchical_impl(
         round_id,
         vector_len,
         completion_time,
+        &mut merge_frames,
     );
-    let mut merge_traffic = TrafficStats::new();
-    let mut merge_frames = Vec::new();
-    while let Some((_, env)) = merge_transport.poll() {
-        if let Ok(msg) = Message::decode(&env.payload) {
-            merge_traffic.record(msg.phase(), msg.direction(), env.payload.len() as u64);
-            if env.to == COORDINATOR {
-                merge_frames.push(env.payload);
-            }
-        }
-    }
     let mut merge_rng = StdRng::seed_from_u64(mix(seed.wrapping_add(1) ^ MERGE_TAG));
     let merge = merge_shard_sums(hier, &shard_sums, vector_len, &mut merge_rng)?;
     completion_time += 1.0;
@@ -475,7 +384,7 @@ pub(crate) fn hierarchical_impl(
         (Some(_), true) => {
             let parties: Vec<u64> = late.iter().map(|&(s, _)| s as u64).collect();
             let sums: Vec<Option<Vec<u64>>> = late.iter().map(|(_, v)| Some(v.clone())).collect();
-            frame_merge_session(
+            let salvage_tier_traffic = frame_merge_session(
                 &mut merge_transport,
                 &parties,
                 &sums,
@@ -483,20 +392,8 @@ pub(crate) fn hierarchical_impl(
                 round_id,
                 vector_len,
                 completion_time,
+                &mut merge_frames,
             );
-            let mut salvage_tier_traffic = TrafficStats::new();
-            while let Some((_, env)) = merge_transport.poll() {
-                if let Ok(msg) = Message::decode(&env.payload) {
-                    salvage_tier_traffic.record(
-                        msg.phase(),
-                        msg.direction(),
-                        env.payload.len() as u64,
-                    );
-                    if env.to == COORDINATOR {
-                        merge_frames.push(env.payload);
-                    }
-                }
-            }
             merge_traffic.absorb_as(&salvage_tier_traffic, TrafficPhase::Salvage);
             completion_time += 1.0;
             let mut salvage_rng = StdRng::seed_from_u64(mix(seed.wrapping_add(2) ^ MERGE_TAG));
@@ -517,43 +414,25 @@ pub(crate) fn hierarchical_impl(
         }
     };
 
-    let acc = BitAccumulator::from_parts(
-        debias_sums(&ones, &eff_counts, config.protocol.privacy.as_ref()),
-        eff_counts.clone(),
+    let mut fin = finish(
+        config,
+        &ones,
+        eff_counts,
+        clip_fraction,
+        secagg_retries,
+        waves_used,
     );
-    let outcome = BasicBitPushing::new(config.protocol.clone()).finish(acc, clip_fraction);
+    if !merge.degraded_shards.is_empty() {
+        fin.degraded = DegradedMode::Partial;
+    }
+    let outcome = fin.outcome;
 
-    // One Publish broadcast closes the merged round.
-    let publish = Message::Publish(Publish {
+    record_publish(
+        &mut merge_traffic,
         round_id,
-        estimate: outcome.estimate,
-        reports: total_reports,
-        feedback: Vec::new(),
-    });
-    merge_traffic.record(
-        TrafficPhase::Publish,
-        Direction::Downlink,
-        publish.encoded_len() as u64,
+        outcome.estimate,
+        total_reports,
     );
-
-    let base_probs = config.protocol.sampling.probs();
-    let starved_bits: Vec<u32> = base_probs
-        .iter()
-        .zip(&eff_counts)
-        .enumerate()
-        .filter(|(_, (&p, &c))| p > 0.0 && c < config.min_reports_per_bit)
-        .map(|(j, _)| j as u32)
-        .collect();
-
-    let degraded = if !merge.degraded_shards.is_empty() || !starved_bits.is_empty() {
-        DegradedMode::Partial
-    } else if secagg_retries > 0 {
-        DegradedMode::Retried
-    } else if waves_used > 1 {
-        DegradedMode::Refilled
-    } else {
-        DegradedMode::Clean
-    };
 
     let mut traffic = shard_traffic;
     traffic.merge(&merge_traffic);
@@ -573,8 +452,8 @@ pub(crate) fn hierarchical_impl(
             salvaged_shards,
             degraded_shards: merge.degraded_shards,
             included_shards: merge.included_shards,
-            starved_bits,
-            degraded,
+            starved_bits: fin.starved_bits,
+            degraded: fin.degraded,
             traffic,
             shard_traffic,
             merge_traffic,
@@ -591,6 +470,10 @@ pub(crate) fn hierarchical_impl(
 /// `shard_sums[i]` — contiguous shard indices for the base merge, the
 /// recovered shards' indices for the salvage merge, so the two instances
 /// derive disjoint mask material even beyond their distinct sessions.
+///
+/// Returns the instance's traffic, metered at delivery, and appends every
+/// uplink frame the top-level coordinator received to `frames`.
+#[allow(clippy::too_many_arguments)]
 fn frame_merge_session(
     transport: &mut dyn Transport,
     parties: &[u64],
@@ -599,7 +482,8 @@ fn frame_merge_session(
     round_id: u64,
     vector_len: usize,
     t0: f64,
-) {
+    frames: &mut Vec<Vec<u8>>,
+) -> TrafficStats {
     let k = parties.len();
     debug_assert_eq!(k, shard_sums.len());
     let degree = k.saturating_sub(1).max(1);
@@ -684,6 +568,16 @@ fn frame_merge_session(
             payload: Message::UnmaskShares(UnmaskShares { round_id, shares }).encode(),
         });
     }
+    let mut traffic = TrafficStats::new();
+    while let Some((_, env)) = transport.poll() {
+        if let Ok(msg) = Message::decode(&env.payload) {
+            traffic.record(msg.phase(), msg.direction(), env.payload.len() as u64);
+            if env.to == COORDINATOR {
+                frames.push(env.payload);
+            }
+        }
+    }
+    traffic
 }
 
 #[cfg(test)]
@@ -696,8 +590,10 @@ mod tests {
     use fednum_core::sampling::BitSampling;
     use fednum_fedsim::dropout::DropoutModel;
     use fednum_fedsim::round::SecAggSettings;
+    use fednum_fedsim::traffic::Direction;
 
-    // Non-deprecated shims shadowing the glob-imported legacy wrappers.
+    // The pre-`RoundBuilder` call shape, kept so the assertions below read
+    // unchanged.
     fn run_hierarchical_mean(
         values: &[f64],
         config: &FederatedMeanConfig,
@@ -706,15 +602,6 @@ mod tests {
         seed: u64,
     ) -> Result<HierShardedOutcome, FedError> {
         hierarchical_impl(values, config, hier, workers, seed, None, None).map(|(out, _)| out)
-    }
-
-    fn run_sharded_mean(
-        values: &[f64],
-        config: &FederatedMeanConfig,
-        shards: usize,
-        seed: u64,
-    ) -> Result<crate::shard::ShardedOutcome, FedError> {
-        sharded_impl(values, config, shards, seed, None)
     }
 
     fn settings() -> SecAggSettings {
@@ -753,7 +640,7 @@ mod tests {
             panic!("expected InvalidConfig, got {err}");
         };
         assert!(msg.contains("with_secagg"), "unhelpful message: {msg}");
-        assert!(msg.contains("run_sharded_mean"), "unhelpful message: {msg}");
+        assert!(msg.contains(".sharded("), "unhelpful message: {msg}");
     }
 
     #[test]
@@ -763,7 +650,7 @@ mod tests {
         // Same seed, same partition, secagg off: the collect phase draws the
         // same RNG stream, and secagg is exact arithmetic over the same
         // reports, so the estimates agree bit for bit.
-        let plain = run_sharded_mean(&vs, &plain_config(7), 4, 11).unwrap();
+        let plain = sharded_impl(&vs, &plain_config(7), 4, 11, None).unwrap();
         assert_eq!(out.outcome.estimate, plain.outcome.estimate);
         assert_eq!(out.reports, plain.reports);
         assert_eq!(out.contacted, 1_200);

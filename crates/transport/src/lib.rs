@@ -1,18 +1,21 @@
 //! Event-driven transport and coordinator for federated bit-pushing.
 //!
-//! The `fednum-fedsim` orchestrator models a round as a synchronous loop;
-//! this crate models it as what it really is — message passing. Every
-//! protocol interaction is a typed [`message::Message`] framed through the
-//! `fednum-core::wire` varint codec, carried by a [`net::Transport`], and
-//! ordered by a deterministic discrete-event [`scheduler::EventQueue`].
-//! The [`coordinator`] drives the session state machine (rendezvous →
-//! configure → collect → unmask → publish) over any transport, reproducing
-//! the synchronous orchestrator's estimates bit for bit while additionally
-//! accounting every byte per phase and direction; [`shard`] partitions a
-//! cohort across independently scheduled coordinator shards, scaling a
-//! round to a million simulated clients; [`hier`] layers two-tier secure
-//! aggregation on top of sharding (per-shard instances merged through a
-//! second instance over the shard aggregators, on a worker pool).
+//! `fednum-fedsim` writes the round once, generic over what carries its
+//! messages; this crate carries it as what a deployment really is —
+//! message passing. Every protocol interaction is a typed
+//! [`message::Message`] framed through the `fednum-core::wire` varint
+//! codec, carried by a [`net::Transport`], and ordered by a deterministic
+//! discrete-event [`scheduler::EventQueue`]. The [`coordinator`] session is
+//! the wire side of a round (rendezvous → configure → collect → unmask →
+//! publish) over any transport — one frame chain per client, or one packed
+//! frame per chunk of clients — reproducing the synchronous path's
+//! estimates bit for bit while additionally accounting every byte per phase
+//! and direction; [`shard`] partitions a cohort across independently
+//! scheduled coordinator shards, scaling a round to a million simulated
+//! clients; [`hier`] layers two-tier secure aggregation on top of sharding
+//! (per-shard instances merged through a second instance over the shard
+//! aggregators, on a worker pool). [`builder::RoundBuilder`] is the one
+//! entry point to all of it.
 
 pub mod adaptive;
 pub mod builder;
@@ -30,16 +33,10 @@ pub mod shard;
 pub mod shuffle;
 pub mod tcp;
 
-#[allow(deprecated)]
-pub use adaptive::run_federated_adaptive_transport;
 pub use builder::{RoundBuilder, RoundDetail, RoundOutcome};
-#[allow(deprecated)]
-pub use coordinator::{run_federated_mean_transport, run_federated_mean_transport_metered};
 pub use daemon::{DaemonConfig, DaemonHandle, DaemonSnapshot, RoundStream};
 pub use fleet::client::{ClientPool, ClientSession, FailMode};
 pub use fleet::{FleetConfig, FleetEngine, FleetLedger, FleetRoundReport};
-#[allow(deprecated)]
-pub use hier::run_hierarchical_mean;
 pub use hier::{HierShardedOutcome, ShardTransportFactory};
 pub use message::Message;
 pub use net::{
@@ -49,8 +46,6 @@ pub use net::{
 pub use netchaos::{ChaosConfig, ChaosProxy, ChaosStats};
 pub use scheduler::EventQueue;
 pub use session::{MultiSessionEngine, SessionSlot};
-#[allow(deprecated)]
-pub use shard::run_sharded_mean;
 pub use shard::ShardedOutcome;
 pub use shuffle::{ShuffleConfig, ShuffledOutcome};
 pub use tcp::{CampaignStatus, CommitReceipt, RoundAdmission, SessionStats, TcpTransport};

@@ -11,26 +11,26 @@
 //! Sharding changes the sampling structure (K independent shuffles and
 //! assignments instead of one), so estimates are *statistically* equivalent
 //! to, not bit-identical with, the single-coordinator path; the figure
-//! panel and `run_sharded_mean` tests pin the accuracy. Refill waves
+//! panel and the tests below pin the accuracy. Refill waves
 //! enforce `min_reports_per_bit` per shard, which is conservative: the
 //! merged round meets at least the single-coordinator floor.
 //!
 //! Secure aggregation is deliberately rejected here: masked vectors cancel
 //! only within one unmask domain, so a secagg cohort cannot be split across
 //! shards without a second aggregation tier — which is exactly what
-//! [`run_hierarchical_mean`](crate::hier::run_hierarchical_mean) provides.
+//! [`RoundBuilder::hierarchical`](crate::builder::RoundBuilder::hierarchical)
+//! provides.
 
-use fednum_core::accumulator::BitAccumulator;
-use fednum_core::protocol::basic::{BasicBitPushing, Outcome};
+use fednum_core::protocol::basic::Outcome;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fednum_fedsim::error::FedError;
-use fednum_fedsim::traffic::{Direction, TrafficPhase, TrafficStats};
+use fednum_fedsim::round::{check_cohort, collect, finish, FederatedMeanConfig};
+use fednum_fedsim::traffic::TrafficStats;
 use fednum_fedsim::validation::RejectionCounts;
 
-use crate::coordinator::{collect_batched, collect_waves, debias_sums, direct_tally};
-use crate::message::{Message, Publish};
+use crate::coordinator::{record_publish, Session};
 use crate::net::InMemoryTransport;
 use crate::scheduler::mix;
 
@@ -59,40 +59,23 @@ pub struct ShardedOutcome {
 
 /// Runs one federated mean round with the population partitioned across
 /// `shards` independently scheduled coordinator shards, merging partial
-/// per-bit sums at publish.
+/// per-bit sums at publish — the engine behind
+/// `RoundBuilder::new(config).sharded(shards, seed)`.
 ///
 /// `seed` drives everything: shard `s` gets RNG stream `mix(seed ^ s)` and
 /// scheduler stream `mix(seed ^ s ^ tag)`, so the run is deterministic and
 /// shards could execute in any order (or in parallel) without changing the
-/// result.
+/// result. `batched` switches every shard onto the chunked multi-client
+/// wire with the given chunk size; per-shard estimates stay bit-identical
+/// to the per-client wire per seed.
 ///
 /// # Errors
 /// `InvalidConfig` for zero shards or a secagg config (see module docs);
 /// otherwise the usual [`FedError`] round failures, evaluated globally
 /// (`NoReports`, `CohortTooSmall` against the merged cohort).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `fednum::transport::RoundBuilder::new(config).sharded(shards, seed)\
-            .run(values)`"
-)]
-pub fn run_sharded_mean(
-    values: &[f64],
-    config: &fednum_fedsim::round::FederatedMeanConfig,
-    shards: usize,
-    seed: u64,
-) -> Result<ShardedOutcome, FedError> {
-    sharded_impl(values, config, shards, seed, None)
-}
-
-/// The sharded-round engine behind the deprecated free function and the
-/// `RoundBuilder` facade. `batched` switches every shard onto the chunked
-/// multi-client wire (see
-/// [`collect_batched`](crate::coordinator::collect_batched)) with the given
-/// chunk size, tallying by plane popcounts; per-shard estimates stay
-/// bit-identical to the scalar wire per seed.
 pub(crate) fn sharded_impl(
     values: &[f64],
-    config: &fednum_fedsim::round::FederatedMeanConfig,
+    config: &FederatedMeanConfig,
     shards: usize,
     seed: u64,
     batched: Option<usize>,
@@ -103,8 +86,8 @@ pub(crate) fn sharded_impl(
     if config.secagg.is_some() {
         return Err(FedError::InvalidConfig(
             "secure aggregation cannot span coordinator shards directly; \
-             use run_hierarchical_mean (two-tier secagg over shards) or \
-             run_federated_mean_transport (one flat cohort)"
+             use `.hierarchical(..)` (two-tier secagg over shards) or drop \
+             `.sharded(..)` (one flat cohort)"
                 .into(),
         ));
     }
@@ -125,38 +108,14 @@ pub(crate) fn sharded_impl(
     let mut faults_injected = 0u64;
     let mut traffic = TrafficStats::new();
 
-    // Contiguous partition: shard s owns [start, end) of the population.
-    let base = codes.len() / shards;
-    let extra = codes.len() % shards;
-    let mut start = 0usize;
-    for s in 0..shards {
-        let len = base + usize::from(s < extra);
+    for (s, (start, len)) in partition(codes.len(), shards).enumerate() {
         let slice = &codes[start..start + len];
         let mut rng = StdRng::seed_from_u64(mix(seed ^ s as u64));
         let mut transport = InMemoryTransport::new(mix(seed ^ (s as u64) ^ 0xA24B_AED4_963E_E407));
-        let (st, shard_ones) = match batched {
-            Some(chunk) => {
-                let (st, planes) = collect_batched(
-                    slice,
-                    config,
-                    chunk,
-                    start as u64,
-                    None,
-                    &mut transport,
-                    &mut rng,
-                )?;
-                let shard_ones = planes.ones();
-                (st, shard_ones)
-            }
-            None => {
-                let st =
-                    collect_waves(slice, config, start as u64, None, &mut transport, &mut rng)?;
-                let shard_ones = direct_tally(&st.contacts, bits);
-                (st, shard_ones)
-            }
-        };
+        let mut session = Session::open(&mut transport, config, batched, start as u64);
+        let st = collect(slice, config, start as u64, None, &mut session, &mut rng)?;
         for j in 0..bits as usize {
-            ones[j] += shard_ones[j];
+            ones[j] += st.ones[j];
             counts[j] += st.counts[j];
         }
         contacted += st.contacts.len();
@@ -164,39 +123,19 @@ pub(crate) fn sharded_impl(
         completion_time = completion_time.max(st.completion_time + st.backoff_time);
         rejections.absorb(&st.rejections);
         faults_injected += st.faults_injected;
-        traffic.merge(&st.traffic);
-        start += len;
+        traffic.merge(&session.into_traffic());
     }
 
     let total_reports: u64 = counts.iter().sum();
-    if total_reports == 0 {
-        return Err(FedError::NoReports);
-    }
     let reporters = contacted_reporters(total_reports, contacted);
-    if reporters < config.retry.min_cohort {
-        return Err(FedError::CohortTooSmall {
-            survivors: reporters,
-            minimum: config.retry.min_cohort,
-        });
-    }
+    check_cohort(total_reports, reporters, config)?;
+    let outcome = finish(config, &ones, counts, clip_fraction, 0, waves_used).outcome;
 
-    let acc = BitAccumulator::from_parts(
-        debias_sums(&ones, &counts, config.protocol.privacy.as_ref()),
-        counts,
-    );
-    let outcome = BasicBitPushing::new(config.protocol.clone()).finish(acc, clip_fraction);
-
-    // One Publish broadcast closes the merged round.
-    let publish = Message::Publish(Publish {
-        round_id: config.session_seed,
-        estimate: outcome.estimate,
-        reports: total_reports,
-        feedback: Vec::new(),
-    });
-    traffic.record(
-        TrafficPhase::Publish,
-        Direction::Downlink,
-        publish.encoded_len() as u64,
+    record_publish(
+        &mut traffic,
+        config.session_seed,
+        outcome.estimate,
+        total_reports,
     );
 
     Ok(ShardedOutcome {
@@ -212,10 +151,17 @@ pub(crate) fn sharded_impl(
     })
 }
 
+/// Contiguous partition of `len` clients across `k` shards, as
+/// `(offset, size)` per shard: the first `len % k` shards own one extra.
+pub(crate) fn partition(len: usize, k: usize) -> impl Iterator<Item = (usize, usize)> {
+    let (base, extra) = (len / k, len % k);
+    (0..k).map(move |s| (s * base + s.min(extra), base + usize::from(s < extra)))
+}
+
 /// A lower bound on distinct reporters from (copies, contacted): without
 /// wire faults each reporter contributes exactly one copy, and wire faults
 /// only inflate copies, never reporters.
-fn contacted_reporters(total_reports: u64, contacted: usize) -> usize {
+pub(crate) fn contacted_reporters(total_reports: u64, contacted: usize) -> usize {
     usize::try_from(total_reports).map_or(contacted, |r| r.min(contacted))
 }
 
@@ -223,14 +169,15 @@ fn contacted_reporters(total_reports: u64, contacted: usize) -> usize {
 mod tests {
     use super::*;
     use crate::coordinator::run_session;
-    use crate::net::Transport;
     use fednum_core::encoding::FixedPointCodec;
     use fednum_core::protocol::basic::BasicConfig;
     use fednum_core::sampling::BitSampling;
     use fednum_fedsim::dropout::DropoutModel;
-    use fednum_fedsim::round::{FederatedMeanConfig, SecAggSettings};
+    use fednum_fedsim::round::SecAggSettings;
+    use fednum_fedsim::traffic::{Direction, TrafficPhase};
 
-    // Non-deprecated shims shadowing the glob-imported legacy wrappers.
+    // The pre-`RoundBuilder` call shape, kept so the assertions below read
+    // unchanged.
     fn run_sharded_mean(
         values: &[f64],
         config: &FederatedMeanConfig,
@@ -238,15 +185,6 @@ mod tests {
         seed: u64,
     ) -> Result<ShardedOutcome, FedError> {
         sharded_impl(values, config, shards, seed, None)
-    }
-
-    fn run_federated_mean_transport(
-        values: &[f64],
-        config: &FederatedMeanConfig,
-        transport: &mut dyn Transport,
-        rng: &mut dyn rand::Rng,
-    ) -> Result<fednum_fedsim::round::FederatedOutcome, FedError> {
-        run_session(values, config, None, transport, rng)
     }
 
     fn config(bits: u32) -> FederatedMeanConfig {
@@ -283,9 +221,8 @@ mod tests {
         let cfg = config(7);
         let sharded = run_sharded_mean(&vs, &cfg, 1, 5).unwrap();
         let mut t = InMemoryTransport::new(mix(5 ^ 0xA24B_AED4_963E_E407));
-        let single =
-            run_federated_mean_transport(&vs, &cfg, &mut t, &mut StdRng::seed_from_u64(mix(5)))
-                .unwrap();
+        let mut rng = StdRng::seed_from_u64(mix(5));
+        let (single, _) = run_session(&vs, &cfg, None, &mut t, None, &mut rng, false).unwrap();
         assert_eq!(sharded.outcome.estimate, single.outcome.estimate);
         assert_eq!(sharded.reports, single.reports);
     }

@@ -38,21 +38,20 @@
 //! ledger are invariant under the permutation seed (the batch length and
 //! the per-bit tally are both permutation-independent).
 
-use fednum_core::accumulator::BitAccumulator;
 use fednum_core::bits::bit;
 use fednum_core::privacy::{Amplification, PrivacyLedger, ShuffleCharge};
-use fednum_core::protocol::basic::BasicBitPushing;
 use fednum_core::wire::ShuffleMessage;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use fednum_fedsim::dropout::Fate;
 use fednum_fedsim::error::FedError;
-use fednum_fedsim::round::{DegradedMode, FederatedMeanConfig, FederatedOutcome, RobustnessReport};
+use fednum_fedsim::round::{
+    check_cohort, finish, FederatedMeanConfig, FederatedOutcome, RobustnessReport,
+};
 use fednum_fedsim::traffic::TrafficStats;
-use fednum_fedsim::validation::RejectionCounts;
 
-use crate::coordinator::{debias_sums, drain_counting};
+use crate::coordinator::drain_counting;
 use crate::message::{Message, Publish};
 use crate::net::{Envelope, Transport, COORDINATOR, SHUFFLER};
 use crate::scheduler::mix;
@@ -286,16 +285,7 @@ pub(crate) fn run_shuffled_session(
         }
     }
 
-    if batch_entries == 0 {
-        return Err(FedError::NoReports);
-    }
-    let reporters = submissions.len();
-    if reporters < config.retry.min_cohort {
-        return Err(FedError::CohortTooSmall {
-            survivors: reporters,
-            minimum: config.retry.min_cohort,
-        });
-    }
+    check_cohort(batch_entries, submissions.len(), config)?;
 
     // The privacy charge, at the batch size the coordinator actually
     // received: amplified when the validity threshold is met, local ε₀
@@ -309,8 +299,7 @@ pub(crate) fn run_shuffled_session(
         }
     }
 
-    let acc = BitAccumulator::from_parts(debias_sums(&ones, &counts, Some(rr)), counts.clone());
-    let outcome = BasicBitPushing::new(config.protocol.clone()).finish(acc, clip_fraction);
+    let fin = finish(config, &ones, counts, clip_fraction, 0, 1);
 
     // Publish: the result broadcast, one closing frame.
     {
@@ -321,7 +310,7 @@ pub(crate) fn run_shuffled_session(
             sent_at: 0.0,
             payload: Message::Publish(Publish {
                 round_id,
-                estimate: outcome.estimate,
+                estimate: fin.outcome.estimate,
                 reports: batch_entries,
                 feedback: Vec::new(),
             })
@@ -330,38 +319,19 @@ pub(crate) fn run_shuffled_session(
         drain_counting(&mut slot, &mut traffic);
     }
 
-    let base_probs = config.protocol.sampling.probs();
-    let starved_bits: Vec<u32> = base_probs
-        .iter()
-        .zip(&counts)
-        .enumerate()
-        .filter(|(_, (&p, &c))| p > 0.0 && c < config.min_reports_per_bit)
-        .map(|(j, _)| j as u32)
-        .collect();
-    let degraded = if starved_bits.is_empty() {
-        DegradedMode::Clean
-    } else {
-        DegradedMode::Partial
-    };
-
     Ok(ShuffledOutcome {
         round: FederatedOutcome {
-            outcome,
+            outcome: fin.outcome,
             contacted: values.len(),
             reports: batch_entries,
             waves_used: 1,
             completion_time: window_len,
-            starved_bits,
+            starved_bits: fin.starved_bits,
             secagg: None,
             robustness: RobustnessReport {
-                degraded,
-                rejections: RejectionCounts::default(),
-                late_frames: 0,
-                salvage: None,
-                secagg_retries: 0,
-                faults_injected: 0,
-                backoff_time: 0.0,
+                degraded: fin.degraded,
                 traffic,
+                ..RobustnessReport::default()
             },
         },
         charge,

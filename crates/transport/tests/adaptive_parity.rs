@@ -1,10 +1,10 @@
-//! Adaptive two-round parity: the multi-session transport port of
-//! Algorithm 2 must reproduce the synchronous engine
-//! (`fednum_fedsim::adaptive_round::run_adaptive_impl`)
-//! **bit for bit** under the same seed. The feedback between the rounds
-//! rides the round-1 Publish frame here, so this grid additionally pins
-//! that the message codec is `f64`-bit-preserving end to end: any rounding
-//! in the wire format would surface as a round-2 weight divergence.
+//! Adaptive two-round parity: Algorithm 2 as two sessions on one transport
+//! must reproduce the synchronous path (`RoundBuilder::new_adaptive(cfg)`
+//! without `.via`) **bit for bit** under the same seed, on the per-client
+//! wire and on the chunked one. The feedback between the rounds rides the
+//! round-1 Publish frame here, so this grid additionally pins that the
+//! message codec is `f64`-bit-preserving end to end: any rounding in the
+//! wire format would surface as a round-2 weight divergence.
 
 use fednum_core::encoding::FixedPointCodec;
 use fednum_core::privacy::RandomizedResponse;
@@ -27,21 +27,22 @@ fn run_sync(values: &[f64], cfg: &FederatedAdaptiveConfig, seed: u64) -> Federat
         .clone()
 }
 
-/// The two-session transport port through the same facade.
+/// The two-session transport port through the same facade, on the chunked
+/// wire when `batched` names a chunk size.
 fn run_wired(
     values: &[f64],
     cfg: &FederatedAdaptiveConfig,
     transport: &mut dyn Transport,
     seed: u64,
+    batched: Option<usize>,
 ) -> FederatedAdaptiveOutcome {
-    RoundBuilder::new_adaptive(cfg.clone())
+    let mut builder = RoundBuilder::new_adaptive(cfg.clone())
         .seed(seed)
-        .via(transport)
-        .run(values)
-        .unwrap()
-        .adaptive()
-        .unwrap()
-        .clone()
+        .via(transport);
+    if let Some(chunk) = batched {
+        builder = builder.batched(chunk);
+    }
+    builder.run(values).unwrap().adaptive().unwrap().clone()
 }
 
 struct Case {
@@ -102,6 +103,54 @@ fn config_for(case: &Case) -> FederatedAdaptiveConfig {
     FederatedAdaptiveConfig::new(env).with_delta(case.delta)
 }
 
+/// Everything per-seed that must not differ between two carriers of the
+/// same adaptive round.
+fn assert_identical(tag: &str, sync: &FederatedAdaptiveOutcome, wired: &FederatedAdaptiveOutcome) {
+    assert_eq!(
+        sync.estimate.to_bits(),
+        wired.estimate.to_bits(),
+        "{tag}: pooled estimate diverges: {} vs {}",
+        sync.estimate,
+        wired.estimate
+    );
+    // The divergence-sensitive intermediate: round-2 weights derived
+    // from feedback that crossed the wire vs. local memory.
+    assert_eq!(
+        sync.round2_sampling.probs(),
+        wired.round2_sampling.probs(),
+        "{tag}: re-optimized weights diverge — feedback lost bits on the wire"
+    );
+    for (round, s, w) in [
+        (1, &sync.round1, &wired.round1),
+        (2, &sync.round2, &wired.round2),
+    ] {
+        assert_eq!(
+            s.outcome.estimate.to_bits(),
+            w.outcome.estimate.to_bits(),
+            "{tag}: round {round} estimate"
+        );
+        assert_eq!(s.contacted, w.contacted, "{tag}: round {round} contacted");
+        assert_eq!(s.reports, w.reports, "{tag}: round {round} reports");
+        assert_eq!(
+            s.completion_time.to_bits(),
+            w.completion_time.to_bits(),
+            "{tag}: round {round} completion time"
+        );
+        assert_eq!(s.secagg, w.secagg, "{tag}: round {round} secagg summary");
+    }
+    assert_eq!(
+        sync.completion_time.to_bits(),
+        wired.completion_time.to_bits(),
+        "{tag}: total completion time"
+    );
+    // The transport path must have genuinely used two sessions on one
+    // wire: the Publish feedback only exists there.
+    assert!(
+        wired.round1.robustness.traffic.total_messages() > 0,
+        "{tag}: session 1 metered no traffic"
+    );
+}
+
 #[test]
 fn adaptive_transport_is_bit_identical_to_the_sync_protocol() {
     let cases = grid();
@@ -115,51 +164,35 @@ fn adaptive_transport_is_bit_identical_to_the_sync_protocol() {
         secagg_cases += usize::from(case.secagg);
         let sync = run_sync(&values, &cfg, case.id);
         let mut transport = InMemoryTransport::new(case.id);
-        let wired = run_wired(&values, &cfg, &mut transport, case.id);
+        let wired = run_wired(&values, &cfg, &mut transport, case.id, None);
+        assert_identical(&format!("case {}", case.id), &sync, &wired);
 
-        let tag = format!("case {}", case.id);
-        assert_eq!(
-            sync.estimate.to_bits(),
-            wired.estimate.to_bits(),
-            "{tag}: pooled estimate diverges: {} vs {}",
-            sync.estimate,
-            wired.estimate
-        );
-        // The divergence-sensitive intermediate: round-2 weights derived
-        // from feedback that crossed the wire vs. local memory.
-        assert_eq!(
-            sync.round2_sampling.probs(),
-            wired.round2_sampling.probs(),
-            "{tag}: re-optimized weights diverge — feedback lost bits on the wire"
-        );
-        for (round, s, w) in [
-            (1, &sync.round1, &wired.round1),
-            (2, &sync.round2, &wired.round2),
-        ] {
-            assert_eq!(
-                s.outcome.estimate.to_bits(),
-                w.outcome.estimate.to_bits(),
-                "{tag}: round {round} estimate"
-            );
-            assert_eq!(s.contacted, w.contacted, "{tag}: round {round} contacted");
-            assert_eq!(s.reports, w.reports, "{tag}: round {round} reports");
-            assert_eq!(
-                s.completion_time.to_bits(),
-                w.completion_time.to_bits(),
-                "{tag}: round {round} completion time"
-            );
-            assert_eq!(s.secagg, w.secagg, "{tag}: round {round} secagg summary");
+        let mut transport = InMemoryTransport::new(case.id);
+        let batched = run_wired(&values, &cfg, &mut transport, case.id, Some(64));
+        let tag = format!("case {} batched", case.id);
+        if !case.secagg {
+            assert_identical(&tag, &sync, &batched);
+            continue;
         }
+        // The plane aggregator draws nothing from the RNG, the share-level
+        // one does, and round 2 continues on that stream: a secure round
+        // on the chunked wire agrees up to its first secure tally, then
+        // statistically.
         assert_eq!(
-            sync.completion_time.to_bits(),
-            wired.completion_time.to_bits(),
-            "{tag}: total completion time"
+            sync.round1.outcome.estimate.to_bits(),
+            batched.round1.outcome.estimate.to_bits(),
+            "{tag}: round 1 estimate"
         );
-        // The transport path must have genuinely used two sessions on one
-        // wire: the Publish feedback only exists there.
+        let truth = values.iter().sum::<f64>() / values.len() as f64;
+        let sigma = batched
+            .round1
+            .outcome
+            .predicted_std
+            .hypot(batched.round2.outcome.predicted_std);
         assert!(
-            wired.round1.robustness.traffic.total_messages() > 0,
-            "{tag}: session 1 metered no traffic"
+            (batched.estimate - truth).abs() <= 6.0 * sigma,
+            "{tag}: estimate {} vs truth {truth}, predicted σ {sigma}",
+            batched.estimate
         );
     }
     assert!(

@@ -176,6 +176,7 @@ fn run_fleet(chaos: Option<ChaosConfig>) -> FleetRun {
 }
 
 #[test]
+#[ignore = "spawns processes; ci.sh runs it"]
 fn chaos_run_is_bit_identical_to_the_fault_free_run() {
     let plain = run_fleet(None);
     let chaos = run_fleet(Some(chaos_schedule()));
@@ -319,6 +320,7 @@ fn run_round(vals: &[f64], cfg: &FederatedMeanConfig, transport: &mut dyn Transp
 }
 
 #[test]
+#[ignore = "spawns processes; ci.sh runs it"]
 fn severed_campaign_driver_reconnects_without_double_charging() {
     const E2E_ROUNDS: u64 = 4;
     let campaign = campaign_policy();
@@ -502,6 +504,7 @@ fn await_ledger(handle: &DaemonHandle, what: &str, pred: impl Fn(&FleetLedger) -
 }
 
 #[test]
+#[ignore = "spawns processes; ci.sh runs it"]
 fn accept_storm_is_shed_with_a_typed_busy_frame() {
     let handle = daemon::spawn(DaemonConfig {
         fleet: Some(idle_fleet_config()),
@@ -543,6 +546,7 @@ fn accept_storm_is_shed_with_a_typed_busy_frame() {
 }
 
 #[test]
+#[ignore = "spawns processes; ci.sh runs it"]
 fn slow_loris_half_frame_trips_the_read_progress_deadline() {
     let handle = daemon::spawn(DaemonConfig {
         fleet: Some(idle_fleet_config()),
@@ -573,6 +577,7 @@ fn slow_loris_half_frame_trips_the_read_progress_deadline() {
 }
 
 #[test]
+#[ignore = "spawns processes; ci.sh runs it"]
 fn oversized_connection_buffer_is_dropped() {
     let handle = daemon::spawn(DaemonConfig {
         fleet: Some(idle_fleet_config()),

@@ -32,7 +32,7 @@ use rand::{Rng, SeedableRng};
 
 const BITS: u32 = 8;
 
-// Builder-backed stand-ins for the deprecated free functions: the call
+// Builder-backed stand-ins for the removed free functions: the call
 // shapes below predate `RoundBuilder` and stay put so the assertions read
 // unchanged; the facade is what actually runs.
 fn run_hierarchical_mean(

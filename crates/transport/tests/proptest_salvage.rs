@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 
 const BITS: u32 = 8;
 
-// Builder-backed stand-ins for the deprecated free functions; the property
+// Builder-backed stand-ins for the removed free functions; the property
 // bodies below keep their original call shapes.
 fn run_federated_mean_transport(
     values: &[f64],

@@ -24,7 +24,7 @@ use rand::{Rng, SeedableRng};
 
 const BITS: u32 = 8;
 
-// Builder-backed stand-ins for the deprecated free functions; the call
+// Builder-backed stand-ins for the removed free functions; the call
 // shapes below predate `RoundBuilder` and are kept so the assertions read
 // unchanged.
 fn run_federated_mean_transport(

@@ -46,8 +46,8 @@ pub use fednum_transport::{RoundBuilder, RoundDetail, RoundOutcome, ShuffleConfi
 // The bit-plane aggregation surface behind `RoundBuilder::batched(chunk)`:
 // the per-bit-position bitmap representation clients' one-bit reports are
 // packed into, and the chunked multi-client wire frame that carries it.
-// Shapes that cannot batch (adaptive, shuffle tier, injected faults,
-// straggler salvage, zero chunk) are rejected up front with
+// Shapes that cannot batch (shuffle tier, injected faults, straggler
+// salvage, zero chunk) are rejected up front with
 // `FedError::InvalidConfig`.
 pub use fednum_core::bits::BitPlanes;
 pub use fednum_core::wire::{BatchReportMessage, MAX_BATCH_BITS};

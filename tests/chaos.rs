@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 const BITS: u32 = 8;
 const DOMAIN: f64 = 256.0; // integer(8) codec span
 
-// Builder-backed stand-ins for the deprecated free functions: the chaos
+// Builder-backed stand-ins for the removed free functions: the chaos
 // grids below predate `RoundBuilder` and keep their original call shapes;
 // the facade is what actually runs.
 fn run_federated_mean_metered(
