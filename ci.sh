@@ -102,9 +102,13 @@ step "bench_transport --salvage smoke (fixed seed, recovery/overhead gates)"
 step "tcp-loopback smoke (fednumd + concurrent drivers over real sockets)"
 # Spawns the real fednumd binary on an OS-assigned port, holds its stdin
 # open on a FIFO (EOF is its hang-up signal), and drives it with
-# bench_tcp: in-memory parity assert, 3 concurrent driver sessions, the
-# >=100k client-frames/s gate, then the admin Shutdown frame. fednumd
-# exits 2 on leaked threads, and we assert its printed peak concurrency.
+# bench_tcp: in-memory parity assert, 3 concurrent driver sessions, then
+# the admin Shutdown frame. fednumd exits 2 on leaked threads, and we
+# assert its printed peak concurrency. The serial frames/s line is printed
+# and written to the JSON but gates nothing under --smoke: the number is
+# the host's (13k-137k on one checkout), and stopping here would skip every
+# step below. Timing claims go through `benchmark/run.sh compare` on
+# `tcp_campaign`.
 FEDNUMD_LOG=$(mktemp)
 FEDNUMD_FIFO=$(mktemp -u)
 mkfifo "$FEDNUMD_FIFO"

@@ -34,7 +34,10 @@
 //! plus the artifact-naming convention: the default output path gains a
 //! `_smoke` suffix (`results/BENCH_tcp_smoke.json`), so CI never
 //! overwrites a full run's numbers (see EXPERIMENTS.md §artifact
-//! naming). With `--addr` the bench drives an already-running `fednumd`
+//! naming) — and, being a correctness script's step, it reports a
+//! frames/s number below the gate without exiting on it: that number is
+//! the host's (timing claims go through `benchmark/run.sh compare` on
+//! `tcp_campaign`). With `--addr` the bench drives an already-running `fednumd`
 //! instead of spawning in-process — the `tcp-loopback` CI smoke uses
 //! this to exercise the real binary, checking its exit status and
 //! printed peak-concurrency line from the shell — and
@@ -1202,9 +1205,12 @@ fn main() {
 
     if serial_fps < GATE_FRAMES_PER_SEC {
         eprintln!(
-            "FAIL: serial loopback throughput {serial_fps:.0} frames/s \
-             below the {GATE_FRAMES_PER_SEC:.0} gate"
+            "{}: serial loopback throughput {serial_fps:.0} frames/s \
+             below the {GATE_FRAMES_PER_SEC:.0} gate",
+            if smoke { "NOTE" } else { "FAIL" }
         );
-        std::process::exit(1);
+        if !smoke {
+            std::process::exit(1);
+        }
     }
 }

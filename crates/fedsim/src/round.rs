@@ -28,12 +28,12 @@
 //! behaviour.
 
 use fednum_core::accumulator::BitAccumulator;
-use fednum_core::bits::bit;
+use fednum_core::bits::{bit, BitPlanes};
 use fednum_core::privacy::PrivacyLedger;
 use fednum_core::protocol::basic::{BasicBitPushing, BasicConfig, Outcome};
 use fednum_core::sampling::BitSampling;
 use fednum_secagg::protocol::{
-    run_secure_aggregation, DropoutPlan, SecAggConfig, SecAggError, SecAggOutcome,
+    run_secure_aggregation_planes, DropoutPlan, SecAggConfig, SecAggError,
 };
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -68,6 +68,15 @@ impl Default for SecAggSettings {
             // for the cohort sizes simulated here.
             neighbors: Some(64),
         }
+    }
+}
+
+impl SecAggSettings {
+    /// The Shamir threshold for a cohort of `n` clients:
+    /// `ceil(threshold_fraction * n)`, clamped into `1..=n`.
+    #[must_use]
+    pub fn threshold(&self, n: usize) -> usize {
+        ((self.threshold_fraction * n as f64).ceil() as usize).clamp(1, n.max(1))
     }
 }
 
@@ -360,12 +369,12 @@ pub struct Contact {
 }
 
 /// What carries a round's messages. The round itself — wave schedule,
-/// client model, cohort checks, secure-aggregation retry loop, estimator
-/// tail — is written once in this module and is generic over a carrier,
-/// which answers only three things: play one wave's reports, aggregate one
-/// secure-aggregation attempt, publish the result. [`Direct`] carries
-/// nothing anywhere (the synchronous front door); the per-client and
-/// chunked wires live in `fednum-transport`.
+/// client model, cohort checks, secure-aggregation retry loop and tally,
+/// estimator tail — is written once in this module and is generic over a
+/// carrier, which answers only three things: play one wave's reports,
+/// carry one secure-aggregation attempt's message rounds, publish the
+/// result. [`Direct`] carries nothing anywhere (the synchronous front
+/// door); the per-client and chunked wires live in `fednum-transport`.
 #[doc(hidden)]
 pub trait Carrier {
     /// Plays one wave: has every client in `wave.batch` told its assigned
@@ -377,17 +386,10 @@ pub trait Carrier {
     /// A privacy-budget refusal from the client model.
     fn play_wave(&mut self, wave: &mut Wave<'_>) -> Result<(), FedError>;
 
-    /// Carries one secure-aggregation attempt over `attempt.cohort` and
-    /// returns its aggregate `[ones | counts]` vector.
-    ///
-    /// # Errors
-    /// Whatever the aggregation reports; the driver retries
-    /// `TooFewSurvivors` over the survivors.
-    fn aggregate(
-        &mut self,
-        attempt: &SecAggAttempt<'_>,
-        rng: &mut dyn Rng,
-    ) -> Result<SecAggOutcome, SecAggError>;
+    /// Carries one secure-aggregation attempt's message rounds among
+    /// `attempt.members`. The tally itself is the driver's; a carrier with
+    /// no wire has nothing to do.
+    fn carry_attempt(&mut self, _attempt: &SecAggAttempt<'_>) {}
 
     /// Broadcasts the result and returns `feedback` as the next round's
     /// clients read it (the adaptive protocol's round-1 → round-2 channel).
@@ -726,41 +728,14 @@ pub fn check_cohort(
 }
 
 /// One secure-aggregation attempt, as the driver hands it to a
-/// [`Carrier`]: `cohort[i]` indexes the contact sitting at protocol
-/// position `i`, which is what `plan` is keyed on.
+/// [`Carrier`]: `members[i]` is the client at protocol position `i`, which
+/// is what `plan` is keyed on.
 #[doc(hidden)]
 pub struct SecAggAttempt<'a> {
     pub config: &'a SecAggConfig,
-    pub contacts: &'a [Contact],
-    pub cohort: &'a [usize],
+    pub members: &'a [u64],
     pub plan: &'a DropoutPlan,
-    pub bits: u32,
     pub round_id: u64,
-}
-
-impl SecAggAttempt<'_> {
-    /// Share-level aggregation: every member's one-hot `[ones | counts]`
-    /// vector through the field-arithmetic protocol.
-    ///
-    /// # Errors
-    /// See [`run_secure_aggregation`].
-    pub fn aggregate_shares(&self, rng: &mut dyn Rng) -> Result<SecAggOutcome, SecAggError> {
-        let bits = self.bits as usize;
-        let inputs: Vec<Vec<u64>> = self
-            .cohort
-            .iter()
-            .map(|&ci| {
-                let c = &self.contacts[ci];
-                let mut v = vec![0u64; 2 * bits];
-                if let Some(sent) = c.report {
-                    v[c.bit as usize] = u64::from(sent);
-                    v[bits + c.bit as usize] = 1;
-                }
-                v
-            })
-            .collect();
-        run_secure_aggregation(self.config, &inputs, self.plan, rng)
-    }
 }
 
 /// Per-bit `(ones, counts)` behind the estimate, and how they were reached.
@@ -794,6 +769,10 @@ impl Tally {
 /// parameters (not read off `config`) so each instance of a hierarchy, and
 /// a salvage follow-up, derives its own key graph and retry sessions.
 ///
+/// Each attempt's cohort is packed into [`BitPlanes`] (slot `i` = protocol
+/// position `i`) and summed by masked popcount, which `fednum-secagg`
+/// proves equal to the share-level protocol and which draws no randomness.
+///
 /// # Errors
 /// `TooFewSurvivors` after the last permitted retry surfaces as
 /// [`FedError::SecAgg`]; a cohort shrunk below the privacy minimum as
@@ -806,7 +785,6 @@ pub fn secagg_tally<C: Carrier>(
     session_base: u64,
     mut ledger: Option<&mut PrivacyLedger>,
     carrier: &mut C,
-    rng: &mut dyn Rng,
 ) -> Result<Tally, FedError> {
     let bits = config.protocol.codec.bits();
     let round_id = config.session_seed;
@@ -816,16 +794,20 @@ pub fn secagg_tally<C: Carrier>(
     let mut cohort: Vec<usize> = (0..st.contacts.len()).collect();
     loop {
         let n = cohort.len();
-        let threshold = ((settings.threshold_fraction * n as f64).ceil() as usize).clamp(1, n);
+        let threshold = settings.threshold(n);
         let mut plan = DropoutPlan::none();
         let mut eff = vec![0u64; bits as usize];
+        let mut planes = BitPlanes::new(bits, n);
+        let mut members = Vec::with_capacity(n);
         for (i, &ci) in cohort.iter().enumerate() {
             let c = &st.contacts[ci];
-            if c.report.is_none() {
+            members.push(c.client as u64);
+            let Some(sent) = c.report else {
                 plan.before_masking.insert(i);
                 continue;
-            }
+            };
             eff[c.bit as usize] += 1;
+            planes.record(i, c.bit, sent);
             if c.fate == Fate::DropsAfterReport {
                 plan.after_masking.insert(i);
             }
@@ -836,15 +818,13 @@ pub fn secagg_tally<C: Carrier>(
         if let Some(k) = settings.neighbors {
             sa_config = sa_config.with_neighbors(k);
         }
-        let attempt = SecAggAttempt {
+        carrier.carry_attempt(&SecAggAttempt {
             config: &sa_config,
-            contacts: &st.contacts,
-            cohort: &cohort,
+            members: &members,
             plan: &plan,
-            bits,
             round_id,
-        };
-        match carrier.aggregate(&attempt, rng) {
+        });
+        match run_secure_aggregation_planes(&sa_config, &planes, &plan) {
             Ok(out) => {
                 // Sanity: the securely aggregated counts match the tally
                 // over this attempt's cohort.
@@ -992,7 +972,6 @@ pub fn tally_round<C: Carrier>(
             config.session_seed,
             ledger,
             carrier,
-            rng,
         )?,
         None => Tally::direct(&collected),
     };
@@ -1165,14 +1144,6 @@ impl Carrier for Direct {
             wave.accept(client, d_bit, d_value, fate, accepted);
         }
         Ok(())
-    }
-
-    fn aggregate(
-        &mut self,
-        attempt: &SecAggAttempt<'_>,
-        rng: &mut dyn Rng,
-    ) -> Result<SecAggOutcome, SecAggError> {
-        attempt.aggregate_shares(rng)
     }
 
     fn publish(

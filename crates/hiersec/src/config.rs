@@ -77,16 +77,16 @@ impl HierSecConfig {
         })
     }
 
-    /// The Shamir threshold for a shard of `cohort` clients:
-    /// `ceil(threshold_fraction * cohort)`, clamped into `1..=cohort`.
+    /// The Shamir threshold for a shard of `cohort` clients (see
+    /// [`SecAggSettings::threshold`]).
     #[must_use]
     pub fn shard_threshold(&self, cohort: usize) -> usize {
-        ((self.shard.threshold_fraction * cohort as f64).ceil() as usize).clamp(1, cohort.max(1))
+        self.shard.threshold(cohort)
     }
 
     /// Checks concrete shard cohort sizes against the hierarchy: exactly K
-    /// of them, none empty, and every per-shard threshold within its
-    /// cohort.
+    /// of them, none empty (every per-shard threshold is within its cohort
+    /// by [`SecAggSettings::threshold`]'s clamp).
     ///
     /// # Errors
     /// [`FedError::InvalidConfig`] on any violation.
@@ -101,12 +101,6 @@ impl HierSecConfig {
         for (s, &n) in sizes.iter().enumerate() {
             if n == 0 {
                 return Err(FedError::InvalidConfig(format!("shard {s} has no clients")));
-            }
-            let threshold = self.shard_threshold(n);
-            if threshold > n {
-                return Err(FedError::InvalidConfig(format!(
-                    "shard {s}: threshold {threshold} exceeds cohort size {n}"
-                )));
             }
         }
         Ok(())

@@ -4,7 +4,10 @@
 
 use std::collections::BTreeSet;
 
-use fednum_secagg::protocol::{run_secure_aggregation, DropoutPlan, SecAggConfig, SecAggError};
+use fednum_core::bits::BitPlanes;
+use fednum_secagg::protocol::{
+    run_secure_aggregation, run_secure_aggregation_planes, DropoutPlan, SecAggConfig, SecAggError,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -186,5 +189,59 @@ proptest! {
             }
             other => prop_assert!(false, "expected TooFewSurvivors, got {other:?}"),
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The masked-popcount tally every round runs is the share-level
+    /// protocol on the bit-pushing one-hot `[ones | counts]` vectors: the
+    /// same `Ok(SecAggOutcome)` or the same `Err(SecAggError)`, for either
+    /// mask graph, any threshold, any dropout plan (an inconsistent one
+    /// included) and any mix of reporting and silent clients — silent ones
+    /// inside the plan and outside it.
+    #[test]
+    fn plane_tally_equals_the_share_protocol_on_one_hot_vectors(
+        clients in prop::collection::vec(any::<u16>(), 1..48),
+        bits in 1usize..9,
+        threshold_frac in 0.05f64..1.0,
+        degree in 0usize..12,
+        both_phases in any::<u8>(),
+        seed in any::<u64>(),
+    ) {
+        let n = clients.len();
+        let threshold = ((n as f64 * threshold_frac).ceil() as usize).clamp(1, n);
+        let mut config = SecAggConfig::new(n, threshold, 2 * bits, seed ^ 0x9A);
+        if degree > 0 {
+            config = config.with_neighbors(degree);
+        }
+        // Per client, from its random word: silent or reporting `sent` on
+        // bit `j`, and independently alive / dropping before / after.
+        let mut inputs = Vec::with_capacity(n);
+        let mut planes = BitPlanes::new(bits as u32, n);
+        let mut plan = DropoutPlan::none();
+        for (i, &c) in clients.iter().enumerate() {
+            let mut v = vec![0u64; 2 * bits];
+            if c & 7 != 0 {
+                let (j, sent) = (usize::from(c >> 3) % bits, c >> 8 & 1 == 1);
+                v[j] = u64::from(sent);
+                v[bits + j] = 1;
+                planes.record(i, j as u32, sent);
+            }
+            inputs.push(v);
+            match (c >> 9) % 12 {
+                0 | 1 => plan.before_masking.insert(i),
+                2 | 3 => plan.after_masking.insert(i),
+                _ => false,
+            };
+        }
+        if both_phases < 24 {
+            let i = usize::from(both_phases) % n;
+            plan.before_masking.insert(i);
+            plan.after_masking.insert(i);
+        }
+        let shares = run_secure_aggregation(&config, &inputs, &plan, &mut StdRng::seed_from_u64(seed));
+        prop_assert_eq!(run_secure_aggregation_planes(&config, &planes, &plan), shares);
     }
 }

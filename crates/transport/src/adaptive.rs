@@ -15,9 +15,9 @@
 //! (cohort shuffle, then round 1's draws, then round 2's), the Publish
 //! codec preserves every `f64` bit of the feedback, and the session-slot
 //! time translation never reorders events within a session. The
-//! `adaptive_parity` integration test pins this — and, on the chunked wire
-//! under secure aggregation (whose plane aggregator draws nothing from the
-//! RNG round 2 continues on), statistical agreement instead.
+//! `adaptive_parity` integration test pins this on both wires, secure
+//! rounds included: round 1's tally draws nothing from the RNG round 2
+//! continues on.
 
 use rand::Rng;
 

@@ -34,7 +34,7 @@
 //! | `….metered(ledger)`                   | any of the above, ledger-billed                    |
 //! | `new_adaptive(config)…`               | the same carriers, two rounds on one timeline      |
 //! | `new(config).shuffled(shuffle)`       | shuffler session (over `.via`, else in-memory)     |
-//! | `new(config).sharded(k, seed)`        | K coordinators, one in-memory wire each            |
+//! | `new(config).sharded(k, seed)`        | K coordinators, one wire each (`config.faults` acted out) |
 //! | `new(config).hierarchical(hier, w)`   | K secure coordinators (`.shard_transports`) + merge |
 //!
 //! Every path funnels into [`RoundOutcome`], which carries the
@@ -259,9 +259,11 @@ impl<'a> RoundBuilder<'a> {
     /// one-bit responses pack into per-bit-position bitmap planes
     /// ([`fednum_core::bits::BitPlanes`]), travel as one length-delimited
     /// `BatchReport` frame per chunk of `chunk` clients, and aggregate by
-    /// `count_ones` over 64-client words — through secure aggregation too,
-    /// when `.secure(..)` is set. Estimates are bit-identical to the
-    /// scalar wire per seed; only the traffic shape changes.
+    /// `count_ones` over 64-client words. Estimates are bit-identical to
+    /// the scalar wire per seed without exception — secure rounds and the
+    /// adaptive protocol's second round included, since every carrier's
+    /// secure tally is the same masked popcount; only the traffic shape
+    /// changes.
     ///
     /// Valid for flat, adaptive, sharded, and hierarchical rounds, with or
     /// without `.via(transport)` / `.metered(ledger)`. Shapes whose

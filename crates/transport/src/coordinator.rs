@@ -21,13 +21,15 @@
 //!
 //! * The **per-client** carrier plays the chain above for every client,
 //!   event by event. It is the wire faults, straggler salvage, the shuffle
-//!   tier and the TCP daemon ride, and it aggregates secure rounds
-//!   share-level: that is the RNG stream salvage and the adaptive second
-//!   round continue from, and the only tally that can hold the naive
-//!   server's `copies > 1`.
+//!   tier and the TCP daemon ride.
 //! * The **chunked** carrier (`RoundBuilder::batched`) replaces the chain
 //!   with one [`BatchReport`] frame of packed bit planes per chunk of
-//!   clients and aggregates secure rounds by masked popcount.
+//!   clients.
+//!
+//! Neither tallies: a secure round's sums are the driver's masked popcount
+//! over the contacts these wires decoded. A session adds the attempt's
+//! four message rounds, framed once (`frame_secagg_rounds`) for every
+//! tier.
 //!
 //! **Parity contract.** Both share the driver with the synchronous carrier
 //! (`fednum_fedsim::round::Direct`), so the shared RNG is consumed in one
@@ -45,13 +47,12 @@
 use fednum_core::bits::BitPlanes;
 use fednum_core::privacy::PrivacyLedger;
 use fednum_core::wire::{BatchReportMessage, ReportMessage};
-use fednum_secagg::protocol::{run_secure_aggregation_planes, SecAggError, SecAggOutcome};
+use fednum_secagg::protocol::DropoutPlan;
 use rand::Rng;
 
 use fednum_fedsim::dropout::Fate;
 use fednum_fedsim::error::FedError;
 use fednum_fedsim::faults::FaultKind;
-use fednum_fedsim::retry::SalvagePolicy;
 use fednum_fedsim::round::{
     local_epsilon, secagg_tally, tally_round, Carrier, Collected, Contact, FederatedMeanConfig,
     FederatedOutcome, SalvageOutcome, SecAggAttempt, SecAggSettings, Tally, Wave,
@@ -133,8 +134,6 @@ struct PerClient {
 /// One [`BatchReport`] frame of packed planes per `chunk` clients.
 struct Chunked {
     chunk: usize,
-    /// The round's decoded planes, one slot per contact in contact order.
-    planes: BitPlanes,
 }
 
 impl<'t> Session<'t> {
@@ -154,10 +153,7 @@ impl<'t> Session<'t> {
                     config.faults.is_none() && config.salvage.is_none(),
                     "builder rejects faults and salvage on the batched wire"
                 );
-                Wire::Chunked(Chunked {
-                    chunk,
-                    planes: BitPlanes::new(config.protocol.codec.bits(), 0),
-                })
+                Wire::Chunked(Chunked { chunk })
             }
             None => Wire::PerClient(PerClient {
                 parked: Vec::new(),
@@ -200,41 +196,31 @@ impl Carrier for Session<'_> {
         }
     }
 
-    fn aggregate(
-        &mut self,
-        attempt: &SecAggAttempt<'_>,
-        rng: &mut dyn Rng,
-    ) -> Result<SecAggOutcome, SecAggError> {
-        // The key-exchange / masking / unmask message rounds for this
-        // attempt, sized like the real protocol.
-        secagg_attempt_messages(&mut self.link, attempt);
-        self.link.clock += 1.0;
-        match &self.wire {
-            Wire::PerClient(_) => attempt.aggregate_shares(rng),
-            // Masked `count_ones` over the packed planes instead of field
-            // arithmetic over per-client vectors; draws nothing random.
-            Wire::Chunked(ch) => {
-                // The cohort only ever shrinks from the full contact list,
-                // so a length match means identity: the round planes serve
-                // as-is. A shrunken cohort's planes are rebuilt in cohort
-                // order so `DropoutPlan` indices and plane slots agree.
-                let rebuilt;
-                let planes = if attempt.cohort.len() == ch.planes.slots() {
-                    &ch.planes
-                } else {
-                    let mut p = BitPlanes::new(attempt.bits, attempt.cohort.len());
-                    for (i, &ci) in attempt.cohort.iter().enumerate() {
-                        let c = &attempt.contacts[ci];
-                        if let Some(sent) = c.report {
-                            p.record(i, c.bit, sent);
-                        }
-                    }
-                    rebuilt = p;
-                    &rebuilt
-                };
-                run_secure_aggregation_planes(attempt.config, planes, attempt.plan)
-            }
-        }
+    /// Frames the attempt's message rounds, tallied at delivery, with
+    /// stand-in payloads keyed on protocol position: the aggregation is the
+    /// driver's, but every message count and byte matches what the cohort
+    /// would send.
+    fn carry_attempt(&mut self, attempt: &SecAggAttempt<'_>) {
+        let link = &mut self.link;
+        let (vector_len, session) = (attempt.config.vector_len, attempt.config.session_seed);
+        frame_secagg_rounds(
+            &mut *link.transport,
+            attempt.round_id,
+            session,
+            attempt.members,
+            attempt.config.neighbors,
+            attempt.plan,
+            link.clock,
+            |i| i as u64,
+            // Uniform field elements, ≈ 9 varint bytes each.
+            |i| {
+                (0..vector_len)
+                    .map(|v| mix(session ^ (i as u64) << 24 ^ v as u64) & MASK61)
+                    .collect()
+            },
+        );
+        drain_counting(link.transport, &mut link.traffic);
+        link.clock += 1.0;
     }
 
     /// The result broadcast, modeled as one closing frame. The returned
@@ -288,9 +274,7 @@ impl Link<'_> {
         ConfigHeader {
             round_id: config.session_seed,
             secagg: config.secagg.is_some(),
-            threshold: config.secagg.map_or(0, |s| {
-                ((s.threshold_fraction * cohort as f64).ceil() as u64).clamp(1, cohort as u64)
-            }),
+            threshold: config.secagg.map_or(0, |s| s.threshold(cohort) as u64),
             vector_len: match config.secagg {
                 Some(_) => 2 * u64::from(config.protocol.codec.bits()),
                 None => 0,
@@ -616,7 +600,6 @@ impl Chunked {
                     }
                 }
             }
-            self.planes.merge(&decoded);
         }
         Ok(())
     }
@@ -668,32 +651,22 @@ pub(crate) fn run_session(
 
     // Salvage: a strictly additive follow-up session over the parked
     // stragglers, merged into the published tallies with exact-count
-    // weighting. The naive (unvalidated) server parks nothing — it already
-    // accepted the stragglers inline — so salvage reports Skipped there.
-    let salvage = match (&config.salvage, config.validate) {
-        (Some(policy), true) => {
-            let (outcome, late) = run_salvage(
-                &mut round.collected,
-                &mut session,
-                config,
-                policy,
-                config.secagg.as_ref(),
-                mix(config.session_seed ^ SALVAGE_TAG),
-                ledger,
-                rng,
-            );
-            if let (SalvageOutcome::Salvaged { reports }, Some(late)) = (outcome, late) {
-                for j in 0..late.ones.len() {
-                    round.tally.ones[j] += late.ones[j];
-                    round.tally.eff_counts[j] += late.eff_counts[j];
-                }
-                round.reports += reports;
-            }
-            Some(outcome)
+    // weighting.
+    let (salvage, late) = run_salvage(
+        &mut round.collected,
+        &mut session,
+        config,
+        config.secagg.as_ref(),
+        mix(config.session_seed ^ SALVAGE_TAG),
+        ledger,
+    );
+    if let (Some(SalvageOutcome::Salvaged { reports }), Some(late)) = (salvage, late) {
+        for j in 0..late.ones.len() {
+            round.tally.ones[j] += late.ones[j];
+            round.tally.eff_counts[j] += late.eff_counts[j];
         }
-        (Some(_), false) => Some(SalvageOutcome::SalvageSkipped),
-        (None, _) => None,
-    };
+        round.reports += reports;
+    }
 
     let (mut outcome, feedback) = round.publish(config, &mut session, with_feedback)?;
     outcome.robustness.salvage = salvage;
@@ -707,28 +680,28 @@ pub(crate) fn run_session(
 /// re-admitted cohort — directly, or through a *fresh* secure-aggregation
 /// instance (`session_base` must be independent of every base-round
 /// attempt so salvaged clients get fresh masks; shares from an aborted
-/// base instance are never reused). Returns the typed telemetry and, iff
-/// it is `Salvaged`, the re-admitted cohort's per-bit tally to merge into
-/// the round's.
+/// base instance are never reused). Returns the typed telemetry (`None`
+/// without a salvage policy) and, iff it is `Salvaged`, the re-admitted
+/// cohort's per-bit tally to merge into the round's.
 ///
 /// Strictly additive: every failure path returns no tally, leaving the
 /// published estimate exactly what discard would have published. Parked
 /// frames were metered and privacy-charged at original arrival;
 /// re-admission re-bills neither (the ledger re-charge below is an
 /// idempotent no-op that only guards against external ledger mutation).
-/// RNG discipline: every draw here happens strictly after all base-round
-/// draws, so salvage-off runs stay bit-identical to single-session rounds.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+/// It draws nothing from the round's RNG.
+#[allow(clippy::too_many_lines)]
 pub(crate) fn run_salvage(
     st: &mut Collected,
     session: &mut Session<'_>,
     config: &FederatedMeanConfig,
-    policy: &SalvagePolicy,
     settings: Option<&SecAggSettings>,
     session_base: u64,
     mut ledger: Option<&mut PrivacyLedger>,
-    rng: &mut dyn Rng,
-) -> (SalvageOutcome, Option<Tally>) {
+) -> (Option<SalvageOutcome>, Option<Tally>) {
+    let Some(policy) = &config.salvage else {
+        return (None, None);
+    };
     let bits = config.protocol.codec.bits();
     let round_id = config.session_seed;
     let Session {
@@ -737,10 +710,12 @@ pub(crate) fn run_salvage(
     } = session
     else {
         // The chunked wire sends no per-client frame that could be parked.
-        return (SalvageOutcome::SalvageSkipped, None);
+        return (Some(SalvageOutcome::SalvageSkipped), None);
     };
-    if parked.len() < policy.min_parked {
-        return (SalvageOutcome::SalvageSkipped, None);
+    // The naive (unvalidated) server parks nothing — it already accepted
+    // the stragglers inline.
+    if !config.validate || parked.len() < policy.min_parked {
+        return (Some(SalvageOutcome::SalvageSkipped), None);
     }
     let client_offset = link.client_offset;
     let epsilon = local_epsilon(config);
@@ -803,7 +778,7 @@ pub(crate) fn run_salvage(
     let floor = if settings.is_some() { 2 } else { 1 };
     if salvaged.contacts.len() < floor {
         link.clock = engine.watermark();
-        return (SalvageOutcome::SalvageAborted, None);
+        return (Some(SalvageOutcome::SalvageAborted), None);
     }
     if let Some(ledger) = ledger.as_deref_mut() {
         for c in &salvaged.contacts {
@@ -812,14 +787,14 @@ pub(crate) fn run_salvage(
                 .is_err()
             {
                 link.clock = engine.watermark();
-                return (SalvageOutcome::SalvageAborted, None);
+                return (Some(SalvageOutcome::SalvageAborted), None);
             }
         }
     }
 
-    let salvaged_outcome = SalvageOutcome::Salvaged {
+    let salvaged_outcome = Some(SalvageOutcome::Salvaged {
         reports: salvaged.reports(),
-    };
+    });
     let Some(settings) = settings else {
         link.clock = engine.watermark();
         return (salvaged_outcome, Some(Tally::direct(&salvaged)));
@@ -843,7 +818,6 @@ pub(crate) fn run_salvage(
         session_base,
         ledger,
         &mut follow_up,
-        rng,
     );
     let follow_up_traffic = follow_up.into_traffic();
     link.clock = engine.watermark();
@@ -853,64 +827,68 @@ pub(crate) fn run_salvage(
     st.backoff_time += salvaged.backoff_time;
     match tally {
         Ok(tally) => (salvaged_outcome, Some(tally)),
-        Err(_) => (SalvageOutcome::SalvageAborted, None),
+        Err(_) => (Some(SalvageOutcome::SalvageAborted), None),
     }
 }
 
-/// Fills `out` with hash-derived bytes from `seed` (key/ciphertext
-/// stand-ins: content is irrelevant, size is what's accounted).
-pub(crate) fn fill_derived(out: &mut [u8], seed: u64) {
+/// Fills `out` with hash-derived bytes from `seed`.
+fn fill_derived(out: &mut [u8], seed: u64) {
     for (i, chunk) in out.chunks_mut(8).enumerate() {
         let word = mix(seed.wrapping_add(i as u64)).to_le_bytes();
         chunk.copy_from_slice(&word[..chunk.len()]);
     }
 }
 
-/// Frames one secure-aggregation attempt's four message rounds through the
-/// transport, sized like the real protocol (Bell et al. ring graph of the
-/// attempt's degree), and tallies them at delivery. Payload *content* is
-/// hash-derived stand-in material — the aggregation math itself runs in
-/// `fednum-secagg` — but every message count and byte matches what the
-/// cohort would send.
-fn secagg_attempt_messages(link: &mut Link<'_>, attempt: &SecAggAttempt<'_>) {
-    let transport = &mut *link.transport;
-    let members: Vec<u64> = attempt
-        .cohort
-        .iter()
-        .map(|&ci| attempt.contacts[ci].client as u64)
-        .collect();
+/// Frames one secure-aggregation instance's four message rounds onto
+/// `transport`, one frame per `STEP` from `t0`, sized like the real
+/// protocol (Bell et al. ring graph of degree `neighbors`, complete when
+/// `None`). `members[i]` is the wire identity at protocol position `i`,
+/// which `plan` is keyed on.
+///
+/// Key, ciphertext and unmask-share payloads are hash-derived stand-ins
+/// (size is what's accounted), seeded from `session` and `key(i)`;
+/// `masked_input(i)` is position `i`'s upload. Delivery is the caller's.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn frame_secagg_rounds(
+    transport: &mut dyn Transport,
+    round_id: u64,
+    session: u64,
+    members: &[u64],
+    neighbors: Option<usize>,
+    plan: &DropoutPlan,
+    t0: f64,
+    key: impl Fn(usize) -> u64,
+    mut masked_input: impl FnMut(usize) -> Vec<u64>,
+) {
     let n = members.len();
-    let degree = attempt
-        .config
-        .neighbors
+    let degree = neighbors
         .unwrap_or(n.saturating_sub(1))
         .clamp(1, n.max(2) - 1);
-    let (plan, round_id) = (attempt.plan, attempt.round_id);
-    let (vector_len, session) = (attempt.config.vector_len, attempt.config.session_seed);
-    let t0 = link.clock;
     let mut seq = 0u64;
-    let mut next_at = || {
+    let mut send = |from: u64, message: Message| {
         seq += 1;
-        t0 + seq as f64 * STEP
+        transport.send(Envelope {
+            from,
+            to: COORDINATOR,
+            sent_at: t0 + seq as f64 * STEP,
+            payload: message.encode(),
+        });
     };
     // Round 0 — key exchange: every cohort member advertises both keys.
     for (i, &c) in members.iter().enumerate() {
-        let seed = mix(session ^ (i as u64).wrapping_mul(0x9E6C_63D0_876A_68DE));
+        let seed = mix(session ^ key(i).wrapping_mul(0x9E6C_63D0_876A_68DE));
         let mut kem_pk = [0u8; PUBLIC_KEY_LEN];
         let mut mask_pk = [0u8; PUBLIC_KEY_LEN];
         fill_derived(&mut kem_pk, seed);
         fill_derived(&mut mask_pk, mix(seed));
-        transport.send(Envelope {
-            from: c,
-            to: COORDINATOR,
-            sent_at: next_at(),
-            payload: Message::KeyAdvertise(KeyAdvertise {
+        send(
+            c,
+            Message::KeyAdvertise(KeyAdvertise {
                 round_id,
                 kem_pk,
                 mask_pk,
-            })
-            .encode(),
-        });
+            }),
+        );
     }
     // Round 1 — key exchange: encrypted Shamir shares, one per ring
     // neighbor, relayed through the coordinator.
@@ -918,35 +896,22 @@ fn secagg_attempt_messages(link: &mut Link<'_>, attempt: &SecAggAttempt<'_>) {
         let shares: Vec<EncryptedShare> = (0..degree)
             .map(|d| {
                 let mut ct = [0u8; ENCRYPTED_SHARE_LEN];
-                fill_derived(&mut ct, mix(session ^ (i as u64) << 20 ^ d as u64));
+                fill_derived(&mut ct, mix(session ^ key(i) << 20 ^ d as u64));
                 EncryptedShare {
                     recipient: members[(i + d + 1) % n],
                     ct,
                 }
             })
             .collect();
-        transport.send(Envelope {
-            from: c,
-            to: COORDINATOR,
-            sent_at: next_at(),
-            payload: Message::KeyShares(KeyShares { round_id, shares }).encode(),
-        });
+        send(c, Message::KeyShares(KeyShares { round_id, shares }));
     }
-    // Round 2 — masking: clients still alive upload masked inputs
-    // (uniform field elements, ≈ 9 varint bytes each).
+    // Round 2 — masking: members still alive upload masked inputs.
     for (i, &c) in members.iter().enumerate() {
         if plan.before_masking.contains(&i) {
             continue;
         }
-        let values: Vec<u64> = (0..vector_len)
-            .map(|v| mix(session ^ (i as u64) << 24 ^ v as u64) & MASK61)
-            .collect();
-        transport.send(Envelope {
-            from: c,
-            to: COORDINATOR,
-            sent_at: next_at(),
-            payload: Message::MaskedInput(MaskedInput { round_id, values }).encode(),
-        });
+        let values = masked_input(i);
+        send(c, Message::MaskedInput(MaskedInput { round_id, values }));
     }
     // Round 3 — unmask: survivors send shares covering the dropped (their
     // pairwise-mask seeds) capped at their neighborhood size.
@@ -956,21 +921,10 @@ fn secagg_attempt_messages(link: &mut Link<'_>, attempt: &SecAggAttempt<'_>) {
             continue;
         }
         let shares: Vec<(u64, u64)> = (0..dropped.min(degree))
-            .map(|d| {
-                (
-                    d as u64,
-                    mix(session ^ (i as u64) << 28 ^ d as u64) & MASK61,
-                )
-            })
+            .map(|d| (d as u64, mix(session ^ key(i) << 28 ^ d as u64) & MASK61))
             .collect();
-        transport.send(Envelope {
-            from: c,
-            to: COORDINATOR,
-            sent_at: next_at(),
-            payload: Message::UnmaskShares(UnmaskShares { round_id, shares }).encode(),
-        });
+        send(c, Message::UnmaskShares(UnmaskShares { round_id, shares }));
     }
-    drain_counting(transport, &mut link.traffic);
 }
 
 /// Meters the one Publish broadcast that closes a round merged across
@@ -1219,8 +1173,8 @@ mod tests {
     #[test]
     fn batched_secagg_retry_path_matches_the_scalar_retry_path() {
         // A phased-dropout cohort with a high threshold forces
-        // `TooFewSurvivors` on the first attempt, exercising the shrunken
-        // rebuilt-planes retry loop against the scalar one.
+        // `TooFewSurvivors` on the first attempt, exercising the retry
+        // loop over a shrunken cohort on both wires.
         let vs = values(200, 50);
         let cfg = base_config(5)
             .with_dropout(DropoutModel::phased(0.2, 0.3))
@@ -1378,9 +1332,6 @@ mod tests {
             &mut StdRng::seed_from_u64(4),
         )
         .unwrap();
-        let Wire::Chunked(Chunked { planes, .. }) = &session.wire else {
-            panic!("a chunk size opens the chunked wire");
-        };
         // The stuffed frame fails closed as a whole: its 128 clients read
         // as "nothing arrived", everyone else reports exactly once.
         assert_eq!(st.contacts.len(), 2_000);
@@ -1390,16 +1341,18 @@ mod tests {
         let reporters = st.reporters() as u64;
         assert_eq!(reporters, 2_000 - 128);
         assert_eq!(st.reports(), reporters);
-        assert_eq!(planes.counts().iter().sum::<u64>(), reporters);
-        assert_eq!(planes.counts(), st.counts);
-        assert_eq!(planes.ones(), st.ones);
+        // The contacts are what a secure tally packs into planes: they
+        // must agree with the counts the plain tally keeps.
+        let mut contact_counts = vec![0u64; 7];
         let mut contact_ones = vec![0u64; 7];
         for c in &st.contacts {
-            if let Some(true) = c.report {
-                contact_ones[c.bit as usize] += c.copies;
+            if let Some(sent) = c.report {
+                contact_counts[c.bit as usize] += c.copies;
+                contact_ones[c.bit as usize] += u64::from(sent) * c.copies;
             }
         }
-        assert_eq!(planes.ones(), contact_ones);
+        assert_eq!(contact_counts, st.counts);
+        assert_eq!(contact_ones, st.ones);
 
         // End to end, the published report count and the tally agree.
         hostile.inner = InMemoryTransport::new(4);

@@ -27,32 +27,27 @@
 
 use fednum_core::protocol::basic::Outcome;
 use fednum_hiersec::{merge_salvaged_shard_sums, merge_shard_sums, run_indexed, HierSecConfig};
-use fednum_secagg::{add_assign, client_mask_ring, Fe};
+use fednum_secagg::{add_assign, client_mask_ring, DropoutPlan, Fe};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fednum_fedsim::error::FedError;
 use fednum_fedsim::round::{
-    check_cohort, collect, finish, secagg_tally, DegradedMode, FederatedMeanConfig, SalvageOutcome,
+    check_cohort, finish, DegradedMode, FederatedMeanConfig, SalvageOutcome,
 };
 use fednum_fedsim::traffic::{TrafficPhase, TrafficStats};
 use fednum_fedsim::validation::RejectionCounts;
 
-use crate::coordinator::{fill_derived, record_publish, run_salvage, Session};
-use crate::message::{
-    EncryptedShare, KeyAdvertise, KeyShares, MaskedInput, Message, UnmaskShares,
-    ENCRYPTED_SHARE_LEN, PUBLIC_KEY_LEN,
-};
-use crate::net::{
-    Envelope, InMemoryTransport, SimNetTransport, Transport, WireMetrics, COORDINATOR,
-};
+use crate::coordinator::{frame_secagg_rounds, record_publish};
+use crate::message::Message;
+use crate::net::{InMemoryTransport, Transport, WireMetrics, COORDINATOR};
 use crate::scheduler::mix;
-use crate::shard::{contacted_reporters, partition};
+use crate::shard::{contacted_reporters, partition, run_shard, ShardRuns};
 
 /// Per-shard transport factory for a hierarchical round: called once per
 /// shard with that shard's scheduler seed (`mix(seed ^ s ^ TRANSPORT_TAG)`,
 /// the same stream an in-process run would hand its per-shard
-/// [`InMemoryTransport`] / [`SimNetTransport`]), from the worker thread
+/// [`InMemoryTransport`] / `SimNetTransport`), from the worker thread
 /// that runs the shard session. Lets
 /// [`RoundBuilder`](crate::builder::RoundBuilder) route every shard over
 /// its own [`TcpTransport`](crate::tcp::TcpTransport) connection while the
@@ -64,10 +59,6 @@ use crate::shard::{contacted_reporters, partition};
 pub type ShardTransportFactory<'a> =
     &'a (dyn Fn(u64) -> Result<Box<dyn Transport>, FedError> + Sync);
 
-/// Virtual-time spacing between merge-tier frames.
-const STEP: f64 = 3e-9;
-/// Scheduler-seed tag for per-shard transports (same as a plain sharded round).
-const TRANSPORT_TAG: u64 = 0xA24B_AED4_963E_E407;
 /// Scheduler-seed tag for the merge-tier transport and RNG.
 const MERGE_TAG: u64 = 0x1F83_D9AB_FB41_BD6B;
 
@@ -129,32 +120,6 @@ pub struct HierShardedOutcome {
     pub shard_compute_seconds: Vec<f64>,
 }
 
-/// What one shard session produced (pool job output).
-#[derive(Default)]
-struct ShardRun {
-    traffic: TrafficStats,
-    contacted: usize,
-    collected: u64,
-    waves_used: u32,
-    completion: f64,
-    rejections: RejectionCounts,
-    late_frames: u64,
-    faults_injected: u64,
-    retries: u32,
-    /// `[ones | counts]` secagg output, `None` when the shard degraded.
-    sum: Option<Vec<u64>>,
-    /// `[ones | counts]` of the shard's *salvage* instance over re-admitted
-    /// stragglers (fresh masks under the salvage tier seed), `None` when the
-    /// shard salvaged nothing. Kept separate from `sum`: a degraded shard's
-    /// base instance stays degraded — only its parked late reports recover.
-    late_sum: Option<Vec<u64>>,
-    /// Reports the shard's salvage instance re-admitted.
-    salvaged: u64,
-    compute_seconds: f64,
-    /// Wire totals of the shard's transport, when it meters one (TCP).
-    wire: Option<WireMetrics>,
-}
-
 /// Runs one federated mean round with the population partitioned across
 /// `hier.shards` coordinator shards, each shard's reports aggregated by
 /// its own secure-aggregation instance, and the per-shard sums merged
@@ -169,9 +134,8 @@ struct ShardRun {
 /// and shard. `factory`, when given, supplies each shard's transport (see
 /// [`ShardTransportFactory`]); the second return value is the merged wire
 /// totals of the shard transports, `None` when none of them meter a wire.
-/// `batched` switches every shard onto the chunked multi-client wire with
-/// plane-popcount secure tallies, bit-identical per seed to the per-client
-/// wire.
+/// `batched` switches every shard onto the chunked multi-client wire,
+/// bit-identical per seed to the per-client wire.
 ///
 /// # Errors
 /// `InvalidConfig` when secagg is off or the partition violates the
@@ -211,134 +175,20 @@ pub(crate) fn hierarchical_impl(
     let (offsets, sizes): (Vec<usize>, Vec<usize>) = partition(codes.len(), k).unzip();
     hier.validate_cohorts(&sizes)?;
 
-    // Tier 1: K independent shard sessions on the deterministic pool.
-    let runs: Vec<Result<ShardRun, FedError>> = run_indexed(workers, k, |s| {
-        let clock = std::time::Instant::now();
-        let slice = &codes[offsets[s]..offsets[s] + sizes[s]];
-        let mut rng = StdRng::seed_from_u64(mix(seed ^ s as u64));
-        let tseed = mix(seed ^ (s as u64) ^ TRANSPORT_TAG);
-        let mut transport: Box<dyn Transport> = match factory {
-            Some(make) => make(tseed)?,
-            None if config.faults.is_some() => Box::new(SimNetTransport::for_config(config, tseed)),
-            None => Box::new(InMemoryTransport::new(tseed)),
-        };
-        let offset = offsets[s] as u64;
-        let mut session = Session::open(transport.as_mut(), config, batched, offset);
-        let mut st = collect(slice, config, offset, None, &mut session, &mut rng)?;
-        let mut run = ShardRun {
-            contacted: st.contacts.len(),
-            collected: st.reports(),
-            waves_used: st.waves_used,
-            rejections: st.rejections,
-            late_frames: st.late_frames,
-            faults_injected: st.faults_injected,
-            ..ShardRun::default()
-        };
-        if st.reporters() > 0 {
-            // The shard's own secagg instance, keyed by tier and index so
-            // its key graph is independent of every sibling's.
-            let tally = secagg_tally(
-                &mut st,
-                config,
-                &hier.shard,
-                hier.shard_session(s),
-                None,
-                &mut session,
-                &mut rng,
-            );
-            match tally {
-                Ok(tally) => {
-                    let mut sum = tally.ones;
-                    sum.extend_from_slice(&tally.eff_counts);
-                    run.retries = tally.retries;
-                    run.sum = Some(sum);
-                }
-                // Below threshold (or shrunk past the cohort floor): this
-                // shard degrades; the round continues without it.
-                Err(
-                    FedError::SecAgg(fednum_secagg::SecAggError::TooFewSurvivors { .. })
-                    | FedError::CohortTooSmall { .. }
-                    | FedError::NoReports,
-                ) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        // Shard-tier salvage: re-admit this shard's parked stragglers
-        // through a follow-up session on the same transport timeline,
-        // aggregated by a *fresh* instance under the salvage tier seed —
-        // shares from the base instance (aborted or not) are never reused.
-        // Deterministic per shard, so any worker count stays bit-identical.
-        if let Some(policy) = &config.salvage {
-            if config.validate {
-                let (outcome, late) = run_salvage(
-                    &mut st,
-                    &mut session,
-                    config,
-                    policy,
-                    Some(&hier.shard),
-                    hier.salvage_shard_session(s),
-                    None,
-                    &mut rng,
-                );
-                if let (SalvageOutcome::Salvaged { reports }, Some(late)) = (outcome, late) {
-                    let mut sum = late.ones;
-                    sum.extend_from_slice(&late.eff_counts);
-                    run.late_sum = Some(sum);
-                    run.salvaged = reports;
-                }
-            }
-        }
-        run.traffic = session.into_traffic();
-        run.completion = st.completion_time + st.backoff_time;
-        run.compute_seconds = clock.elapsed().as_secs_f64();
-        // A transport that failed underneath the session drained silently;
-        // surface the typed error instead of a quietly-degraded shard.
-        if let Some(e) = transport.take_error() {
-            return Err(e);
-        }
-        run.wire = transport.wire_metrics();
-        Ok(run)
+    // Tier 1: K independent shard sessions on the deterministic pool, each
+    // under its own secagg instance.
+    let runs = run_indexed(workers, k, |s| {
+        let (offset, slice) = (offsets[s], &codes[offsets[s]..offsets[s] + sizes[s]]);
+        run_shard(slice, config, s, offset, seed, factory, batched, Some(hier))
     });
-
-    let mut shard_traffic = TrafficStats::new();
-    let mut contacted = 0usize;
-    let mut collected = 0u64;
-    let mut waves_used = 0u32;
-    let mut completion_time: f64 = 0.0;
-    let mut rejections = RejectionCounts::default();
-    let mut faults_injected = 0u64;
-    let mut secagg_retries = 0u32;
-    let mut shard_sums: Vec<Option<Vec<u64>>> = Vec::with_capacity(k);
-    let mut shard_compute_seconds = Vec::with_capacity(k);
-    let mut late_frames = 0u64;
-    let mut late: Vec<(usize, Vec<u64>)> = Vec::new();
-    let mut salvaged_reports = 0u64;
-    let mut wire: Option<WireMetrics> = None;
-    for (s, r) in runs.into_iter().enumerate() {
-        let run = r?;
-        if let Some(w) = run.wire {
-            let mut total = wire.unwrap_or_default();
-            total.merge(&w);
-            wire = Some(total);
-        }
-        shard_traffic.merge(&run.traffic);
-        contacted += run.contacted;
-        collected += run.collected;
-        waves_used = waves_used.max(run.waves_used);
-        completion_time = completion_time.max(run.completion);
-        rejections.absorb(&run.rejections);
-        late_frames += run.late_frames;
-        faults_injected += run.faults_injected;
-        secagg_retries += run.retries;
-        shard_sums.push(run.sum);
-        if let Some(sum) = run.late_sum {
-            late.push((s, sum));
-            salvaged_reports += run.salvaged;
-        }
-        shard_compute_seconds.push(run.compute_seconds);
+    let mut tier1 = ShardRuns::default();
+    for run in runs {
+        tier1.absorb(run?);
     }
-
-    check_cohort(collected, contacted_reporters(collected, contacted), config)?;
+    let (shard_sums, late) = (tier1.sums, tier1.late);
+    let mut completion_time = tier1.completion;
+    let reporters = contacted_reporters(tier1.collected, tier1.contacted);
+    check_cohort(tier1.collected, reporters, config)?;
 
     // Tier 2: frame the merge session — the K shard aggregators are the
     // cohort now — then run the merge instance. The masked-input frames
@@ -355,7 +205,6 @@ pub(crate) fn hierarchical_impl(
         &shard_sums,
         merge_session,
         round_id,
-        vector_len,
         completion_time,
         &mut merge_frames,
     );
@@ -377,11 +226,10 @@ pub(crate) fn hierarchical_impl(
     // below the trust floor (its late sum would reach the top coordinator
     // in the clear), so K' < 2 skips and the base estimate stands.
     let mut salvaged_shards: Vec<usize> = Vec::new();
-    let salvage = match (&config.salvage, config.validate) {
-        (None, _) => None,
-        (Some(_), false) => Some(SalvageOutcome::SalvageSkipped),
-        (Some(_), true) if late.len() < 2 => Some(SalvageOutcome::SalvageSkipped),
-        (Some(_), true) => {
+    let salvage = match &config.salvage {
+        None => None,
+        Some(_) if late.len() < 2 => Some(SalvageOutcome::SalvageSkipped),
+        Some(_) => {
             let parties: Vec<u64> = late.iter().map(|&(s, _)| s as u64).collect();
             let sums: Vec<Option<Vec<u64>>> = late.iter().map(|(_, v)| Some(v.clone())).collect();
             let salvage_tier_traffic = frame_merge_session(
@@ -390,7 +238,6 @@ pub(crate) fn hierarchical_impl(
                 &sums,
                 hier.salvage_merge_session(),
                 round_id,
-                vector_len,
                 completion_time,
                 &mut merge_frames,
             );
@@ -404,10 +251,11 @@ pub(crate) fn hierarchical_impl(
                         eff_counts[j] += sm.sum[bits as usize + j];
                     }
                     let recovered: u64 = sm.sum[bits as usize..].iter().sum();
-                    debug_assert_eq!(recovered, salvaged_reports);
+                    let merged = Some(SalvageOutcome::Salvaged { reports: recovered });
+                    debug_assert_eq!(merged, tier1.salvage);
                     total_reports += recovered;
                     salvaged_shards = sm.included_shards;
-                    Some(SalvageOutcome::Salvaged { reports: recovered })
+                    merged
                 }
                 Err(_) => Some(SalvageOutcome::SalvageAborted),
             }
@@ -419,8 +267,8 @@ pub(crate) fn hierarchical_impl(
         &ones,
         eff_counts,
         clip_fraction,
-        secagg_retries,
-        waves_used,
+        tier1.retries,
+        tier1.waves_used,
     );
     if !merge.degraded_shards.is_empty() {
         fin.degraded = DegradedMode::Partial;
@@ -434,20 +282,20 @@ pub(crate) fn hierarchical_impl(
         total_reports,
     );
 
-    let mut traffic = shard_traffic;
+    let mut traffic = tier1.traffic;
     traffic.merge(&merge_traffic);
     Ok((
         HierShardedOutcome {
             outcome,
             shards: k,
-            contacted,
+            contacted: tier1.contacted,
             reports: total_reports,
-            waves_used,
+            waves_used: tier1.waves_used,
             completion_time,
-            rejections,
-            late_frames,
-            faults_injected,
-            secagg_retries,
+            rejections: tier1.rejections,
+            late_frames: tier1.late_frames,
+            faults_injected: tier1.faults_injected,
+            secagg_retries: tier1.retries,
             salvage,
             salvaged_shards,
             degraded_shards: merge.degraded_shards,
@@ -455,119 +303,55 @@ pub(crate) fn hierarchical_impl(
             starved_bits: fin.starved_bits,
             degraded: fin.degraded,
             traffic,
-            shard_traffic,
+            shard_traffic: tier1.traffic,
             merge_traffic,
             merge_frames,
-            shard_compute_seconds,
+            shard_compute_seconds: tier1.compute_seconds,
         },
-        wire,
+        tier1.wire,
     ))
 }
 
-/// Frames one merge-tier instance's message rounds: key material and unmask
-/// shares as sized stand-ins, masked inputs as the genuine masked per-party
-/// sums. `parties[i]` is the wire identity masking (and sending)
+/// Frames one merge-tier instance's message rounds: the shared secagg
+/// framing keyed on party identity, the masked inputs the genuine masked
+/// per-party sums. `parties[i]` is the wire identity masking (and sending)
 /// `shard_sums[i]` — contiguous shard indices for the base merge, the
 /// recovered shards' indices for the salvage merge, so the two instances
-/// derive disjoint mask material even beyond their distinct sessions.
+/// derive disjoint mask material even beyond their distinct sessions. A
+/// `None` sum is a degraded shard: enrolled, never uploading.
 ///
 /// Returns the instance's traffic, metered at delivery, and appends every
 /// uplink frame the top-level coordinator received to `frames`.
-#[allow(clippy::too_many_arguments)]
 fn frame_merge_session(
     transport: &mut dyn Transport,
     parties: &[u64],
     shard_sums: &[Option<Vec<u64>>],
     session: u64,
     round_id: u64,
-    vector_len: usize,
     t0: f64,
     frames: &mut Vec<Vec<u8>>,
 ) -> TrafficStats {
     let k = parties.len();
     debug_assert_eq!(k, shard_sums.len());
-    let degree = k.saturating_sub(1).max(1);
-    let mut seq = 0u64;
-    let mut next_at = || {
-        seq += 1;
-        t0 + seq as f64 * STEP
+    let plan = DropoutPlan {
+        before_masking: (0..k).filter(|&i| shard_sums[i].is_none()).collect(),
+        ..DropoutPlan::none()
     };
-    // Rounds 0–1: every shard aggregator advertises keys and relays
-    // encrypted Shamir shares to its neighbors (the whole merge cohort —
-    // the merge instance runs the complete graph).
-    for &p in parties {
-        let kseed = mix(session ^ p.wrapping_mul(0x9E6C_63D0_876A_68DE));
-        let mut kem_pk = [0u8; PUBLIC_KEY_LEN];
-        let mut mask_pk = [0u8; PUBLIC_KEY_LEN];
-        fill_derived(&mut kem_pk, kseed);
-        fill_derived(&mut mask_pk, mix(kseed));
-        transport.send(Envelope {
-            from: p,
-            to: COORDINATOR,
-            sent_at: next_at(),
-            payload: Message::KeyAdvertise(KeyAdvertise {
-                round_id,
-                kem_pk,
-                mask_pk,
-            })
-            .encode(),
-        });
-    }
-    for (i, &p) in parties.iter().enumerate() {
-        let shares: Vec<EncryptedShare> = (0..degree)
-            .map(|d| {
-                let mut ct = [0u8; ENCRYPTED_SHARE_LEN];
-                fill_derived(&mut ct, mix(session ^ p << 20 ^ d as u64));
-                EncryptedShare {
-                    recipient: parties[(i + d + 1) % k],
-                    ct,
-                }
-            })
-            .collect();
-        transport.send(Envelope {
-            from: p,
-            to: COORDINATOR,
-            sent_at: next_at(),
-            payload: Message::KeyShares(KeyShares { round_id, shares }).encode(),
-        });
-    }
-    // Round 2: live shard aggregators upload their genuinely masked sums —
-    // the exact vectors the merge protocol's round 3 computes, so the
+    // The merge instance runs the complete graph; its masked inputs are the
+    // exact vectors the merge protocol's round 3 computes, so the
     // coordinator-facing wire carries no plaintext shard sum.
-    for (i, sum) in shard_sums.iter().enumerate() {
-        let Some(vals) = sum else { continue };
-        let mut y: Vec<Fe> = vals.iter().map(|&v| Fe::new(v)).collect();
-        let mask = client_mask_ring(session, parties[i], parties, degree, vector_len);
+    let masked_sum = |i: usize| {
+        let sum = shard_sums[i].as_ref().expect("a live aggregator has a sum");
+        let mut y: Vec<Fe> = sum.iter().map(|&v| Fe::new(v)).collect();
+        let degree = k.saturating_sub(1).max(1);
+        let mask = client_mask_ring(session, parties[i], parties, degree, sum.len());
         add_assign(&mut y, &mask, false);
-        let values: Vec<u64> = y.iter().map(|f| f.value()).collect();
-        transport.send(Envelope {
-            from: parties[i],
-            to: COORDINATOR,
-            sent_at: next_at(),
-            payload: Message::MaskedInput(MaskedInput { round_id, values }).encode(),
-        });
-    }
-    // Round 3: survivors send unmask shares covering degraded shards.
-    let dropped = shard_sums.iter().filter(|s| s.is_none()).count();
-    for (i, sum) in shard_sums.iter().enumerate() {
-        if sum.is_none() {
-            continue;
-        }
-        let shares: Vec<(u64, u64)> = (0..dropped.min(degree))
-            .map(|d| {
-                (
-                    d as u64,
-                    mix(session ^ parties[i] << 28 ^ d as u64) & ((1 << 61) - 1),
-                )
-            })
-            .collect();
-        transport.send(Envelope {
-            from: parties[i],
-            to: COORDINATOR,
-            sent_at: next_at(),
-            payload: Message::UnmaskShares(UnmaskShares { round_id, shares }).encode(),
-        });
-    }
+        y.iter().map(|f| f.value()).collect()
+    };
+    let key = |i: usize| parties[i];
+    frame_secagg_rounds(
+        transport, round_id, session, parties, None, &plan, t0, key, masked_sum,
+    );
     let mut traffic = TrafficStats::new();
     while let Some((_, env)) = transport.poll() {
         if let Ok(msg) = Message::decode(&env.payload) {

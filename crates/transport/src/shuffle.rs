@@ -276,6 +276,11 @@ pub(crate) fn run_shuffled_session(
                     continue;
                 }
                 for (bit_index, b) in entries {
+                    // The batch comes back off the wire: an index past the
+                    // codec counts toward neither the tally nor `n`.
+                    if u32::from(bit_index) >= bits {
+                        continue;
+                    }
                     let j = usize::from(bit_index);
                     counts[j] += 1;
                     ones[j] += u64::from(b);
@@ -499,6 +504,63 @@ mod tests {
         assert_eq!(out.charge.epsilon, 1.0);
         assert_eq!(out.charge.delta, 0.0);
         assert_eq!(ledger.account(0).epsilon, 1.0);
+    }
+
+    /// Forwards to an in-memory wire, but rewrites the first entry of the
+    /// shuffler's batch to a bit index no codec here has — a daemon echoing
+    /// back bytes the coordinator side never validated.
+    struct HostileBatch(InMemoryTransport);
+
+    impl Transport for HostileBatch {
+        fn send(&mut self, mut env: Envelope) {
+            if let Ok(Message::Shuffle(ShuffleMessage::Batch {
+                round_id,
+                mut entries,
+            })) = Message::decode(&env.payload)
+            {
+                entries[0].0 = 200;
+                env.payload =
+                    Message::Shuffle(ShuffleMessage::Batch { round_id, entries }).encode();
+            }
+            self.0.send(env);
+        }
+
+        fn poll(&mut self) -> Option<(f64, Envelope)> {
+            self.0.poll()
+        }
+
+        fn peek_time(&self) -> Option<f64> {
+            self.0.peek_time()
+        }
+    }
+
+    #[test]
+    fn out_of_range_batch_entry_is_dropped_never_indexed() {
+        let vs = values(2_000, 32);
+        let cfg = base_config(6, 1.0);
+        let sh = ShuffleConfig::try_new(1e-6).unwrap();
+        let honest = run(&cfg, &sh, &vs, 13, None);
+        let mut hostile = HostileBatch(InMemoryTransport::new(13));
+        let out = run_shuffled_session(
+            &vs,
+            &cfg,
+            &sh,
+            None,
+            &mut hostile,
+            &mut StdRng::seed_from_u64(13),
+        )
+        .unwrap();
+        // The round completes; the rewritten entry counts toward neither
+        // the tally nor the amplification `n`.
+        assert_eq!(out.round.reports, honest.round.reports - 1);
+        assert_eq!(
+            out.round.outcome.accumulator.total_reports(),
+            out.round.reports
+        );
+        let n = honest.round.reports;
+        let expected = Amplification::try_new(1.0, 1e-6).unwrap().charge(n - 1);
+        assert_eq!(out.charge, expected);
+        assert_ne!(out.charge.epsilon, honest.charge.epsilon);
     }
 
     #[test]

@@ -17,7 +17,9 @@ use fednum::core::sampling::BitSampling;
 use fednum::fedsim::adaptive_round::FederatedAdaptiveConfig;
 use fednum::fedsim::faults::{FaultPlan, FaultRates};
 use fednum::fedsim::round::{FederatedMeanConfig, FederatedOutcome, SecAggSettings};
+use fednum::fedsim::traffic::TrafficStats;
 use fednum::fedsim::{Direction, DropoutModel, RetryPolicy};
+use fednum::hiersec::HierSecConfig;
 use fednum::transport::{InMemoryTransport, SimNetTransport};
 use fednum::RoundBuilder;
 
@@ -227,24 +229,29 @@ fn metered_round_bills_a_frozen_ledger_on_every_carrier() {
     });
 }
 
-#[test]
-fn adaptive_two_round_protocol_is_frozen_sync_and_over_the_wire() {
-    let vs = values(6_000, 60);
+/// Runs the two-round adaptive protocol over `make(seed)` on each carrier
+/// and fingerprints the pooled estimate and both rounds.
+fn adaptive_shape(
+    shape: &str,
+    carriers: &[Carrier],
+    vs: &[f64],
+    make: impl Fn(u64) -> FederatedMeanConfig,
+) -> Vec<(String, String)> {
     let mut actual = Vec::new();
     for seed in SEEDS {
-        let cfg = FederatedAdaptiveConfig::new(
-            config(12, seed).with_dropout(DropoutModel::bernoulli(0.2)),
-        );
-        for carrier in [Carrier::Sync, Carrier::Mem] {
+        let cfg = FederatedAdaptiveConfig::new(make(seed));
+        for &carrier in carriers {
             let mut mem = InMemoryTransport::new(seed ^ 0x7A);
             let mut builder = RoundBuilder::new_adaptive(cfg.clone()).seed(seed);
-            if carrier == Carrier::Mem {
-                builder = builder.via(&mut mem);
-            }
-            let out = builder.run(&vs).expect("anchored adaptive round completes");
+            builder = match carrier {
+                Carrier::Mem => builder.via(&mut mem),
+                Carrier::MemBatched => builder.via(&mut mem).batched(512),
+                _ => builder,
+            };
+            let out = builder.run(vs).expect("anchored adaptive round completes");
             let a = out.adaptive().expect("adaptive detail");
             actual.push((
-                format!("adaptive/{carrier:?}/s{seed}"),
+                format!("{shape}/{carrier:?}/s{seed}"),
                 format!(
                     "est={:016x} | {} | {}",
                     a.estimate.to_bits(),
@@ -254,11 +261,151 @@ fn adaptive_two_round_protocol_is_frozen_sync_and_over_the_wire() {
             ));
         }
     }
-    check("adaptive", &actual);
+    check(shape, &actual);
+    actual
+}
+
+#[test]
+fn adaptive_two_round_protocol_is_frozen_sync_and_over_the_wire() {
+    let carriers = [Carrier::Sync, Carrier::Mem];
+    adaptive_shape("adaptive", &carriers, &values(6_000, 60), |s| {
+        config(12, s).with_dropout(DropoutModel::bernoulli(0.2))
+    });
+}
+
+#[test]
+fn adaptive_secure_rounds_are_frozen_and_agree_across_carriers() {
+    // Round 2 continues on the RNG round 1's secure tally leaves behind, so
+    // this is the one shape where *how* a carrier tallies could show.
+    let actual = adaptive_shape("adaptive-secure", &ALL, &values(1_800, 60), |s| {
+        config(12, s)
+            .with_dropout(DropoutModel::phased(0.1, 0.05))
+            .with_secagg(SecAggSettings {
+                threshold_fraction: 0.5,
+                neighbors: Some(16),
+            })
+    });
+    // Apart from the traffic columns the carriers are indistinguishable.
+    fn without_traffic(print: &str) -> Vec<&str> {
+        let columns = print.split(' ');
+        columns
+            .filter(|c| !c.starts_with("up=") && !c.starts_with("down="))
+            .collect()
+    }
+    for per_seed in actual.chunks(ALL.len()) {
+        for (label, print) in per_seed {
+            let first = without_traffic(&per_seed[0].1);
+            assert_eq!(without_traffic(print), first, "{label}");
+        }
+    }
+}
+
+/// What a multi-coordinator round pins: the flat columns that exist there,
+/// plus which shards stand behind the estimate.
+#[allow(clippy::too_many_arguments)]
+fn tiered_fingerprint(
+    estimate: f64,
+    reports: u64,
+    contacted: usize,
+    waves: u32,
+    retries: u32,
+    traffic: &TrafficStats,
+    included: &[usize],
+    degraded: &[usize],
+) -> String {
+    format!(
+        "est={:016x} reports={reports} contacted={contacted} waves={waves} retries={retries} up={} down={} included={included:?} degraded={degraded:?}",
+        estimate.to_bits(),
+        traffic.direction_total(Direction::Uplink).bytes,
+        traffic.direction_total(Direction::Downlink).bytes,
+    )
+}
+
+#[test]
+fn sharded_rounds_are_frozen_on_both_wires() {
+    // Shard `s` draws from stream `mix(seed ^ s)`: seeds a shard count
+    // apart keep the three runs on disjoint streams.
+    let vs = values(3_000, 200);
+    let mut actual = Vec::new();
+    for (variant, refill) in [("plain", false), ("refill", true)] {
+        for seed in SEEDS {
+            let mut cfg = config(8, seed);
+            if refill {
+                cfg = cfg
+                    .with_dropout(DropoutModel::bernoulli(0.3))
+                    .with_auto_adjust(3, 40, 0.6);
+            }
+            for carrier in [Carrier::Mem, Carrier::MemBatched] {
+                let mut builder = RoundBuilder::new(cfg.clone()).sharded(4, seed << 8);
+                if carrier == Carrier::MemBatched {
+                    builder = builder.batched(512);
+                }
+                let out = builder.run(&vs).expect("anchored sharded round completes");
+                let s = out.sharded().expect("sharded detail");
+                let all: Vec<usize> = (0..s.shards).collect();
+                actual.push((
+                    format!("sharded/{variant}/{carrier:?}/s{seed}"),
+                    tiered_fingerprint(
+                        s.outcome.estimate,
+                        s.reports,
+                        s.contacted,
+                        s.waves_used,
+                        0,
+                        &s.traffic,
+                        &all,
+                        &[],
+                    ),
+                ));
+            }
+        }
+    }
+    check("sharded", &actual);
+}
+
+#[test]
+fn hierarchical_secure_rounds_are_frozen_on_both_wires() {
+    // The byte columns pin the secure-aggregation framing of both tiers.
+    let vs = values(900, 100);
+    let mut actual = Vec::new();
+    for seed in SEEDS {
+        let cfg = config(7, seed)
+            .with_dropout(DropoutModel::phased(0.1, 0.05))
+            .with_secagg(SecAggSettings::default());
+        let hier = HierSecConfig::try_new(3, SecAggSettings::default(), 2, 0x41E2 ^ seed).unwrap();
+        for carrier in [Carrier::Mem, Carrier::MemBatched] {
+            let mut builder = RoundBuilder::new(cfg.clone())
+                .hierarchical(hier, 2)
+                .seed(seed << 8);
+            if carrier == Carrier::MemBatched {
+                builder = builder.batched(512);
+            }
+            let out = builder
+                .run(&vs)
+                .expect("anchored hierarchical round completes");
+            let h = out.hierarchical().expect("hierarchical detail");
+            actual.push((
+                format!("hier/{carrier:?}/s{seed}"),
+                tiered_fingerprint(
+                    h.outcome.estimate,
+                    h.reports,
+                    h.contacted,
+                    h.waves_used,
+                    h.secagg_retries,
+                    &h.traffic,
+                    &h.included_shards,
+                    &h.degraded_shards,
+                ),
+            ));
+        }
+    }
+    check("hier", &actual);
 }
 
 /// `(shape/carrier/seed, fingerprint)`, recorded at the commit before the
-/// engines were unified.
+/// engines were unified; the `adaptive-secure/MemBatched`, `hier` and
+/// `sharded` rows at the commit before the secure tally moved into the
+/// shared driver, and `adaptive-secure/{Sync,Mem}` after it (before, their
+/// round 2 ran on the RNG stream the share-level tally left behind).
 const ANCHORS: &[(&str, &str)] = &[
     ("adaptive/Sync/s1", "est=403ddb08461b3d02 | est=4040881f841065bc reports=1601 contacted=2000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=- | est=403dac3bd089da3c reports=3197 contacted=4000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=-"),
     ("adaptive/Mem/s1", "est=403ddb08461b3d02 | est=4040881f841065bc reports=1601 contacted=2000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=22312 down=16111 ledger=- | est=403dac3bd089da3c reports=3197 contacted=4000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=44664 down=32015 ledger=-"),
@@ -266,12 +413,27 @@ const ANCHORS: &[(&str, &str)] = &[
     ("adaptive/Mem/s2", "est=403d7ede783e84c2 | est=403e9add02258f26 reports=1618 contacted=2000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=22463 down=16111 ledger=- | est=403d74508fc36370 reports=3191 contacted=4000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=44614 down=32015 ledger=-"),
     ("adaptive/Sync/s3", "est=403d6633f7190aca | est=4039ccb253275e71 reports=1638 contacted=2000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=- | est=403d92752c99f5ec reports=3164 contacted=4000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=-"),
     ("adaptive/Mem/s3", "est=403d6633f7190aca | est=4039ccb253275e71 reports=1638 contacted=2000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=22642 down=16111 ledger=- | est=403d92752c99f5ec reports=3164 contacted=4000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=44368 down=32015 ledger=-"),
+    ("adaptive-secure/Sync/s1", "est=403d49866f323c8f | est=40383bbbbbbbbbbc reports=534 contacted=600 waves=1 secagg=534/66 rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=- | est=403d8741e8481904 reports=1072 contacted=1200 waves=1 secagg=1072/128 rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=-"),
+    ("adaptive-secure/Mem/s1", "est=403d49866f323c8f | est=40383bbbbbbbbbbc reports=534 contacted=600 waves=1 secagg=534/66 rej=0/0/0/0/0/0 late=0 retries=0 up=729844 down=5511 ledger=- | est=403d8741e8481904 reports=1072 contacted=1200 waves=1 secagg=1072/128 rej=0/0/0/0/0/0 late=0 retries=0 up=1461311 down=10815 ledger=-"),
+    ("adaptive-secure/MemBatched/s1", "est=403d49866f323c8f | est=40383bbbbbbbbbbc reports=534 contacted=600 waves=1 secagg=534/66 rej=0/0/0/0/0/0 late=0 retries=0 up=724683 down=119 ledger=- | est=403d8741e8481904 reports=1072 contacted=1200 waves=1 secagg=1072/128 rej=0/0/0/0/0/0 late=0 retries=0 up=1450648 down=23 ledger=-"),
+    ("adaptive-secure/Sync/s2", "est=403ee031dc03591f | est=403b92a7b61e4a9f reports=543 contacted=600 waves=1 secagg=543/57 rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=- | est=403ef5b0a7fe18c6 reports=1092 contacted=1200 waves=1 secagg=1092/108 rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=-"),
+    ("adaptive-secure/Mem/s2", "est=403ee031dc03591f | est=403b92a7b61e4a9f reports=543 contacted=600 waves=1 secagg=543/57 rej=0/0/0/0/0/0 late=0 retries=0 up=733917 down=5511 ledger=- | est=403ef5b0a7fe18c6 reports=1092 contacted=1200 waves=1 secagg=1092/108 rej=0/0/0/0/0/0 late=0 retries=0 up=1467869 down=10815 ledger=-"),
+    ("adaptive-secure/MemBatched/s2", "est=403ee031dc03591f | est=403b92a7b61e4a9f reports=543 contacted=600 waves=1 secagg=543/57 rej=0/0/0/0/0/0 late=0 retries=0 up=728678 down=119 ledger=- | est=403ef5b0a7fe18c6 reports=1092 contacted=1200 waves=1 secagg=1092/108 rej=0/0/0/0/0/0 late=0 retries=0 up=1457033 down=23 ledger=-"),
+    ("adaptive-secure/Sync/s3", "est=403dd1697765a870 | est=40340dda52023769 reports=538 contacted=600 waves=1 secagg=538/62 rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=- | est=403e31d73016af46 reports=1081 contacted=1200 waves=1 secagg=1081/119 rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=-"),
+    ("adaptive-secure/Mem/s3", "est=403dd1697765a870 | est=40340dda52023769 reports=538 contacted=600 waves=1 secagg=538/62 rej=0/0/0/0/0/0 late=0 retries=0 up=731273 down=5511 ledger=- | est=403e31d73016af46 reports=1081 contacted=1200 waves=1 secagg=1081/119 rej=0/0/0/0/0/0 late=0 retries=0 up=1464840 down=10815 ledger=-"),
+    ("adaptive-secure/MemBatched/s3", "est=403dd1697765a870 | est=40340dda52023769 reports=538 contacted=600 waves=1 secagg=538/62 rej=0/0/0/0/0/0 late=0 retries=0 up=726083 down=119 ledger=- | est=403e31d73016af46 reports=1081 contacted=1200 waves=1 secagg=1081/119 rej=0/0/0/0/0/0 late=0 retries=0 up=1454104 down=23 ledger=-"),
     ("faults/Sync/s1", "est=404852660d601f74 reports=2463 contacted=3000 waves=1 secagg=- rej=0/50/0/59/51/49 late=49 retries=0 up=0 down=0 ledger=-"),
     ("faults/SimNet/s1", "est=404852660d601f74 reports=2463 contacted=3000 waves=1 secagg=- rej=0/50/0/59/51/49 late=49 retries=0 up=36337 down=24015 ledger=-"),
     ("faults/Sync/s2", "est=40482a2c486754c6 reports=2470 contacted=3000 waves=1 secagg=- rej=0/49/0/61/47/60 late=60 retries=0 up=0 down=0 ledger=-"),
     ("faults/SimNet/s2", "est=40482a2c486754c6 reports=2470 contacted=3000 waves=1 secagg=- rej=0/49/0/61/47/60 late=60 retries=0 up=36470 down=24015 ledger=-"),
     ("faults/Sync/s3", "est=40486afb10a5c205 reports=2471 contacted=3000 waves=1 secagg=- rej=0/62/0/49/64/59 late=59 retries=0 up=0 down=0 ledger=-"),
     ("faults/SimNet/s3", "est=40486afb10a5c205 reports=2471 contacted=3000 waves=1 secagg=- rej=0/62/0/49/64/59 late=59 retries=0 up=36730 down=24015 ledger=-"),
+    ("hier/Mem/s1", "est=4048dfbf8eed6d0c reports=819 contacted=900 waves=1 retries=0 up=3360696 down=8115 included=[0, 1, 2] degraded=[]"),
+    ("hier/MemBatched/s1", "est=4048dfbf8eed6d0c reports=819 contacted=900 waves=1 retries=0 up=3351545 down=39 included=[0, 1, 2] degraded=[]"),
+    ("hier/Mem/s2", "est=40469e9c5a8df467 reports=816 contacted=900 waves=1 retries=0 up=3351280 down=8115 included=[0, 1, 2] degraded=[]"),
+    ("hier/MemBatched/s2", "est=40469e9c5a8df467 reports=816 contacted=900 waves=1 retries=0 up=3342149 down=39 included=[0, 1, 2] degraded=[]"),
+    ("hier/Mem/s3", "est=4048fe5642bcec5a reports=816 contacted=900 waves=1 retries=0 up=3369359 down=8115 included=[0, 1, 2] degraded=[]"),
+    ("hier/MemBatched/s3", "est=4048fe5642bcec5a reports=816 contacted=900 waves=1 retries=0 up=3360234 down=39 included=[0, 1, 2] degraded=[]"),
     ("metered/Sync/s1", "est=40400108c53eb5f0 reports=1606 contacted=2000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=1606/1606/3fffffffffffffff"),
     ("metered/Mem/s1", "est=40400108c53eb5f0 reports=1606 contacted=2000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=22359 down=16015 ledger=1606/1606/3fffffffffffffff"),
     ("metered/MemBatched/s1", "est=40400108c53eb5f0 reports=1606 contacted=2000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=3104 down=22 ledger=1606/1606/3fffffffffffffff"),
@@ -323,4 +485,16 @@ const ANCHORS: &[(&str, &str)] = &[
     ("secure/Sync/s3", "est=404a4ab316b5cbc4 reports=548 contacted=600 waves=1 secagg=548/52 rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=-"),
     ("secure/Mem/s3", "est=404a4ab316b5cbc4 reports=548 contacted=600 waves=1 secagg=548/52 rej=0/0/0/0/0/0 late=0 retries=0 up=2368759 down=5415 ledger=-"),
     ("secure/MemBatched/s3", "est=404a4ab316b5cbc4 reports=548 contacted=600 waves=1 secagg=548/52 rej=0/0/0/0/0/0 late=0 retries=0 up=2362680 down=23 ledger=-"),
+    ("sharded/plain/Mem/s1", "est=405852b931057262 reports=3000 contacted=3000 waves=1 retries=0 up=38872 down=24015 included=[0, 1, 2, 3] degraded=[]"),
+    ("sharded/plain/MemBatched/s1", "est=405852b931057262 reports=3000 contacted=3000 waves=1 retries=0 up=6208 down=43 included=[0, 1, 2, 3] degraded=[]"),
+    ("sharded/plain/Mem/s2", "est=4058438489fc5e6a reports=3000 contacted=3000 waves=1 retries=0 up=38872 down=24015 included=[0, 1, 2, 3] degraded=[]"),
+    ("sharded/plain/MemBatched/s2", "est=4058438489fc5e6a reports=3000 contacted=3000 waves=1 retries=0 up=6208 down=43 included=[0, 1, 2, 3] degraded=[]"),
+    ("sharded/plain/Mem/s3", "est=4059010572620ae5 reports=3000 contacted=3000 waves=1 retries=0 up=38872 down=24015 included=[0, 1, 2, 3] degraded=[]"),
+    ("sharded/plain/MemBatched/s3", "est=4059010572620ae5 reports=3000 contacted=3000 waves=1 retries=0 up=6208 down=43 included=[0, 1, 2, 3] degraded=[]"),
+    ("sharded/refill/Mem/s1", "est=405850fc26453d56 reports=1954 contacted=2767 waves=3 retries=0 up=28569 down=22151 included=[0, 1, 2, 3] degraded=[]"),
+    ("sharded/refill/MemBatched/s1", "est=405850fc26453d56 reports=1954 contacted=2767 waves=3 retries=0 up=6748 down=99 included=[0, 1, 2, 3] degraded=[]"),
+    ("sharded/refill/Mem/s2", "est=405a39ef6d52b28a reports=1934 contacted=2751 waves=3 retries=0 up=28319 down=22023 included=[0, 1, 2, 3] degraded=[]"),
+    ("sharded/refill/MemBatched/s2", "est=405a39ef6d52b28a reports=1934 contacted=2751 waves=3 retries=0 up=6748 down=99 included=[0, 1, 2, 3] degraded=[]"),
+    ("sharded/refill/Mem/s3", "est=4059064e93982aab reports=1965 contacted=2786 waves=3 retries=0 up=28740 down=22303 included=[0, 1, 2, 3] degraded=[]"),
+    ("sharded/refill/MemBatched/s3", "est=4059064e93982aab reports=1965 contacted=2786 waves=3 retries=0 up=6748 down=99 included=[0, 1, 2, 3] degraded=[]"),
 ];
