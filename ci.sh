@@ -299,13 +299,6 @@ step "amplification regression anchor (fixed (eps, n, delta) pinned to 1e-12)"
 exact_test -p fednum-core --lib \
     privacy::amplification::tests::regression_amplified_epsilon_pinned_to_1e12
 
-step "bench_tcp --shuffle smoke (TCP parity + amplified-epsilon gates)"
-# One shuffled round (clients -> shuffler session -> anonymized batch ->
-# coordinator) over loopback TCP vs in memory; the binary enforces
-# bit-identical estimates/traffic/charges and that the billed epsilon is
-# the amplified central rate, strictly below the local one.
-./target/release/bench_tcp --shuffle --smoke
-
 step "bench_tcp --fleet smoke (5k idle connections + 1k-cohort round gate)"
 # One event-loop daemon vs a 6000-session nonblocking client pool on one
 # thread; the binary enforces >=5k concurrently-connected idle clients

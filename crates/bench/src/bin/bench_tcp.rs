@@ -24,7 +24,6 @@
 //! bench_tcp [--quick|--smoke] [--out PATH] [--addr HOST:PORT] [--shutdown-daemon]
 //! bench_tcp --longitudinal [--quick|--smoke] [--out PATH]
 //! bench_tcp --fleet [--smoke] [--out PATH]
-//! bench_tcp --shuffle [--quick|--smoke] [--out PATH]
 //! bench_tcp --chaos [--smoke] [--out PATH]
 //! bench_tcp --planes [--quick|--smoke] [--out PATH]
 //! ```
@@ -49,14 +48,6 @@
 //! `results/BENCH_longitudinal.json`. **Gate: the campaign's per-round
 //! amortized session overhead (handshake + admit/commit framing + WAL
 //! fsyncs) stays ≤ 10% of the fresh-session single-round cost.**
-//!
-//! `--shuffle` benchmarks the shuffle trust tier: one shuffled round
-//! (clients → shuffler session → anonymized batch → coordinator session)
-//! over loopback TCP against the same round over [`InMemoryTransport`],
-//! writing `results/BENCH_shuffle.json`. **Gates: the TCP round is
-//! bit-identical to the in-memory round (estimate, traffic ledger, and
-//! privacy charge), and the charged epsilon is the *amplified* central
-//! rate, strictly below the local ε₀.**
 //!
 //! `--planes` benchmarks the bit-plane batched wire against the scalar
 //! per-client wire over the same loopback daemon, writing
@@ -262,156 +253,6 @@ fn run_longitudinal(quick: bool, out_path: &str) {
              fresh-session baseline {fresh_per_round:.4}s by {:.1}% (gate 10%)",
             overhead * 100.0
         );
-        std::process::exit(1);
-    }
-}
-
-/// The `--shuffle` section: one shuffled round over loopback TCP vs the
-/// same round in memory. Exits nonzero when the parity or amplification
-/// gate fails.
-fn run_shuffle(quick: bool, out_path: &str) {
-    use fednum_core::privacy::{PrivacyLedger, RandomizedResponse};
-    use fednum_fedsim::traffic::{Direction, TrafficPhase};
-    use fednum_transport::{ShuffleConfig, ShuffledOutcome};
-
-    const LOCAL_EPSILON: f64 = 1.0;
-    const DELTA: f64 = 1e-6;
-    let clients = if quick { 20_000 } else { 200_000 };
-    let vs = values(clients);
-    let mut cfg = config(0x5AFE);
-    cfg.protocol = cfg
-        .protocol
-        .with_privacy(RandomizedResponse::from_epsilon(LOCAL_EPSILON));
-    let shuffle = ShuffleConfig::try_new(DELTA).expect("valid delta");
-    let seed = 0x5AFE ^ 0xD00D;
-
-    let run = |ledger: &mut PrivacyLedger, transport: &mut dyn Transport| -> ShuffledOutcome {
-        RoundBuilder::new(cfg.clone())
-            .shuffled(shuffle)
-            .seed(cfg.session_seed)
-            .metered(ledger)
-            .via(transport)
-            .run(&vs)
-            .expect("shuffled round")
-            .shuffled()
-            .expect("shuffled detail")
-            .clone()
-    };
-
-    let mut ledger_mem = PrivacyLedger::new();
-    let mut mem = InMemoryTransport::new(seed);
-    let mem_start = Instant::now();
-    let reference = run(&mut ledger_mem, &mut mem);
-    let mem_wall = mem_start.elapsed().as_secs_f64();
-
-    let daemon = fednum_transport::daemon::spawn(DaemonConfig::default()).expect("spawn daemon");
-    let mut ledger_tcp = PrivacyLedger::new();
-    let mut tcp = TcpTransport::connect(daemon.addr(), seed).expect("connect to daemon");
-    let tcp_start = Instant::now();
-    let over_tcp = run(&mut ledger_tcp, &mut tcp);
-    let tcp_wall = tcp_start.elapsed().as_secs_f64();
-    let wire = tcp.wire_metrics().expect("tcp meters the wire");
-    tcp.close().expect("close session");
-    daemon.shutdown().expect("clean daemon shutdown");
-
-    let mut failures = Vec::new();
-    // -- parity: the socket must not change the shuffled round.
-    let parity_ok = over_tcp.round.outcome.estimate.to_bits()
-        == reference.round.outcome.estimate.to_bits()
-        && over_tcp.round.robustness.traffic == reference.round.robustness.traffic
-        && over_tcp.charge.epsilon.to_bits() == reference.charge.epsilon.to_bits()
-        && ledger_mem == ledger_tcp;
-    if !parity_ok {
-        failures.push(format!(
-            "loopback shuffled round diverged from in-memory: estimate {} vs {}",
-            over_tcp.round.outcome.estimate, reference.round.outcome.estimate
-        ));
-    }
-    // -- amplification: the billed rate must be the amplified one.
-    if !over_tcp.charge.amplified {
-        failures.push(format!(
-            "{} reports did not clear the amplification validity threshold",
-            over_tcp.round.reports
-        ));
-    }
-    if over_tcp.charge.epsilon >= LOCAL_EPSILON {
-        failures.push(format!(
-            "charged ε {} is not strictly below local ε₀ {LOCAL_EPSILON}",
-            over_tcp.charge.epsilon
-        ));
-    }
-    let ledger_epsilon = ledger_tcp.max_epsilon_per_client();
-    if ledger_epsilon != over_tcp.charge.epsilon {
-        failures.push(format!(
-            "ledger billed {ledger_epsilon}, not the certified charge {}",
-            over_tcp.charge.epsilon
-        ));
-    }
-
-    let frames_per_sec = wire.frames_sent as f64 / tcp_wall;
-    let shuffle_up = over_tcp
-        .round
-        .robustness
-        .traffic
-        .get(TrafficPhase::Shuffle, Direction::Uplink);
-    println!(
-        "shuffle: {clients} clients, {} anonymized reports: ε₀={LOCAL_EPSILON} → \
-         ε={:.6} (δ={DELTA:.0e}, {:.1}x amplification)",
-        over_tcp.round.reports,
-        over_tcp.charge.epsilon,
-        LOCAL_EPSILON / over_tcp.charge.epsilon
-    );
-    println!(
-        "shuffle: tcp {tcp_wall:.2}s wall ({frames_per_sec:.0} frames/s, \
-         {} shuffle-phase frames) vs in-memory {mem_wall:.2}s",
-        shuffle_up.messages
-    );
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"tcp-shuffle\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"bits\": {BITS},");
-    let _ = writeln!(json, "  \"clients\": {clients},");
-    let _ = writeln!(json, "  \"local_epsilon\": {LOCAL_EPSILON},");
-    let _ = writeln!(json, "  \"delta\": {DELTA:e},");
-    let _ = writeln!(json, "  \"reports\": {},", over_tcp.round.reports);
-    let _ = writeln!(json, "  \"amplified\": {},", over_tcp.charge.amplified);
-    let _ = writeln!(
-        json,
-        "  \"amplified_epsilon\": {:.12},",
-        over_tcp.charge.epsilon
-    );
-    let _ = writeln!(json, "  \"ledger_max_epsilon\": {ledger_epsilon:.12},");
-    let _ = writeln!(
-        json,
-        "  \"amplification_factor\": {:.4},",
-        LOCAL_EPSILON / over_tcp.charge.epsilon
-    );
-    let _ = writeln!(json, "  \"parity_identical\": {parity_ok},");
-    let _ = writeln!(
-        json,
-        "  \"shuffle_traffic\": {{\"uplink_messages\": {}, \"uplink_bytes\": {}}},",
-        shuffle_up.messages, shuffle_up.bytes
-    );
-    let _ = writeln!(
-        json,
-        "  \"tcp\": {{\"wall_s\": {tcp_wall:.4}, \"frames_sent\": {}, \
-         \"frames_per_sec\": {frames_per_sec:.0}}},",
-        wire.frames_sent
-    );
-    let _ = writeln!(json, "  \"in_memory\": {{\"wall_s\": {mem_wall:.4}}},");
-    let _ = writeln!(json, "  \"gate_passed\": {}", failures.is_empty());
-    json.push_str("}\n");
-    if let Some(dir) = std::path::Path::new(out_path).parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
-    }
-    std::fs::write(out_path, &json).expect("write bench json");
-    println!("wrote {out_path}");
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
         std::process::exit(1);
     }
 }
@@ -1002,7 +843,6 @@ fn main() {
     let quick = smoke || args.iter().any(|a| a == "--quick");
     let longitudinal = args.iter().any(|a| a == "--longitudinal");
     let fleet = args.iter().any(|a| a == "--fleet");
-    let shuffle = args.iter().any(|a| a == "--shuffle");
     let chaos = args.iter().any(|a| a == "--chaos");
     let planes = args.iter().any(|a| a == "--planes");
     // Artifact-naming convention: smoke runs keep their own suffix so a
@@ -1022,8 +862,6 @@ fn main() {
                 format!("results/BENCH_chaos{suffix}.json")
             } else if longitudinal {
                 format!("results/BENCH_longitudinal{suffix}.json")
-            } else if shuffle {
-                format!("results/BENCH_shuffle{suffix}.json")
             } else {
                 format!("results/BENCH_tcp{suffix}.json")
             }
@@ -1038,10 +876,6 @@ fn main() {
     }
     if chaos {
         run_chaos(smoke, &out_path);
-        return;
-    }
-    if shuffle {
-        run_shuffle(quick, &out_path);
         return;
     }
     if longitudinal {

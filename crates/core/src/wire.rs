@@ -907,8 +907,8 @@ impl FleetMessage {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShuffleMessage {
     /// Client → shuffler: one randomized one-bit report for `round_id`.
-    /// `bit_index` is the drafted bit position (shuffled rounds cap codec
-    /// depth at 256 bits so the index rides in one byte).
+    /// `bit_index` is the drafted bit position (a codec is at most 52
+    /// bits deep, so the index rides in one byte).
     Submit {
         round_id: u64,
         bit_index: u8,

@@ -33,7 +33,7 @@
 //! | `….batched(chunk)`                    | chunked wire (over `.via`, else in-memory)         |
 //! | `….metered(ledger)`                   | any of the above, ledger-billed                    |
 //! | `new_adaptive(config)…`               | the same carriers, two rounds on one timeline      |
-//! | `new(config).shuffled(shuffle)`       | shuffler session (over `.via`, else in-memory)     |
+//! | `new(config).shuffled(shuffle)`       | shuffled wire (over `.via`, else in-memory)        |
 //! | `new(config).sharded(k, seed)`        | K coordinators, one wire each (`config.faults` acted out) |
 //! | `new(config).hierarchical(hier, w)`   | K secure coordinators (`.shard_transports`) + merge |
 //!
@@ -241,12 +241,16 @@ impl<'a> RoundBuilder<'a> {
         self
     }
 
-    /// Routes the round through the shuffle trust tier: clients submit
-    /// their ε₀-randomized bits to a shuffler session that strips sender
-    /// identity and forwards an anonymized permuted batch, and the
-    /// privacy ledger charges the *amplified* central ε (see
-    /// [`fednum_core::privacy::amplification`]). Requires a local
-    /// randomizer on the config and a flat single-coordinator shape
+    /// Routes the round through the shuffle trust tier: the same round,
+    /// on a wire where clients submit their ε₀-randomized bits to a
+    /// shuffler that strips sender identity and forwards one anonymized
+    /// permuted batch per wave. Refill waves, the latency model and the
+    /// minimum cohort apply as on every wire. The privacy ledger charges
+    /// each wave's submitters the *amplified* central ε at that wave's
+    /// batch size (see [`fednum_core::privacy::amplification`]) — a refill
+    /// wave too small for the bound pays the local ε₀ — and
+    /// [`ShuffledOutcome::charge`] is the largest rate billed. Requires a
+    /// local randomizer on the config and a flat single-coordinator shape
     /// without secure aggregation, salvage, or fault injection; anything
     /// else is rejected at [`run`](Self::run).
     #[must_use]
@@ -511,13 +515,6 @@ impl<'a> RoundBuilder<'a> {
                 ));
             }
             let cfg = self.config();
-            if cfg.protocol.privacy.is_none() {
-                return Err(FedError::InvalidConfig(
-                    "a shuffled round amplifies a local randomizer; set \
-                     `config.protocol.privacy` (randomized response) first"
-                        .into(),
-                ));
-            }
             if cfg.secagg.is_some() {
                 return Err(FedError::InvalidConfig(
                     "the shuffle tier replaces secure aggregation; drop \

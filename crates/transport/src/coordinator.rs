@@ -2,11 +2,12 @@
 //!
 //! The round itself — wave schedule, client model, cohort checks,
 //! secure-aggregation retry loop, estimator tail — is written once, in
-//! `fednum_fedsim::round`, generic over a carrier. This module is the two
-//! carriers that put it on a [`Transport`]: a session advances rendezvous →
-//! configure → collect (per wave) → unmask → publish, every step carried as
-//! framed [`Message`]s and ordered by the discrete-event scheduler inside
-//! the transport.
+//! `fednum_fedsim::round`, generic over a carrier. This module is the
+//! carrier that puts it on a [`Transport`], with three ways a wave's
+//! reports can travel: a session advances rendezvous → configure →
+//! collect (per wave) → unmask → publish, every step carried as framed
+//! [`Message`]s and ordered by the discrete-event scheduler inside the
+//! transport.
 //!
 //! ```text
 //!  client                      coordinator
@@ -19,19 +20,22 @@
 //!    │ ◀─────────────────── Publish │   publish
 //! ```
 //!
-//! * The **per-client** carrier plays the chain above for every client,
-//!   event by event. It is the wire faults, straggler salvage, the shuffle
-//!   tier and the TCP daemon ride.
-//! * The **chunked** carrier (`RoundBuilder::batched`) replaces the chain
+//! * The **per-client** wire plays the chain above for every client,
+//!   event by event. It is the wire faults, straggler salvage and the TCP
+//!   daemon ride.
+//! * The **chunked** wire (`RoundBuilder::batched`) replaces the chain
 //!   with one [`BatchReport`] frame of packed bit planes per chunk of
 //!   clients.
+//! * The **shuffled** wire (`RoundBuilder::shuffled`, see
+//!   [`crate::shuffle`]) sends each client's bit to the shuffler, which
+//!   forwards one identity-free permuted batch per wave.
 //!
-//! Neither tallies: a secure round's sums are the driver's masked popcount
-//! over the contacts these wires decoded. A session adds the attempt's
-//! four message rounds, framed once (`frame_secagg_rounds`) for every
-//! tier.
+//! None of them tallies a secure round: its sums are the driver's masked
+//! popcount over the contacts these wires decoded. A session adds the
+//! attempt's four message rounds, framed once (`frame_secagg_rounds`) for
+//! every tier.
 //!
-//! **Parity contract.** Both share the driver with the synchronous carrier
+//! **Parity contract.** All share the driver with the synchronous carrier
 //! (`fednum_fedsim::round::Direct`), so the shared RNG is consumed in one
 //! draw order (pool shuffle, per-wave assignment, latency, then per client
 //! dropout and randomized response) and estimates are bit-identical per
@@ -46,7 +50,7 @@
 
 use fednum_core::bits::BitPlanes;
 use fednum_core::privacy::PrivacyLedger;
-use fednum_core::wire::{BatchReportMessage, ReportMessage};
+use fednum_core::wire::{BatchReportMessage, ReportMessage, ShuffleMessage};
 use fednum_secagg::protocol::DropoutPlan;
 use rand::Rng;
 
@@ -64,7 +68,7 @@ use crate::message::{
     BatchReport, ConfigHeader, EncryptedShare, KeyAdvertise, KeyShares, MaskedInput, Message,
     Publish, Report, RoundConfig, UnmaskShares, ENCRYPTED_SHARE_LEN, PUBLIC_KEY_LEN,
 };
-use crate::net::{Envelope, Transport, BROADCAST, COORDINATOR};
+use crate::net::{Envelope, Transport, BROADCAST, COORDINATOR, SHUFFLER};
 use crate::scheduler::mix;
 use crate::session::MultiSessionEngine;
 
@@ -91,7 +95,7 @@ struct ParkedReport {
 }
 
 /// One coordinator's wire: the [`Carrier`] that puts a round on a
-/// [`Transport`]. What both wires share lives in the [`Link`]; how a
+/// [`Transport`]. What the wires share lives in the [`Link`]; how a
 /// wave's reports travel is the [`Wire`].
 pub(crate) struct Session<'t> {
     link: Link<'t>,
@@ -115,6 +119,7 @@ struct Link<'t> {
 enum Wire {
     PerClient(PerClient),
     Chunked(Chunked),
+    Shuffled(Shuffled),
 }
 
 /// A Hello / RoundConfig / Report chain per client, event by event.
@@ -134,6 +139,15 @@ struct PerClient {
 /// One [`BatchReport`] frame of packed planes per `chunk` clients.
 struct Chunked {
     chunk: usize,
+}
+
+/// A `Submit` per client to the shuffler, one anonymized `Batch` onward.
+struct Shuffled {
+    permutation_seed: u64,
+    /// Per wave played: where its contacts end in the round's collect
+    /// state, and how many entries of its batch the coordinator received —
+    /// the anonymity set its submitters hid in.
+    waves: Vec<(usize, u64)>,
 }
 
 impl<'t> Session<'t> {
@@ -177,6 +191,33 @@ impl<'t> Session<'t> {
         }
     }
 
+    /// Opens a session whose waves travel through the shuffler (see
+    /// [`crate::shuffle`]); wave `w`'s batch order derives from
+    /// `permutation_seed` and `w`.
+    pub(crate) fn open_shuffled(
+        transport: &'t mut dyn Transport,
+        config: &FederatedMeanConfig,
+        permutation_seed: u64,
+    ) -> Self {
+        Self {
+            wire: Wire::Shuffled(Shuffled {
+                permutation_seed,
+                waves: Vec::new(),
+            }),
+            ..Self::open(transport, config, None, 0)
+        }
+    }
+
+    /// On the shuffled wire, per wave played: the end of its contacts in
+    /// the round's collect state and the batch size the coordinator
+    /// received. Empty on the other wires.
+    pub(crate) fn shuffled_waves(&self) -> &[(usize, u64)] {
+        match &self.wire {
+            Wire::Shuffled(sh) => &sh.waves,
+            _ => &[],
+        }
+    }
+
     /// Everything the session metered, config-compression savings credited.
     pub(crate) fn into_traffic(self) -> TrafficStats {
         let mut traffic = self.link.traffic;
@@ -193,6 +234,7 @@ impl Carrier for Session<'_> {
         match &mut self.wire {
             Wire::PerClient(pc) => pc.play(&mut self.link, wave),
             Wire::Chunked(ch) => ch.play(&mut self.link, wave),
+            Wire::Shuffled(sh) => sh.play(&mut self.link, wave),
         }
     }
 
@@ -219,7 +261,7 @@ impl Carrier for Session<'_> {
                     .collect()
             },
         );
-        drain_counting(link.transport, &mut link.traffic);
+        drain_counting(link.transport, &mut link.traffic, |_, _| {});
         link.clock += 1.0;
     }
 
@@ -247,7 +289,7 @@ impl Carrier for Session<'_> {
             sent_at: self.link.clock,
             payload: frame,
         });
-        drain_counting(self.link.transport, &mut self.link.traffic);
+        drain_counting(self.link.transport, &mut self.link.traffic, |_, _| {});
         match published {
             Ok(Message::Publish(p)) => Ok(p.feedback),
             _ => Err(FedError::InvalidConfig(
@@ -299,6 +341,7 @@ impl PerClient {
     #[allow(clippy::too_many_lines)]
     fn play(&mut self, link: &mut Link<'_>, wave: &mut Wave<'_>) -> Result<(), FedError> {
         let config = wave.config;
+        let bits = config.protocol.codec.bits();
         let round_id = config.session_seed;
         let secagg_on = config.secagg.is_some();
         let offset = link.client_offset;
@@ -392,7 +435,7 @@ impl PerClient {
                             continue;
                         }
                         let Some((d_bit, d_value)) =
-                            admitted(&r, env.from, wave.validator.as_mut())
+                            admitted(&r, env.from, wave.validator.as_mut(), bits)
                         else {
                             continue;
                         };
@@ -428,7 +471,11 @@ impl PerClient {
                     }
                     _ => continue,
                 };
-                // The client learns its task and responds.
+                // The client learns its task and responds — to a bit its
+                // codec has; the assignment came back off the wire.
+                if u32::from(assigned_bit) >= bits {
+                    continue;
+                }
                 let Some(slot) = self.slot_of(env.to, offset) else {
                     continue;
                 };
@@ -537,26 +584,15 @@ impl Chunked {
         // Server side: decode what actually arrived, keyed by chunk nonce
         // so transport reordering cannot scramble slot identity.
         let mut arrived: Vec<Option<BitPlanes>> = (0..n_chunks).map(|_| None).collect();
-        while let Some((at, env)) = link.transport.poll() {
-            let Ok(msg) = Message::decode(&env.payload) else {
-                continue;
-            };
-            let nbytes = env.payload.len() as u64;
-            if env.to == COORDINATOR {
-                link.traffic.record(msg.phase(), Direction::Uplink, nbytes);
-                if let Message::BatchReport(br) = msg {
-                    if br.body.task_id != round_id || at > deadline {
-                        continue;
-                    }
+        drain_counting(link.transport, &mut link.traffic, |at, msg| {
+            if let Message::BatchReport(br) = msg {
+                if br.body.task_id == round_id && at <= deadline {
                     if let Some(slot) = arrived.get_mut(br.nonce as usize) {
                         *slot = Some(br.body.planes);
                     }
                 }
-            } else {
-                link.traffic
-                    .record(msg.phase(), Direction::Downlink, nbytes);
             }
-        }
+        });
 
         // Close the wave in batch order off the *decoded* planes: every
         // slot starts as a "nothing arrived" record (all a lost or
@@ -605,9 +641,118 @@ impl Chunked {
     }
 }
 
-/// The one `(bit, value)` a report frame carries, if it is well-formed and
-/// `validator` (when engaged) admits it from sender `from`.
-fn admitted(r: &Report, from: u64, validator: Option<&mut ReportValidator>) -> Option<(u32, bool)> {
+impl Shuffled {
+    /// Contacts the wave through the shuffler: the client model runs in
+    /// slot order (the per-client wire's draw order), every responding
+    /// client submits its randomized bit to [`SHUFFLER`], and the shuffler
+    /// forwards one identity-free permuted `Batch` when the window closes.
+    ///
+    /// `contacts` is the driver's own bookkeeping of whom it contacted and
+    /// who submitted; `counts` / `ones` come only from the decoded batch,
+    /// and no batch entry is ever attributed to a client.
+    fn play(&mut self, link: &mut Link<'_>, wave: &mut Wave<'_>) -> Result<(), FedError> {
+        let bits = wave.config.protocol.codec.bits();
+        let round_id = wave.config.session_seed;
+        let (t0, deadline) = link.open_window(wave.index);
+        for (slot, (&client, &j)) in wave.batch.iter().zip(wave.assignment).enumerate() {
+            let Some(response) = wave.respond(client, j)? else {
+                wave.nothing(client, j);
+                continue;
+            };
+            wave.st.contacts.push(Contact {
+                client,
+                bit: j,
+                report: Some(response.sent),
+                fate: response.fate,
+                copies: 1,
+            });
+            link.transport.send(Envelope {
+                from: wave.id(client),
+                to: SHUFFLER,
+                sent_at: t0 + slot as f64 * STEP,
+                payload: Message::Shuffle(ShuffleMessage::Submit {
+                    round_id,
+                    bit_index: j as u8,
+                    bit: response.sent,
+                })
+                .encode(),
+            });
+        }
+
+        // The shuffler buffers the wave. The buffer keeps only (bit index,
+        // bit): sender identity is dropped at this line and never reaches
+        // the coordinator.
+        let mut buffered: Vec<(u8, bool)> = Vec::new();
+        drain_counting(link.transport, &mut link.traffic, |_, msg| {
+            if let Message::Shuffle(ShuffleMessage::Submit {
+                round_id: r,
+                bit_index,
+                bit,
+            }) = msg
+            {
+                if r == round_id && u32::from(bit_index) < bits {
+                    buffered.push((bit_index, bit));
+                }
+            }
+        });
+        // The seeded permutation: mix-based Fisher–Yates, hash-derived so
+        // the round's RNG stream is untouched (the parity contract) and the
+        // same seed always produces the same batch order; each wave gets
+        // its own.
+        let mut s = mix(self.permutation_seed ^ round_id ^ u64::from(wave.index) << 32);
+        for i in (1..buffered.len()).rev() {
+            s = mix(s);
+            buffered.swap(i, (s % (i as u64 + 1)) as usize);
+        }
+        link.transport.send(Envelope {
+            from: SHUFFLER,
+            to: COORDINATOR,
+            sent_at: deadline,
+            payload: Message::Shuffle(ShuffleMessage::Batch {
+                round_id,
+                entries: buffered,
+            })
+            .encode(),
+        });
+
+        // The coordinator tallies what comes back off the wire: an index
+        // past the codec counts toward neither the tally nor the batch size.
+        let st = &mut *wave.st;
+        let mut received = 0u64;
+        drain_counting(link.transport, &mut link.traffic, |_, msg| {
+            let Message::Shuffle(ShuffleMessage::Batch {
+                round_id: r,
+                entries,
+            }) = msg
+            else {
+                return;
+            };
+            if r != round_id {
+                return;
+            }
+            for (bit_index, b) in entries {
+                if u32::from(bit_index) < bits {
+                    st.counts[usize::from(bit_index)] += 1;
+                    st.ones[usize::from(bit_index)] += u64::from(b);
+                    received += 1;
+                }
+            }
+        });
+        self.waves.push((st.contacts.len(), received));
+        Ok(())
+    }
+}
+
+/// The one `(bit, value)` a report frame carries, if it is well-formed,
+/// `validator` (when engaged) admits it from sender `from`, and the bit —
+/// an integer off the wire that the tally indexes by — is one of the
+/// codec's `bits`.
+fn admitted(
+    r: &Report,
+    from: u64,
+    validator: Option<&mut ReportValidator>,
+    bits: u32,
+) -> Option<(u32, bool)> {
     let &[(bit, value)] = r.body.reports.as_slice() else {
         return None;
     };
@@ -617,7 +762,7 @@ fn admitted(r: &Report, from: u64, validator: Option<&mut ReportValidator>) -> O
         v.submit_tagged(from, bit, debiased, r.body.task_id, r.nonce)
             .ok()?;
     }
-    Some((bit, value))
+    (bit < bits).then_some((bit, value))
 }
 
 /// Runs a complete federated mean-estimation session over `transport` —
@@ -756,7 +901,7 @@ pub(crate) fn run_salvage(
         let Ok(Message::Report(r)) = Message::decode(&env.payload) else {
             continue;
         };
-        let Some((d_bit, d_value)) = admitted(&r, env.from, Some(&mut validator)) else {
+        let Some((d_bit, d_value)) = admitted(&r, env.from, Some(&mut validator), bits) else {
             continue;
         };
         salvaged.contacts.push(Contact {
@@ -948,11 +1093,17 @@ pub(crate) fn record_publish(
     );
 }
 
-/// Drains the transport, tallying every delivered frame.
-pub(crate) fn drain_counting(transport: &mut dyn Transport, traffic: &mut TrafficStats) {
-    while let Some((_, env)) = transport.poll() {
+/// Drains the transport, tallying every delivered frame and handing it to
+/// `visit` with its arrival time.
+fn drain_counting(
+    transport: &mut dyn Transport,
+    traffic: &mut TrafficStats,
+    mut visit: impl FnMut(f64, Message),
+) {
+    while let Some((at, env)) = transport.poll() {
         if let Ok(msg) = Message::decode(&env.payload) {
             traffic.record(msg.phase(), msg.direction(), env.payload.len() as u64);
+            visit(at, msg);
         }
     }
 }
@@ -960,7 +1111,7 @@ pub(crate) fn drain_counting(transport: &mut dyn Transport, traffic: &mut Traffi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::InMemoryTransport;
+    use crate::net::{InMemoryTransport, Tampered};
     use fednum_core::encoding::FixedPointCodec;
     use fednum_core::protocol::basic::BasicConfig;
     use fednum_core::sampling::BitSampling;
@@ -1278,39 +1429,24 @@ mod tests {
         );
     }
 
-    /// Forwards to an in-memory wire, but rewrites the chunk frame with
-    /// nonce `victim` so every slot is occupied on *every* plane — a
-    /// hostile edge trying to have each client tallied `bits` times.
-    struct StuffedChunk {
-        inner: InMemoryTransport,
-        victim: u64,
-    }
-
-    impl Transport for StuffedChunk {
-        fn send(&mut self, mut env: Envelope) {
-            if let Ok(Message::BatchReport(mut br)) = Message::decode(&env.payload) {
-                if br.nonce == self.victim {
-                    let (bits, slots) = (br.body.planes.bits(), br.body.planes.slots());
-                    let mut stuffed = BitPlanes::new(bits, slots);
-                    for slot in 0..slots {
-                        for plane in 0..bits {
-                            stuffed.record(slot, plane, true);
-                        }
+    /// The far end of a hostile wire: rewrites the chunk frame with nonce 1
+    /// so every slot is occupied on *every* plane — an edge trying to have
+    /// each client tallied `bits` times.
+    fn stuff_chunk_one(mut env: Envelope) -> Option<Envelope> {
+        if let Ok(Message::BatchReport(mut br)) = Message::decode(&env.payload) {
+            if br.nonce == 1 {
+                let (bits, slots) = (br.body.planes.bits(), br.body.planes.slots());
+                let mut stuffed = BitPlanes::new(bits, slots);
+                for slot in 0..slots {
+                    for plane in 0..bits {
+                        stuffed.record(slot, plane, true);
                     }
-                    br.body.planes = stuffed;
-                    env.payload = Message::BatchReport(br).encode();
                 }
+                br.body.planes = stuffed;
+                env.payload = Message::BatchReport(br).encode();
             }
-            self.inner.send(env);
         }
-
-        fn poll(&mut self) -> Option<(f64, Envelope)> {
-            self.inner.poll()
-        }
-
-        fn peek_time(&self) -> Option<f64> {
-            self.inner.peek_time()
-        }
+        Some(env)
     }
 
     #[test]
@@ -1318,9 +1454,9 @@ mod tests {
         let vs = values(2_000, 100);
         let cfg = base_config(7);
         let (codes, _) = cfg.protocol.codec.encode_all(&vs);
-        let mut hostile = StuffedChunk {
+        let mut hostile = Tampered {
             inner: InMemoryTransport::new(4),
-            victim: 1,
+            rewrite: stuff_chunk_one,
         };
         let mut session = Session::open(&mut hostile, &cfg, Some(128), 0);
         let st = collect(
@@ -1369,7 +1505,7 @@ mod tests {
         assert_eq!(out.outcome.accumulator.total_reports(), reporters);
     }
 
-    /// Which envelope field of which frame a [`Misaddress`] transport hits.
+    /// Which envelope field of which frame [`misaddress`] hits.
     #[derive(Clone, Copy, Debug)]
     enum Hit {
         HelloFrom,
@@ -1377,40 +1513,26 @@ mod tests {
         ConfigTo,
     }
 
-    /// Forwards to an in-memory wire, but readdresses the victim's frame —
-    /// a daemon echoing back a wrong `from` / `to`, which a socket-backed
+    /// The far end of a hostile wire: readdresses the victim's frame — a
+    /// daemon echoing back a wrong `from` / `to`, which a socket-backed
     /// transport decodes off the wire — or, with `readdress: None`, loses
     /// it: the run the readdressed one must equal.
-    struct Misaddress {
-        inner: InMemoryTransport,
+    fn misaddress(
         hit: Hit,
         victim: u64,
         readdress: Option<u64>,
-    }
-
-    impl Transport for Misaddress {
-        fn send(&mut self, mut env: Envelope) {
-            let field = match (self.hit, Message::decode(&env.payload)) {
+    ) -> impl FnMut(Envelope) -> Option<Envelope> {
+        move |mut env| {
+            let field = match (hit, Message::decode(&env.payload)) {
                 (Hit::HelloFrom, Ok(Message::Hello { .. }))
                 | (Hit::ReportFrom, Ok(Message::Report(_))) => &mut env.from,
                 (Hit::ConfigTo, Ok(Message::RoundConfig(_))) => &mut env.to,
-                _ => return self.inner.send(env),
+                _ => return Some(env),
             };
-            if *field == self.victim {
-                match self.readdress {
-                    Some(address) => *field = address,
-                    None => return,
-                }
+            if *field == victim {
+                *field = readdress?;
             }
-            self.inner.send(env);
-        }
-
-        fn poll(&mut self) -> Option<(f64, Envelope)> {
-            self.inner.poll()
-        }
-
-        fn peek_time(&self) -> Option<f64> {
-            self.inner.peek_time()
+            Some(env)
         }
     }
 
@@ -1424,11 +1546,9 @@ mod tests {
         for (offset, address) in [(0, 1 << 40), (1_000, 5)] {
             for hit in [Hit::HelloFrom, Hit::ReportFrom, Hit::ConfigTo] {
                 let run = |readdress| {
-                    let mut t = Misaddress {
+                    let mut t = Tampered {
                         inner: InMemoryTransport::new(9),
-                        hit,
-                        victim: offset + 7,
-                        readdress,
+                        rewrite: misaddress(hit, offset + 7, readdress),
                     };
                     let mut session = Session::open(&mut t, &cfg, None, offset);
                     let mut rng = StdRng::seed_from_u64(9);
@@ -1446,16 +1566,84 @@ mod tests {
 
         // End to end, the estimate is the one of the run where it dropped.
         let estimate = |readdress| {
-            let mut t = Misaddress {
+            let mut t = Tampered {
                 inner: InMemoryTransport::new(9),
-                hit: Hit::ReportFrom,
-                victim: 7,
-                readdress,
+                rewrite: misaddress(Hit::ReportFrom, 7, readdress),
             };
             let out = run_session(&vs, &cfg, None, &mut t, &mut StdRng::seed_from_u64(9));
             out.unwrap().outcome.estimate.to_bits()
         };
         assert_eq!(estimate(Some(1 << 40)), estimate(None));
+    }
+
+    /// The far end of a hostile wire: the first frame `rewrite` accepts
+    /// comes back rewritten — or, with `lose`, does not come back: the run
+    /// the rewritten one must equal.
+    fn rewrite_first(
+        mut rewrite: impl FnMut(Message) -> Option<Message>,
+        lose: bool,
+    ) -> impl FnMut(Envelope) -> Option<Envelope> {
+        let mut done = false;
+        move |mut env| {
+            if !done {
+                if let Some(hostile) = Message::decode(&env.payload).ok().and_then(&mut rewrite) {
+                    done = true;
+                    if lose {
+                        return None;
+                    }
+                    env.payload = hostile.encode();
+                }
+            }
+            Some(env)
+        }
+    }
+
+    /// Runs a 6-bit per-client round whose first frame accepted by
+    /// `rewrite` is rewritten (or lost) and checks both end the same way:
+    /// the victim's slot reads "nothing arrived".
+    fn assert_rewritten_frame_reads_as_lost(rewrite: fn(Message) -> Option<Message>) {
+        let vs = values(500, 50);
+        let cfg = base_config(6);
+        let run = |lose| {
+            let mut t = Tampered {
+                inner: InMemoryTransport::new(5),
+                rewrite: rewrite_first(rewrite, lose),
+            };
+            run_session(&vs, &cfg, None, &mut t, &mut StdRng::seed_from_u64(5)).unwrap()
+        };
+        let (hostile, lost) = (run(false), run(true));
+        assert_eq!(hostile.reports, 499);
+        assert_eq!(hostile.reports, lost.reports);
+        assert_eq!(
+            hostile.outcome.estimate.to_bits(),
+            lost.outcome.estimate.to_bits()
+        );
+        assert_eq!(
+            hostile.outcome.accumulator.total_reports(),
+            lost.outcome.accumulator.total_reports()
+        );
+    }
+
+    #[test]
+    fn report_naming_a_bit_past_the_codec_is_dropped_never_indexed() {
+        assert_rewritten_frame_reads_as_lost(|msg| match msg {
+            Message::Report(mut r) => {
+                r.body.reports[0].0 = 200;
+                Some(Message::Report(r))
+            }
+            _ => None,
+        });
+    }
+
+    #[test]
+    fn assignment_naming_a_bit_past_the_codec_is_dropped_before_the_client_runs() {
+        assert_rewritten_frame_reads_as_lost(|msg| match msg {
+            Message::RoundConfig(mut rc) => {
+                rc.assigned_bit = 200;
+                Some(Message::RoundConfig(rc))
+            }
+            _ => None,
+        });
     }
 
     #[test]

@@ -40,8 +40,8 @@ pub use fleet::{FleetConfig, FleetEngine, FleetLedger, FleetRoundReport};
 pub use hier::{HierShardedOutcome, ShardTransportFactory};
 pub use message::Message;
 pub use net::{
-    Envelope, InMemoryTransport, SimNetTransport, Transport, WireMetrics, BROADCAST, COORDINATOR,
-    SHUFFLER,
+    Envelope, InMemoryTransport, SimNetTransport, Tampered, Transport, WireMetrics, BROADCAST,
+    COORDINATOR, SHUFFLER,
 };
 pub use netchaos::{ChaosConfig, ChaosProxy, ChaosStats};
 pub use scheduler::EventQueue;

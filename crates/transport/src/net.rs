@@ -176,6 +176,53 @@ impl Transport for InMemoryTransport {
     }
 }
 
+/// A wire whose far end rewrites frames: every envelope sent passes through
+/// `rewrite` on its way into `inner` (`None` loses it). It stands in for a
+/// daemon echoing back bytes the session never validated — the one hostile
+/// transport the fail-closed suites drive every wire with.
+pub struct Tampered<T, F> {
+    /// The wire that carries what `rewrite` lets through.
+    pub inner: T,
+    /// What the far end does to each frame.
+    pub rewrite: F,
+}
+
+impl<T: Transport, F: FnMut(Envelope) -> Option<Envelope>> Transport for Tampered<T, F> {
+    fn send(&mut self, env: Envelope) {
+        if let Some(env) = (self.rewrite)(env) {
+            self.inner.send(env);
+        }
+    }
+
+    fn poll(&mut self) -> Option<(f64, Envelope)> {
+        self.inner.poll()
+    }
+
+    fn peek_time(&self) -> Option<f64> {
+        self.inner.peek_time()
+    }
+
+    fn open_window(&mut self, start: f64, deadline: f64) {
+        self.inner.open_window(start, deadline);
+    }
+
+    fn redeliver(&mut self, env: Envelope) {
+        self.inner.redeliver(env);
+    }
+
+    fn idle(&self) -> bool {
+        self.inner.idle()
+    }
+
+    fn wire_metrics(&self) -> Option<WireMetrics> {
+        self.inner.wire_metrics()
+    }
+
+    fn take_error(&mut self) -> Option<fednum_fedsim::error::FedError> {
+        self.inner.take_error()
+    }
+}
+
 /// The simulated lossy network: wire-level fault kinds from a
 /// [`FaultPlan`] become envelope transformations, applied in send order.
 ///

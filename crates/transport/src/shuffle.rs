@@ -1,5 +1,5 @@
-//! The shuffle-model trust tier: a shuffler session between clients and
-//! the coordinator.
+//! The shuffle-model trust tier: a shuffler between clients and the
+//! coordinator.
 //!
 //! Pure LDP needs no trust but pays in noise; secure aggregation buys
 //! central-DP accuracy with expensive masking rounds. The shuffle model
@@ -7,7 +7,8 @@
 //! response, but submits the single bit to a *shuffler* instead of the
 //! coordinator. The shuffler buffers the wave, strips every envelope's
 //! sender identity, applies a seeded permutation, and forwards one
-//! anonymized [`ShuffleMessage::Batch`] — the coordinator session never
+//! anonymized [`ShuffleMessage::Batch`](fednum_core::wire::ShuffleMessage)
+//! per wave — the coordinator never
 //! observes a (client, frame) linkage, which is exactly the precondition
 //! of the amplification-by-shuffling bound in
 //! [`fednum_core::privacy::amplification`]: `n` shuffled ε₀-LDP reports
@@ -29,37 +30,33 @@
 //! the tier back to plain LDP — the ledger's local-ε fallback is exactly
 //! the guarantee that survives collusion.
 //!
-//! **Determinism.** The session draws from the caller's RNG in a fixed
-//! order (pool shuffle, bit assignment, then per client dropout and
-//! randomized response) before any frame crosses the transport, and the
-//! permutation seed is hash-derived via [`mix`] — never drawn from the
-//! session RNG. A shuffled round is therefore bit-identical across
-//! InMemory/SimNet/TCP transports per seed, and its estimate and traffic
-//! ledger are invariant under the permutation seed (the batch length and
-//! the per-bit tally are both permutation-independent).
+//! **One round, one more wire.** A shuffled round is the shared round of
+//! `fednum_fedsim::round` — wave schedule and deficit refills, client
+//! model, latency, cohort check, estimator tail, publish — over a
+//! `coordinator::Session` whose waves travel through the shuffler. Each
+//! wave's batch is its own anonymity set: its submitters are billed the
+//! amplified ε at *that* batch's size, so a small refill wave falls below
+//! the bound's validity threshold and pays the local ε₀, unamplified.
+//!
+//! **Determinism.** The shared RNG is drawn in the driver's order (pool
+//! shuffle, per-wave assignment and latency, then per client dropout and
+//! randomized response) before any of a wave's frames crosses the
+//! transport, and the permutation seed is hash-derived via
+//! [`mix`](crate::scheduler::mix) — never drawn from the session RNG. A
+//! shuffled round is therefore bit-identical across InMemory/SimNet/TCP
+//! transports per seed, and its estimate and traffic ledger are invariant
+//! under the permutation seed (the batch length and the per-bit tally are
+//! both permutation-independent).
 
-use fednum_core::bits::bit;
 use fednum_core::privacy::{Amplification, PrivacyLedger, ShuffleCharge};
-use fednum_core::wire::ShuffleMessage;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
-use fednum_fedsim::dropout::Fate;
 use fednum_fedsim::error::FedError;
-use fednum_fedsim::round::{
-    check_cohort, finish, FederatedMeanConfig, FederatedOutcome, RobustnessReport,
-};
-use fednum_fedsim::traffic::TrafficStats;
+use fednum_fedsim::round::{tally_round, FederatedMeanConfig, FederatedOutcome};
 
-use crate::coordinator::drain_counting;
-use crate::message::{Message, Publish};
-use crate::net::{Envelope, Transport, COORDINATOR, SHUFFLER};
-use crate::scheduler::mix;
-use crate::session::MultiSessionEngine;
+use crate::coordinator::Session;
+use crate::net::Transport;
 
-/// Virtual-time spacing between consecutive client submissions — distinct
-/// send times make poll order equal pool order on every transport.
-const STEP: f64 = 3e-9;
 /// Session-seed tag for the default permutation seed, so it is independent
 /// of every other hash-derived stream in the round.
 const SHUFFLE_TAG: u64 = 0x5AFF_1E2D_8C4B_7A93;
@@ -115,38 +112,32 @@ impl ShuffleConfig {
 #[derive(Debug, Clone)]
 pub struct ShuffledOutcome {
     /// The flat-round report (estimate, cohort, traffic — the `Shuffle`
-    /// phase carries both the submissions and the batch).
+    /// phase carries both the submissions and the batches).
     pub round: FederatedOutcome,
-    /// The ε the round charged: amplified central (ε, δ) when the cohort
-    /// met the bound's validity threshold, the conservative local ε₀
-    /// otherwise.
+    /// The largest ε the round billed any reporter: amplified central
+    /// (ε, δ) when every wave's batch met the bound's validity threshold,
+    /// the conservative local ε₀ as soon as one wave's did not.
     pub charge: ShuffleCharge,
 }
 
-/// Runs one shuffled round: clients submit ε₀-randomized bits to the
-/// shuffler session, the shuffler forwards an anonymized permuted batch,
-/// and the coordinator session tallies it and publishes. The ledger (when
-/// present) charges every reporter the *amplified* epsilon at the actual
-/// batch size, falling back to the local ε₀ below the bound's validity
-/// threshold.
+/// Runs one shuffled round: the shared round driver over a session whose
+/// waves travel through the shuffler, then the privacy charge. The ledger
+/// (when present) charges each wave's submitters the *amplified* epsilon at
+/// the batch size the coordinator actually received for that wave, falling
+/// back to the local ε₀ below the bound's validity threshold.
 ///
 /// # Errors
-/// [`FedError::InvalidConfig`] when the protocol has no local randomizer
-/// or the codec is deeper than the one-byte bit index allows; otherwise
-/// the usual typed round failures ([`FedError::NoReports`],
+/// [`FedError::InvalidConfig`] when the protocol has no local randomizer;
+/// otherwise the usual typed round failures ([`FedError::NoReports`],
 /// [`FedError::CohortTooSmall`], [`FedError::Budget`]).
-#[allow(clippy::too_many_lines)]
 pub(crate) fn run_shuffled_session(
     values: &[f64],
     config: &FederatedMeanConfig,
     shuffle: &ShuffleConfig,
-    ledger: Option<&mut PrivacyLedger>,
+    mut ledger: Option<&mut PrivacyLedger>,
     transport: &mut dyn Transport,
     rng: &mut dyn Rng,
 ) -> Result<ShuffledOutcome, FedError> {
-    if values.is_empty() {
-        return Err(FedError::PopulationTooSmall { got: 0, need: 1 });
-    }
     let Some(rr) = config.protocol.privacy.as_ref() else {
         return Err(FedError::InvalidConfig(
             "a shuffled round amplifies a local randomizer; set \
@@ -154,191 +145,41 @@ pub(crate) fn run_shuffled_session(
                 .into(),
         ));
     };
-    let codec = config.protocol.codec;
-    let bits = codec.bits();
-    if bits > 256 {
-        return Err(FedError::InvalidConfig(format!(
-            "shuffle submissions carry a one-byte bit index; codec depth \
-             {bits} exceeds 256"
-        )));
-    }
     let amplification = Amplification::try_new(rr.epsilon(), shuffle.delta)?;
-    let (codes, clip_fraction) = codec.encode_all(values);
-    let round_id = config.session_seed;
-    let window_len = config.latency.as_ref().map_or(1.0, |l| l.timeout);
-
-    // Every RNG draw happens here, before any frame crosses the transport:
-    // pool order, bit assignment, then per client dropout fate and the
-    // randomized-response flip. Transport behaviour can no longer perturb
-    // the stream, which is what makes the round bit-identical across
-    // InMemory/SimNet/TCP per seed.
-    let mut pool: Vec<usize> = (0..codes.len()).collect();
-    pool.shuffle(rng);
-    let assignment = config
-        .protocol
-        .sampling
-        .assign(config.protocol.assignment, pool.len(), rng);
-    let mut submissions: Vec<(usize, u8, bool)> = Vec::new();
-    for (slot, &client) in pool.iter().enumerate() {
-        let fate = config.dropout.sample(rng);
-        if fate == Fate::DropsBeforeReport {
-            continue;
-        }
-        let j = assignment[slot];
-        let raw = bit(codes[client], j);
-        let sent = rr.flip(raw, rng);
-        submissions.push((client, j as u8, sent));
-    }
-
-    let mut traffic = TrafficStats::new();
-    let mut engine = MultiSessionEngine::new(transport, 0.0);
-
-    // Session 1 — the shuffler collects the wave. The buffer keeps only
-    // (bit index, bit): sender identity is dropped at this line and never
-    // reaches the coordinator session.
-    let mut buffered: Vec<(u8, bool)> = Vec::new();
-    {
-        let mut slot = engine.open_session();
-        slot.open_window(0.0, window_len);
-        for (k, &(client, bit_index, sent)) in submissions.iter().enumerate() {
-            slot.send(Envelope {
-                from: client as u64,
-                to: SHUFFLER,
-                sent_at: k as f64 * STEP,
-                payload: Message::Shuffle(ShuffleMessage::Submit {
-                    round_id,
-                    bit_index,
-                    bit: sent,
-                })
-                .encode(),
-            });
-        }
-        while let Some((_, env)) = slot.poll() {
-            let Ok(msg) = Message::decode(&env.payload) else {
-                continue;
-            };
-            traffic.record(msg.phase(), msg.direction(), env.payload.len() as u64);
-            if let Message::Shuffle(ShuffleMessage::Submit {
-                round_id: r,
-                bit_index,
-                bit: b,
-            }) = msg
-            {
-                if r == round_id && u32::from(bit_index) < bits {
-                    buffered.push((bit_index, b));
-                }
-            }
-        }
-    }
-
-    // The seeded permutation: mix-based Fisher–Yates, hash-derived so the
-    // session RNG stream is untouched (the parity contract) and the same
-    // seed always produces the same batch order.
-    let mut s = mix(shuffle
+    let permutation_seed = shuffle
         .permutation_seed
-        .unwrap_or(config.session_seed ^ SHUFFLE_TAG)
-        ^ round_id);
-    for i in (1..buffered.len()).rev() {
-        s = mix(s);
-        let j = (s % (i as u64 + 1)) as usize;
-        buffered.swap(i, j);
-    }
+        .unwrap_or(config.session_seed ^ SHUFFLE_TAG);
+    let mut session = Session::open_shuffled(transport, config, permutation_seed);
+    // No ledger rides the collect: the rate a submitter pays is unknown
+    // until its wave's batch has arrived.
+    let round = tally_round(values, config, None, &mut session, rng)?;
 
-    // Session 2 — the shuffler forwards one anonymized batch; the
-    // coordinator tallies it. Nothing in the batch (or its envelope)
-    // identifies a client.
-    let mut ones = vec![0u64; bits as usize];
-    let mut counts = vec![0u64; bits as usize];
-    let mut batch_entries = 0u64;
-    {
-        let mut slot = engine.open_session();
-        slot.send(Envelope {
-            from: SHUFFLER,
-            to: COORDINATOR,
-            sent_at: 0.0,
-            payload: Message::Shuffle(ShuffleMessage::Batch {
-                round_id,
-                entries: buffered,
-            })
-            .encode(),
-        });
-        while let Some((_, env)) = slot.poll() {
-            let Ok(msg) = Message::decode(&env.payload) else {
-                continue;
-            };
-            traffic.record(msg.phase(), msg.direction(), env.payload.len() as u64);
-            if let Message::Shuffle(ShuffleMessage::Batch {
-                round_id: r,
-                entries,
-            }) = msg
-            {
-                if r != round_id {
-                    continue;
-                }
-                for (bit_index, b) in entries {
-                    // The batch comes back off the wire: an index past the
-                    // codec counts toward neither the tally nor `n`.
-                    if u32::from(bit_index) >= bits {
-                        continue;
-                    }
-                    let j = usize::from(bit_index);
-                    counts[j] += 1;
-                    ones[j] += u64::from(b);
-                    batch_entries += 1;
-                }
+    // Billing is bookkeeping the round driver performs for its own cohort
+    // (`contacts`), not something the coordinator learns from an
+    // anonymized batch. The round's charge is the largest rate billed, so
+    // a wave nobody submitted in does not count toward it.
+    let mut charge: Option<ShuffleCharge> = None;
+    let mut start = 0;
+    for &(end, received) in session.shuffled_waves() {
+        let wave_charge = amplification.charge(received);
+        let submitters = round.collected.contacts[start..end].iter();
+        for c in submitters.filter(|c| c.report.is_some()) {
+            if let Some(ledger) = ledger.as_deref_mut() {
+                let id = c.client as u64;
+                ledger.charge_round(id, config.session_seed, 1, wave_charge.epsilon)?;
+            }
+            if !charge.is_some_and(|worst| worst.epsilon >= wave_charge.epsilon) {
+                charge = Some(wave_charge);
             }
         }
+        start = end;
     }
+    let charge = charge.ok_or(FedError::NoReports)?;
 
-    check_cohort(batch_entries, submissions.len(), config)?;
-
-    // The privacy charge, at the batch size the coordinator actually
-    // received: amplified when the validity threshold is met, local ε₀
-    // otherwise. The ledger bills submitters in pool order — this is
-    // bookkeeping the round driver performs for its own cohort, not
-    // something the coordinator learns from the anonymized batch.
-    let charge = amplification.charge(batch_entries);
-    if let Some(ledger) = ledger {
-        for &(client, _, _) in &submissions {
-            ledger.charge_round(client as u64, round_id, 1, charge.epsilon)?;
-        }
-    }
-
-    let fin = finish(config, &ones, counts, clip_fraction, 0, 1);
-
-    // Publish: the result broadcast, one closing frame.
-    {
-        let mut slot = engine.open_session();
-        slot.send(Envelope {
-            from: COORDINATOR,
-            to: 0,
-            sent_at: 0.0,
-            payload: Message::Publish(Publish {
-                round_id,
-                estimate: fin.outcome.estimate,
-                reports: batch_entries,
-                feedback: Vec::new(),
-            })
-            .encode(),
-        });
-        drain_counting(&mut slot, &mut traffic);
-    }
-
+    let (mut outcome, _) = round.publish(config, &mut session, false)?;
+    outcome.robustness.traffic = session.into_traffic();
     Ok(ShuffledOutcome {
-        round: FederatedOutcome {
-            outcome: fin.outcome,
-            contacted: values.len(),
-            reports: batch_entries,
-            waves_used: 1,
-            completion_time: window_len,
-            starved_bits: fin.starved_bits,
-            secagg: None,
-            robustness: RobustnessReport {
-                degraded: fin.degraded,
-                traffic,
-                ..RobustnessReport::default()
-            },
-        },
+        round: outcome,
         charge,
     })
 }
@@ -346,11 +187,13 @@ pub(crate) fn run_shuffled_session(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::InMemoryTransport;
+    use crate::message::Message;
+    use crate::net::{InMemoryTransport, Tampered};
     use fednum_core::encoding::FixedPointCodec;
     use fednum_core::privacy::RandomizedResponse;
     use fednum_core::protocol::basic::BasicConfig;
     use fednum_core::sampling::BitSampling;
+    use fednum_core::wire::ShuffleMessage;
     use fednum_fedsim::traffic::{Direction, TrafficPhase};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -506,41 +349,29 @@ mod tests {
         assert_eq!(ledger.account(0).epsilon, 1.0);
     }
 
-    /// Forwards to an in-memory wire, but rewrites the first entry of the
-    /// shuffler's batch to a bit index no codec here has — a daemon echoing
-    /// back bytes the coordinator side never validated.
-    struct HostileBatch(InMemoryTransport);
-
-    impl Transport for HostileBatch {
-        fn send(&mut self, mut env: Envelope) {
-            if let Ok(Message::Shuffle(ShuffleMessage::Batch {
-                round_id,
-                mut entries,
-            })) = Message::decode(&env.payload)
-            {
-                entries[0].0 = 200;
-                env.payload =
-                    Message::Shuffle(ShuffleMessage::Batch { round_id, entries }).encode();
-            }
-            self.0.send(env);
-        }
-
-        fn poll(&mut self) -> Option<(f64, Envelope)> {
-            self.0.poll()
-        }
-
-        fn peek_time(&self) -> Option<f64> {
-            self.0.peek_time()
-        }
-    }
-
     #[test]
     fn out_of_range_batch_entry_is_dropped_never_indexed() {
         let vs = values(2_000, 32);
         let cfg = base_config(6, 1.0);
         let sh = ShuffleConfig::try_new(1e-6).unwrap();
         let honest = run(&cfg, &sh, &vs, 13, None);
-        let mut hostile = HostileBatch(InMemoryTransport::new(13));
+        // The first entry of the shuffler's batch comes back naming a bit
+        // no codec here has.
+        let mut hostile = Tampered {
+            inner: InMemoryTransport::new(13),
+            rewrite: |mut env: crate::net::Envelope| {
+                if let Ok(Message::Shuffle(ShuffleMessage::Batch {
+                    round_id,
+                    mut entries,
+                })) = Message::decode(&env.payload)
+                {
+                    entries[0].0 = 200;
+                    env.payload =
+                        Message::Shuffle(ShuffleMessage::Batch { round_id, entries }).encode();
+                }
+                Some(env)
+            },
+        };
         let out = run_shuffled_session(
             &vs,
             &cfg,

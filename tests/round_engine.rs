@@ -2,25 +2,34 @@
 //!
 //! Every shape below runs through each way `RoundBuilder` can carry it —
 //! the synchronous front door (`.run`), the per-client wire
-//! (`.via(transport)`) and the chunked wire (`.via(transport).batched(512)`)
-//! — and the literal fingerprint of what came out (estimate bits, cohort,
-//! waves, secure-aggregation summary, rejections, late frames, retries,
-//! traffic bytes per direction, ledger totals) is pinned for seeds 1–3.
-//! The parity suites say the carriers agree with each other; this file says
-//! none of them moved. A refactor of the engines must leave it passing
-//! byte for byte.
+//! (`.via(transport)`), the chunked wire (`.via(transport).batched(512)`)
+//! and, for the shuffle tier, the shuffled wire (`.shuffled(..)`) — and the
+//! literal fingerprint of what came out (estimate bits, cohort, waves,
+//! secure-aggregation summary, rejections, late frames, retries, traffic
+//! bytes per direction, ledger totals) is pinned for seeds 1–3. The parity
+//! suites say the carriers agree with each other; this file says none of
+//! them moved. A refactor of the engines must leave it passing byte for
+//! byte.
+//!
+//! The same grid of wires is then driven by a hostile far end (the sweep at
+//! the bottom): no integer read back off a wire may panic a round.
 
 use fednum::core::encoding::FixedPointCodec;
-use fednum::core::privacy::{PrivacyLedger, RandomizedResponse};
+use fednum::core::privacy::{Amplification, PrivacyLedger, RandomizedResponse};
 use fednum::core::protocol::basic::BasicConfig;
 use fednum::core::sampling::BitSampling;
+use fednum::core::wire::{push_varint, read_varint, ShuffleMessage};
 use fednum::fedsim::adaptive_round::FederatedAdaptiveConfig;
 use fednum::fedsim::faults::{FaultPlan, FaultRates};
 use fednum::fedsim::round::{FederatedMeanConfig, FederatedOutcome, SecAggSettings};
 use fednum::fedsim::traffic::TrafficStats;
-use fednum::fedsim::{Direction, DropoutModel, RetryPolicy};
+use fednum::fedsim::{Direction, DropoutModel, LatencyModel, RetryPolicy};
 use fednum::hiersec::HierSecConfig;
-use fednum::transport::{InMemoryTransport, SimNetTransport};
+use fednum::transport::scheduler::mix;
+use fednum::transport::{
+    Envelope, InMemoryTransport, Message, RoundDetail, ShuffleConfig, ShuffledOutcome,
+    SimNetTransport, Tampered, Transport,
+};
 use fednum::RoundBuilder;
 
 const SEEDS: [u64; 3] = [1, 2, 3];
@@ -229,6 +238,14 @@ fn metered_round_bills_a_frozen_ledger_on_every_carrier() {
     });
 }
 
+/// A fingerprint's columns without the traffic ones.
+fn without_traffic(print: &str) -> Vec<&str> {
+    let columns = print.split(' ');
+    columns
+        .filter(|c| !c.starts_with("up=") && !c.starts_with("down="))
+        .collect()
+}
+
 /// Runs the two-round adaptive protocol over `make(seed)` on each carrier
 /// and fingerprints the pooled estimate and both rounds.
 fn adaptive_shape(
@@ -286,12 +303,6 @@ fn adaptive_secure_rounds_are_frozen_and_agree_across_carriers() {
             })
     });
     // Apart from the traffic columns the carriers are indistinguishable.
-    fn without_traffic(print: &str) -> Vec<&str> {
-        let columns = print.split(' ');
-        columns
-            .filter(|c| !c.starts_with("up=") && !c.starts_with("down="))
-            .collect()
-    }
     for per_seed in actual.chunks(ALL.len()) {
         for (label, print) in per_seed {
             let first = without_traffic(&per_seed[0].1);
@@ -401,11 +412,515 @@ fn hierarchical_secure_rounds_are_frozen_on_both_wires() {
     check("hier", &actual);
 }
 
+/// ε₀ = 1 randomized response over `bits` bits: the local randomizer a
+/// shuffled round amplifies.
+fn shuffled_config(bits: u32, seed: u64) -> FederatedMeanConfig {
+    let mut cfg = FederatedMeanConfig::new(
+        BasicConfig::new(
+            FixedPointCodec::integer(bits),
+            BitSampling::geometric(bits, 1.0),
+        )
+        .with_privacy(RandomizedResponse::from_epsilon(1.0)),
+    );
+    cfg.session_seed = 0xA0 + seed;
+    cfg
+}
+
+fn shuffled_values(n: usize, seed: u64) -> Vec<f64> {
+    (0..n)
+        .map(|i| ((i as u64 * 37 + seed) % 200) as f64)
+        .collect()
+}
+
+/// One metered shuffled round over `carrier`: its report and the ledger it
+/// billed.
+fn run_shuffled(
+    cfg: &FederatedMeanConfig,
+    vs: &[f64],
+    seed: u64,
+    carrier: Carrier,
+) -> (ShuffledOutcome, PrivacyLedger) {
+    let mut ledger = PrivacyLedger::new();
+    let mut mem = InMemoryTransport::new(seed ^ 0xD00D);
+    let mut sim = SimNetTransport::new(seed ^ 0xD00D);
+    let builder = RoundBuilder::new(cfg.clone())
+        .shuffled(ShuffleConfig::try_new(1e-6).unwrap())
+        .seed(seed)
+        .metered(&mut ledger);
+    let out = match carrier {
+        Carrier::Mem => builder.via(&mut mem),
+        _ => builder.via(&mut sim),
+    }
+    .run(vs)
+    .expect("anchored shuffled round completes");
+    (out.shuffled().expect("shuffled detail").clone(), ledger)
+}
+
+#[test]
+fn shuffled_rounds_are_frozen_in_memory_and_over_the_simulated_network() {
+    type Variant = (&'static str, usize, fn(u64) -> FederatedMeanConfig);
+    let variants: [Variant; 5] = [
+        ("plain", 6_000, |s| shuffled_config(8, s)),
+        ("dropout", 6_000, |s| {
+            shuffled_config(8, s).with_dropout(DropoutModel::bernoulli(0.3))
+        }),
+        ("small", 200, |s| shuffled_config(6, s)),
+        ("refill", 6_000, |s| {
+            shuffled_config(10, s)
+                .with_dropout(DropoutModel::bernoulli(0.3))
+                .with_auto_adjust(3, 8, 0.7)
+        }),
+        ("latency", 6_000, |s| {
+            shuffled_config(8, s).with_latency(LatencyModel::new(0.5, 0.6, 30.0))
+        }),
+    ];
+    let amplification = Amplification::try_new(1.0, 1e-6).unwrap();
+    let mut actual = Vec::new();
+    for (variant, n, make) in variants {
+        for seed in SEEDS {
+            let cfg = make(seed);
+            let vs = shuffled_values(n, seed);
+            // The shuffler changes who sees the reports in what order, not
+            // the round: the synchronous carrier publishes the same bits.
+            let sync = RoundBuilder::new(cfg.clone()).seed(seed).run(&vs).unwrap();
+            let sync = sync.flat().unwrap();
+            for carrier in [Carrier::Mem, Carrier::SimNet] {
+                let label = format!("shuffled/{variant}/{carrier:?}/s{seed}");
+                let (sh, ledger) = run_shuffled(&cfg, &vs, seed, carrier);
+                let round = &sh.round;
+                assert_eq!(
+                    round.outcome.estimate.to_bits(),
+                    sync.outcome.estimate.to_bits(),
+                    "{label}"
+                );
+                assert_eq!(round.completion_time, sync.completion_time, "{label}");
+                assert_eq!(
+                    ledger.max_epsilon_per_client(),
+                    sh.charge.epsilon,
+                    "{label}: the round's charge is the largest rate billed"
+                );
+                if variant == "refill" || variant == "latency" {
+                    // Every reporter was billed; the estimate tracks them.
+                    let truth = ledger
+                        .accounts()
+                        .map(|(id, _)| vs[id as usize])
+                        .sum::<f64>()
+                        / ledger.clients() as f64;
+                    let error = (round.outcome.estimate - truth).abs();
+                    assert!(error < 6.0 * round.outcome.predicted_std, "{label}");
+                }
+                if variant == "refill" {
+                    // Under 30 % dropout the first wave starves the low
+                    // bits; the driver's refill waves cover them.
+                    assert!(round.waves_used > 1, "{label}");
+                    assert!(round.starved_bits.is_empty(), "{label}");
+                    // Each wave is its own anonymity set: the first wave's
+                    // reporters paid the amplified rate at its size, the
+                    // few refill reporters the local ε₀.
+                    let first = ledger.accounts().filter(|(_, a)| a.epsilon < 1.0).count();
+                    let rate = amplification.charge(first as u64);
+                    assert!(rate.amplified, "{label}");
+                    let refill = round.reports - first as u64;
+                    assert!(refill > 0 && refill < amplification.min_cohort());
+                    for (id, account) in ledger.accounts() {
+                        assert!(
+                            account.epsilon == rate.epsilon || account.epsilon == 1.0,
+                            "{label}: client {id} billed {}",
+                            account.epsilon
+                        );
+                    }
+                    assert_eq!(sh.charge, amplification.charge(refill), "{label}");
+                }
+                actual.push((
+                    label,
+                    format!(
+                        "{} time={} charge={:016x}/{}",
+                        flat_fingerprint(round, Some(&ledger)),
+                        round.completion_time,
+                        sh.charge.epsilon.to_bits(),
+                        sh.charge.amplified,
+                    ),
+                ));
+            }
+        }
+    }
+    check("shuffled", &actual);
+}
+
+// ---------------------------------------------------------------------
+// The hostile sweep: one frame-rewriting far end, every wire.
+//
+// A socket-backed transport hands the session frames decoded from daemon
+// bytes, so every integer in a frame or on its envelope is outside input.
+// Each case rewrites one integer of one frame to 0, its type's maximum or
+// the first value past its bound, on every builder shape that crosses a
+// wire. The round must end `Ok` or in a typed `FedError` — a panic fails
+// the test — and where the integer is an index or a routing address an
+// out-of-range value must read exactly as that frame being lost.
+
+/// The frame a case hits.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Frame {
+    Hello,
+    RoundConfig,
+    AssignBit,
+    Report,
+    BatchReport,
+    Submit,
+    Batch,
+}
+
+impl Frame {
+    fn of(msg: &Message) -> Option<Self> {
+        Some(match msg {
+            Message::Hello { .. } => Frame::Hello,
+            Message::RoundConfig(_) => Frame::RoundConfig,
+            Message::AssignBit { .. } => Frame::AssignBit,
+            Message::Report(_) => Frame::Report,
+            Message::BatchReport(_) => Frame::BatchReport,
+            Message::Shuffle(ShuffleMessage::Submit { .. }) => Frame::Submit,
+            Message::Shuffle(ShuffleMessage::Batch { .. }) => Frame::Batch,
+            _ => return None,
+        })
+    }
+}
+
+/// The integer of it a case rewrites.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Field {
+    /// `Envelope::from`.
+    From,
+    /// `Envelope::to`.
+    To,
+    /// The bit index: a `Report`'s bit, an assignment's `assigned_bit`, a
+    /// `Submit`'s `bit_index`, one `Batch` entry's index.
+    Bit,
+    /// A `BatchReport`'s chunk nonce, plane slot count and plane count.
+    Nonce,
+    Slots,
+    Bits,
+}
+
+/// What it is rewritten to.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Value {
+    Zero,
+    Max,
+    /// The first value past the field's bound (for a count: one more than
+    /// the frame states).
+    PastBound,
+}
+
+const SWEEP_BITS: u32 = 6;
+const SWEEP_CLIENTS: usize = 240;
+const SWEEP_CHUNK: usize = 64;
+
+/// One case of the sweep, and the far end that acts it out: the `victim`th
+/// frame of kind `frame` has `field` rewritten to `value` — or, with
+/// `lose`, never arrives (for a `Batch` entry: that entry does not).
+#[derive(Clone, Copy, Debug)]
+struct Case {
+    frame: Frame,
+    field: Field,
+    value: Value,
+    victim: usize,
+    /// Which `Batch` entry, modulo the batch length.
+    entry: usize,
+}
+
+impl Case {
+    /// Whether this case's rewrite must read exactly as the frame (or
+    /// batch entry) being lost.
+    fn reads_as_lost(&self) -> bool {
+        let out_of_range = self.value != Value::Zero;
+        match (self.frame, self.field) {
+            // A misshapen chunk fails closed as a whole, whatever the lie.
+            (Frame::BatchReport, Field::Slots | Field::Bits) => true,
+            (Frame::BatchReport, Field::Nonce) => out_of_range,
+            (_, Field::Bit) => out_of_range,
+            // Routed by address on the per-client wire only; the shuffler
+            // and the chunk tally never read one.
+            (Frame::Hello | Frame::Report, Field::From) => out_of_range,
+            (Frame::RoundConfig | Frame::AssignBit, Field::To) => out_of_range,
+            _ => false,
+        }
+    }
+
+    fn far_end(self, lose: bool) -> impl FnMut(Envelope) -> Option<Envelope> {
+        let mut seen = 0;
+        move |mut env| {
+            let Ok(msg) = Message::decode(&env.payload) else {
+                return Some(env);
+            };
+            if Frame::of(&msg) != Some(self.frame) {
+                return Some(env);
+            }
+            seen += 1;
+            if seen != self.victim + 1 {
+                return Some(env);
+            }
+            if lose && self.frame != Frame::Batch {
+                return None;
+            }
+            let pick = |max: u64, past_bound: u64| match self.value {
+                Value::Zero => 0,
+                Value::Max => max,
+                Value::PastBound => past_bound,
+            };
+            let bit = pick(u64::from(u8::MAX), u64::from(SWEEP_BITS)) as u8;
+            match (self.field, msg) {
+                (Field::From, _) => env.from = pick(u64::MAX, SWEEP_CLIENTS as u64),
+                (Field::To, _) => env.to = pick(u64::MAX, SWEEP_CLIENTS as u64),
+                (Field::Bit, Message::Report(mut r)) => {
+                    r.body.reports[0].0 = bit;
+                    env.payload = Message::Report(r).encode();
+                }
+                (Field::Bit, Message::RoundConfig(mut rc)) => {
+                    rc.assigned_bit = bit;
+                    env.payload = Message::RoundConfig(rc).encode();
+                }
+                (Field::Bit, Message::AssignBit { .. }) => {
+                    env.payload = Message::AssignBit { assigned_bit: bit }.encode();
+                }
+                (
+                    Field::Bit,
+                    Message::Shuffle(ShuffleMessage::Submit {
+                        round_id, bit: b, ..
+                    }),
+                ) => {
+                    env.payload = Message::Shuffle(ShuffleMessage::Submit {
+                        round_id,
+                        bit_index: bit,
+                        bit: b,
+                    })
+                    .encode();
+                }
+                (
+                    Field::Bit,
+                    Message::Shuffle(ShuffleMessage::Batch {
+                        round_id,
+                        mut entries,
+                    }),
+                ) => {
+                    let at = self.entry % entries.len();
+                    if lose {
+                        entries.remove(at);
+                    } else {
+                        entries[at].0 = bit;
+                    }
+                    env.payload =
+                        Message::Shuffle(ShuffleMessage::Batch { round_id, entries }).encode();
+                }
+                (_, Message::BatchReport(_)) => {
+                    // The plane counts cannot be overstated through the
+                    // typed frame (the planes would have to exist), so the
+                    // header is rewritten in place: tag · nonce · task ·
+                    // slots · plane count · words.
+                    let mut pos = 1;
+                    let mut header = [0u64; 4];
+                    for h in &mut header {
+                        *h = read_varint(&env.payload, &mut pos).unwrap();
+                    }
+                    let chunks = SWEEP_CLIENTS.div_ceil(SWEEP_CHUNK) as u64;
+                    match self.field {
+                        Field::Nonce => header[0] = pick(u64::MAX, chunks),
+                        Field::Slots => header[2] = pick(u64::MAX, header[2] + 1),
+                        _ => header[3] = pick(u64::MAX, header[3] + 1),
+                    }
+                    let mut payload = vec![env.payload[0]];
+                    for h in header {
+                        push_varint(&mut payload, h);
+                    }
+                    payload.extend_from_slice(&env.payload[pos..]);
+                    env.payload = payload;
+                }
+                (field, msg) => unreachable!("{field:?} of {msg:?} is not in the sweep"),
+            }
+            Some(env)
+        }
+    }
+}
+
+/// The builder shapes that cross a wire, and per shape the `(frame, field)`
+/// pairs its frames offer.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Shape {
+    PerClient,
+    Compressed,
+    Batched,
+    Shuffled,
+    Secure,
+    SecureBatched,
+    Adaptive,
+}
+
+impl Shape {
+    const ALL: [Shape; 7] = [
+        Shape::PerClient,
+        Shape::Compressed,
+        Shape::Batched,
+        Shape::Shuffled,
+        Shape::Secure,
+        Shape::SecureBatched,
+        Shape::Adaptive,
+    ];
+
+    fn targets(self) -> &'static [(Frame, Field)] {
+        const PER_CLIENT: &[(Frame, Field)] = &[
+            (Frame::Hello, Field::From),
+            (Frame::RoundConfig, Field::To),
+            (Frame::RoundConfig, Field::Bit),
+            (Frame::Report, Field::From),
+            (Frame::Report, Field::Bit),
+        ];
+        const BATCHED: &[(Frame, Field)] = &[
+            (Frame::BatchReport, Field::From),
+            (Frame::BatchReport, Field::Nonce),
+            (Frame::BatchReport, Field::Slots),
+            (Frame::BatchReport, Field::Bits),
+        ];
+        match self {
+            Shape::PerClient | Shape::Secure | Shape::Adaptive => PER_CLIENT,
+            Shape::Compressed => &[
+                (Frame::Hello, Field::From),
+                (Frame::AssignBit, Field::To),
+                (Frame::AssignBit, Field::Bit),
+                (Frame::Report, Field::From),
+                (Frame::Report, Field::Bit),
+            ],
+            Shape::Batched | Shape::SecureBatched => BATCHED,
+            Shape::Shuffled => &[
+                (Frame::Submit, Field::From),
+                (Frame::Submit, Field::Bit),
+                (Frame::Batch, Field::From),
+                (Frame::Batch, Field::Bit),
+            ],
+        }
+    }
+
+    /// Runs the shape over `transport`: the fingerprint of what it
+    /// published (traffic aside — a rewritten frame is metered, a lost one
+    /// is not) or the typed error it ended in.
+    fn run(self, transport: &mut dyn Transport) -> Result<String, String> {
+        let mut cfg = config(SWEEP_BITS, 1);
+        let vs = values(SWEEP_CLIENTS, 50);
+        if matches!(self, Shape::Secure | Shape::SecureBatched) {
+            cfg = cfg
+                .with_dropout(DropoutModel::phased(0.1, 0.05))
+                .with_secagg(SecAggSettings::default());
+        }
+        let builder = match self {
+            Shape::Adaptive => RoundBuilder::new_adaptive(FederatedAdaptiveConfig::new(cfg)),
+            Shape::Compressed => RoundBuilder::new(cfg.with_config_compression()),
+            Shape::Shuffled => {
+                cfg.protocol = cfg
+                    .protocol
+                    .with_privacy(RandomizedResponse::from_epsilon(1.0));
+                RoundBuilder::new(cfg).shuffled(ShuffleConfig::try_new(1e-6).unwrap())
+            }
+            _ => RoundBuilder::new(cfg),
+        };
+        let builder = match self {
+            Shape::Batched | Shape::SecureBatched => builder.batched(SWEEP_CHUNK),
+            _ => builder,
+        };
+        let out = builder
+            .seed(1)
+            .via(transport)
+            .run(&vs)
+            .map_err(|e| e.to_string())?;
+        let print = match &out.detail {
+            RoundDetail::Flat(flat) => flat_fingerprint(flat, None),
+            RoundDetail::Shuffled(sh) => format!(
+                "{} charge={:016x}",
+                flat_fingerprint(&sh.round, None),
+                sh.charge.epsilon.to_bits()
+            ),
+            RoundDetail::Adaptive(a) => format!(
+                "est={:016x} | {} | {}",
+                a.estimate.to_bits(),
+                flat_fingerprint(&a.round1, None),
+                flat_fingerprint(&a.round2, None)
+            ),
+            other => unreachable!("{other:?} is not in the sweep"),
+        };
+        Ok(without_traffic(&print).join(" "))
+    }
+}
+
+#[test]
+fn one_rewritten_wire_integer_never_panics_a_round_and_an_index_out_of_range_reads_as_lost() {
+    let mut cases = 0;
+    let mut lost = 0;
+    for shape in Shape::ALL {
+        // How many frames of each kind the honest round sends.
+        let mut sent: Vec<Frame> = Vec::new();
+        let honest = shape.run(&mut Tampered {
+            inner: InMemoryTransport::new(1),
+            rewrite: |env: Envelope| {
+                sent.extend(
+                    Message::decode(&env.payload)
+                        .ok()
+                        .as_ref()
+                        .and_then(Frame::of),
+                );
+                Some(env)
+            },
+        });
+        assert!(honest.is_ok(), "{shape:?}: {honest:?}");
+        // Two victims per target on the costly secure shapes, three else.
+        let victims = if matches!(shape, Shape::Secure | Shape::SecureBatched) {
+            2
+        } else {
+            3
+        };
+        for &(frame, field) in shape.targets() {
+            let count = sent.iter().filter(|&&f| f == frame).count();
+            assert!(count > 0, "{shape:?} sends no {frame:?}");
+            for value in [Value::Zero, Value::Max, Value::PastBound] {
+                for v in 0..victims {
+                    let draw = mix(cases as u64 ^ 0x5EED) as usize;
+                    let case = Case {
+                        frame,
+                        field,
+                        value,
+                        victim: if v == 0 { 0 } else { draw % count },
+                        entry: draw >> 32,
+                    };
+                    println!("{shape:?} {case:?}");
+                    let run = |lose| {
+                        shape.run(&mut Tampered {
+                            inner: InMemoryTransport::new(1),
+                            rewrite: case.far_end(lose),
+                        })
+                    };
+                    let hostile = run(false);
+                    if case.reads_as_lost() {
+                        assert_eq!(hostile, run(true), "{shape:?} {case:?}");
+                        assert_ne!(hostile, honest, "{shape:?} {case:?} hit nothing");
+                        lost += 1;
+                    }
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert!(cases >= 200, "{cases} cases");
+    assert!(lost >= 100, "{lost} index cases");
+}
+
 /// `(shape/carrier/seed, fingerprint)`, recorded at the commit before the
 /// engines were unified; the `adaptive-secure/MemBatched`, `hier` and
 /// `sharded` rows at the commit before the secure tally moved into the
 /// shared driver, and `adaptive-secure/{Sync,Mem}` after it (before, their
 /// round 2 ran on the RNG stream the share-level tally left behind).
+///
+/// `shuffled/{plain,dropout,small}` were recorded at the commit before the
+/// shuffler became a wire on the shared driver and moved in one column:
+/// `time` read 1 (the window length) and is now the driver's completion
+/// time, 0 without a latency model as on every carrier.
+/// `shuffled/{refill,latency}` were recorded after it — the private engine
+/// ran one wave and drew no latency, so it had nothing comparable to pin.
 const ANCHORS: &[(&str, &str)] = &[
     ("adaptive/Sync/s1", "est=403ddb08461b3d02 | est=4040881f841065bc reports=1601 contacted=2000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=- | est=403dac3bd089da3c reports=3197 contacted=4000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=-"),
     ("adaptive/Mem/s1", "est=403ddb08461b3d02 | est=4040881f841065bc reports=1601 contacted=2000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=22312 down=16111 ledger=- | est=403dac3bd089da3c reports=3197 contacted=4000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=44664 down=32015 ledger=-"),
@@ -497,4 +1012,34 @@ const ANCHORS: &[(&str, &str)] = &[
     ("sharded/refill/MemBatched/s2", "est=405a39ef6d52b28a reports=1934 contacted=2751 waves=3 retries=0 up=6748 down=99 included=[0, 1, 2, 3] degraded=[]"),
     ("sharded/refill/Mem/s3", "est=4059064e93982aab reports=1965 contacted=2786 waves=3 retries=0 up=28740 down=22303 included=[0, 1, 2, 3] degraded=[]"),
     ("sharded/refill/MemBatched/s3", "est=4059064e93982aab reports=1965 contacted=2786 waves=3 retries=0 up=6748 down=99 included=[0, 1, 2, 3] degraded=[]"),
+    ("shuffled/plain/Mem/s1", "est=405969a264c04536 reports=6000 contacted=6000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=48006 down=14 ledger=6000/6000/3fd13517697ae014 time=0 charge=3fd13517697ae014/true"),
+    ("shuffled/plain/SimNet/s1", "est=405969a264c04536 reports=6000 contacted=6000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=48006 down=14 ledger=6000/6000/3fd13517697ae014 time=0 charge=3fd13517697ae014/true"),
+    ("shuffled/plain/Mem/s2", "est=405a26b59189ef9b reports=6000 contacted=6000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=48006 down=14 ledger=6000/6000/3fd13517697ae014 time=0 charge=3fd13517697ae014/true"),
+    ("shuffled/plain/SimNet/s2", "est=405a26b59189ef9b reports=6000 contacted=6000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=48006 down=14 ledger=6000/6000/3fd13517697ae014 time=0 charge=3fd13517697ae014/true"),
+    ("shuffled/plain/Mem/s3", "est=40598dd68b096bc1 reports=6000 contacted=6000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=48006 down=14 ledger=6000/6000/3fd13517697ae014 time=0 charge=3fd13517697ae014/true"),
+    ("shuffled/plain/SimNet/s3", "est=40598dd68b096bc1 reports=6000 contacted=6000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=48006 down=14 ledger=6000/6000/3fd13517697ae014 time=0 charge=3fd13517697ae014/true"),
+    ("shuffled/dropout/Mem/s1", "est=40579f7fbb824b68 reports=4147 contacted=6000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=33182 down=14 ledger=4147/4147/3fd437502abdbc05 time=0 charge=3fd437502abdbc05/true"),
+    ("shuffled/dropout/SimNet/s1", "est=40579f7fbb824b68 reports=4147 contacted=6000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=33182 down=14 ledger=4147/4147/3fd437502abdbc05 time=0 charge=3fd437502abdbc05/true"),
+    ("shuffled/dropout/Mem/s2", "est=4059ba6ed3845380 reports=4207 contacted=6000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=33662 down=14 ledger=4207/4207/3fd4175170dc103a time=0 charge=3fd4175170dc103a/true"),
+    ("shuffled/dropout/SimNet/s2", "est=4059ba6ed3845380 reports=4207 contacted=6000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=33662 down=14 ledger=4207/4207/3fd4175170dc103a time=0 charge=3fd4175170dc103a/true"),
+    ("shuffled/dropout/Mem/s3", "est=405865fefed74e6e reports=4185 contacted=6000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=33486 down=14 ledger=4185/4185/3fd422fa0323d0f0 time=0 charge=3fd422fa0323d0f0/true"),
+    ("shuffled/dropout/SimNet/s3", "est=405865fefed74e6e reports=4185 contacted=6000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=33486 down=14 ledger=4185/4185/3fd422fa0323d0f0 time=0 charge=3fd422fa0323d0f0/true"),
+    ("shuffled/small/Mem/s1", "est=40499d37f7213465 reports=200 contacted=200 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=1606 down=14 ledger=200/200/3ff0000000000000 time=0 charge=3ff0000000000000/false"),
+    ("shuffled/small/SimNet/s1", "est=40499d37f7213465 reports=200 contacted=200 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=1606 down=14 ledger=200/200/3ff0000000000000 time=0 charge=3ff0000000000000/false"),
+    ("shuffled/small/Mem/s2", "est=404ba9edfa3c2f7e reports=200 contacted=200 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=1606 down=14 ledger=200/200/3ff0000000000000 time=0 charge=3ff0000000000000/false"),
+    ("shuffled/small/SimNet/s2", "est=404ba9edfa3c2f7e reports=200 contacted=200 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=1606 down=14 ledger=200/200/3ff0000000000000 time=0 charge=3ff0000000000000/false"),
+    ("shuffled/small/Mem/s3", "est=404aade0613bdcb8 reports=200 contacted=200 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=1606 down=14 ledger=200/200/3ff0000000000000 time=0 charge=3ff0000000000000/false"),
+    ("shuffled/small/SimNet/s3", "est=404aade0613bdcb8 reports=200 contacted=200 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=1606 down=14 ledger=200/200/3ff0000000000000 time=0 charge=3ff0000000000000/false"),
+    ("shuffled/refill/Mem/s1", "est=40528b97ab77804d reports=2941 contacted=4218 waves=3 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=23544 down=14 ledger=2941/2941/3ff0000000000000 time=3 charge=3ff0000000000000/false"),
+    ("shuffled/refill/SimNet/s1", "est=40528b97ab77804d reports=2941 contacted=4218 waves=3 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=23544 down=14 ledger=2941/2941/3ff0000000000000 time=3 charge=3ff0000000000000/false"),
+    ("shuffled/refill/Mem/s2", "est=405de4fed76f04e2 reports=2989 contacted=4213 waves=2 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=23923 down=14 ledger=2989/2989/3ff0000000000000 time=1 charge=3ff0000000000000/false"),
+    ("shuffled/refill/SimNet/s2", "est=405de4fed76f04e2 reports=2989 contacted=4213 waves=2 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=23923 down=14 ledger=2989/2989/3ff0000000000000 time=1 charge=3ff0000000000000/false"),
+    ("shuffled/refill/Mem/s3", "est=404be849db7f2f96 reports=2995 contacted=4211 waves=3 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=23976 down=14 ledger=2995/2995/3ff0000000000000 time=3 charge=3ff0000000000000/false"),
+    ("shuffled/refill/SimNet/s3", "est=404be849db7f2f96 reports=2995 contacted=4211 waves=3 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=23976 down=14 ledger=2995/2995/3ff0000000000000 time=3 charge=3ff0000000000000/false"),
+    ("shuffled/latency/Mem/s1", "est=405917b51fddf2fa reports=6000 contacted=6000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=48006 down=14 ledger=6000/6000/3fd13517697ae014 time=3.571296892420504 charge=3fd13517697ae014/true"),
+    ("shuffled/latency/SimNet/s1", "est=405917b51fddf2fa reports=6000 contacted=6000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=48006 down=14 ledger=6000/6000/3fd13517697ae014 time=3.571296892420504 charge=3fd13517697ae014/true"),
+    ("shuffled/latency/Mem/s2", "est=405884b426f37402 reports=6000 contacted=6000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=48006 down=14 ledger=6000/6000/3fd13517697ae014 time=3.559997191972963 charge=3fd13517697ae014/true"),
+    ("shuffled/latency/SimNet/s2", "est=405884b426f37402 reports=6000 contacted=6000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=48006 down=14 ledger=6000/6000/3fd13517697ae014 time=3.559997191972963 charge=3fd13517697ae014/true"),
+    ("shuffled/latency/Mem/s3", "est=4059645b7c26fe20 reports=6000 contacted=6000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=48006 down=14 ledger=6000/6000/3fd13517697ae014 time=3.5596516087480032 charge=3fd13517697ae014/true"),
+    ("shuffled/latency/SimNet/s3", "est=4059645b7c26fe20 reports=6000 contacted=6000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=48006 down=14 ledger=6000/6000/3fd13517697ae014 time=3.5596516087480032 charge=3fd13517697ae014/true"),
 ];
