@@ -40,8 +40,14 @@ PROPTEST_CASES=1 cargo test --release --offline --test proptests \
 # tests), plus a 1-case proptest replay of the round-trip property.
 exact_test -p fednum-transport --test proptest_messages \
     regression_max_varint_fields_round_trip
+# The batched secure-aggregation frame, table-driven over its four steps:
+# every truncation, step tag, count and field element out of range must
+# fail closed, the counts before anything is allocated; then the frame's
+# recorded proptest seeds (tests/proptest_messages.proptest-regressions).
 exact_test -p fednum-transport --test proptest_messages \
-    regression_hostile_count_fails_closed
+    regression_hostile_secagg_frame_fails_closed
+exact_test -p fednum-transport --test proptest_messages \
+    regression_secagg_batch_seeds_round_trip
 # Batched-wire anchors: a hostile chunk frame claiming 2^40 slots, a
 # non-canonical padding bit past the slot count, and a slot occupied on
 # two planes (a client counted twice) must all fail closed.
@@ -145,6 +151,10 @@ exact_test -p fednum-transport --lib \
     coordinator::tests::batched_plain_round_is_bit_identical_per_seed
 exact_test -p fednum-transport --lib \
     coordinator::tests::batched_secagg_round_is_bit_identical_per_seed
+# The secure-aggregation message rounds stream: bytes queued between send
+# and poll stay under the in-flight bound, frames under their byte budget.
+exact_test -p fednum-transport --lib \
+    coordinator::tests::secagg_rounds_stream_within_the_in_flight_bound_and_the_frame_budget
 # Then the throughput panel: the binary enforces batched-vs-scalar
 # estimate parity over the socket (plain + secagg, 3 seeds) and the
 # >=10x client-aggregation speedup over the scalar wire's frames/s.

@@ -14,9 +14,9 @@
 //!    │ ── Hello ──────────────────▶ │   rendezvous
 //!    │ ◀────────────── RoundConfig ─│   configure
 //!    │ ── Report ─────────────────▶ │   collect (validated, per wave)
-//!    │ ── KeyAdvertise/KeyShares ──▶ │   key exchange   ┐
-//!    │ ── MaskedInput ────────────▶ │   masking        │ secagg only
-//!    │ ── UnmaskShares ───────────▶ │   unmask         ┘
+//!    │ ── SecAgg[advertise, shares] ▶ │  key exchange   ┐
+//!    │ ── SecAgg[masked input] ────▶ │   masking        │ secagg only
+//!    │ ── SecAgg[unmask shares] ───▶ │   unmask         ┘
 //!    │ ◀─────────────────── Publish │   publish
 //! ```
 //!
@@ -33,7 +33,13 @@
 //! None of them tallies a secure round: its sums are the driver's masked
 //! popcount over the contacts these wires decoded. A session adds the
 //! attempt's four message rounds, framed once (`frame_secagg_rounds`) for
-//! every tier.
+//! every tier as [`SecAggBatch`] frames: one frame carries one message
+//! round of one chunk of senders — the wave chunk on the chunked wire, cut
+//! shorter where `FRAME_BUDGET` bytes would not hold it; a single sender on
+//! the per-client wire and in the merge tier, a batch of one. The framer
+//! streams: whenever more than `IN_FLIGHT` bytes of frames are queued it
+//! has them delivered (and metered) before building the next, so a round
+//! holds a bounded number of bytes, not the cohort's whole exchange.
 //!
 //! **Parity contract.** All share the driver with the synchronous carrier
 //! (`fednum_fedsim::round::Direct`), so the shared RNG is consumed in one
@@ -51,7 +57,6 @@
 use fednum_core::bits::BitPlanes;
 use fednum_core::privacy::PrivacyLedger;
 use fednum_core::wire::{BatchReportMessage, ReportMessage, ShuffleMessage};
-use fednum_secagg::protocol::DropoutPlan;
 use rand::Rng;
 
 use fednum_fedsim::dropout::Fate;
@@ -62,11 +67,10 @@ use fednum_fedsim::round::{
     FederatedOutcome, SalvageOutcome, SecAggAttempt, SecAggSettings, Tally, Wave,
 };
 use fednum_fedsim::traffic::{Direction, TrafficPhase, TrafficStats};
-use fednum_fedsim::validation::ReportValidator;
+use fednum_fedsim::validation::{RejectionCounts, ReportValidator};
 
 use crate::message::{
-    BatchReport, ConfigHeader, EncryptedShare, KeyAdvertise, KeyShares, MaskedInput, Message,
-    Publish, Report, RoundConfig, UnmaskShares, ENCRYPTED_SHARE_LEN, PUBLIC_KEY_LEN,
+    BatchReport, ConfigHeader, Message, Publish, Report, RoundConfig, SecAggBatch, SecAggStep,
 };
 use crate::net::{Envelope, Transport, BROADCAST, COORDINATOR, SHUFFLER};
 use crate::scheduler::mix;
@@ -78,6 +82,13 @@ const STEP: f64 = 3e-9;
 const HOP: f64 = 1e-9;
 /// 61-bit field mask for hash-derived stand-in payload elements.
 const MASK61: u64 = (1 << 61) - 1;
+/// Most bytes one secure-aggregation frame is built to: a chunk whose
+/// entries would pass it (a complete mask graph, a wide chunk) travels as
+/// several frames, none near `MAX_FRAME_LEN`. A lone entry may exceed it.
+const FRAME_BUDGET: usize = 1 << 18;
+/// Bytes of secure-aggregation frames queued on the transport before the
+/// framer has them delivered.
+const IN_FLIGHT: usize = 1 << 20;
 /// Session-seed tag for the flat coordinator's salvage instance: the
 /// follow-up secure aggregation must derive a key graph independent of
 /// every base-round attempt so re-admitted clients get fresh masks.
@@ -114,6 +125,9 @@ struct Link<'t> {
     /// Collection-window length in virtual time; the deadline stragglers
     /// miss. Matches the latency model's timeout when one is configured.
     window_len: f64,
+    /// Frames that arrived but did not decode: dropped, unmetered, and
+    /// booked at [`Session::close`].
+    undecodable: u64,
 }
 
 enum Wire {
@@ -186,6 +200,7 @@ impl<'t> Session<'t> {
                 clock: 0.0,
                 client_offset,
                 window_len: config.latency.as_ref().map_or(1.0, |l| l.timeout),
+                undecodable: 0,
             },
             wire,
         }
@@ -219,7 +234,11 @@ impl<'t> Session<'t> {
     }
 
     /// Everything the session metered, config-compression savings credited.
-    pub(crate) fn into_traffic(self) -> TrafficStats {
+    /// Frames it had to drop as undecodable name no report the server can
+    /// attribute to its cohort: they are booked on `rejections` as from an
+    /// unknown client.
+    pub(crate) fn close(self, rejections: &mut RejectionCounts) -> TrafficStats {
+        rejections.unknown_client += self.link.undecodable;
         let mut traffic = self.link.traffic;
         match self.wire {
             Wire::PerClient(pc) if pc.saved > 0 => traffic.credit_config_savings(pc.saved as u64),
@@ -240,29 +259,35 @@ impl Carrier for Session<'_> {
 
     /// Frames the attempt's message rounds, tallied at delivery, with
     /// stand-in payloads keyed on protocol position: the aggregation is the
-    /// driver's, but every message count and byte matches what the cohort
-    /// would send.
+    /// driver's, but every message and byte is one the cohort would send.
     fn carry_attempt(&mut self, attempt: &SecAggAttempt<'_>) {
-        let link = &mut self.link;
-        let (vector_len, session) = (attempt.config.vector_len, attempt.config.session_seed);
+        let Link {
+            transport,
+            traffic,
+            undecodable,
+            clock,
+            ..
+        } = &mut self.link;
+        let session = attempt.config.session_seed;
         frame_secagg_rounds(
-            &mut *link.transport,
-            attempt.round_id,
-            session,
-            attempt.members,
-            attempt.config.neighbors,
-            attempt.plan,
-            link.clock,
+            &mut **transport,
+            attempt,
+            *clock,
+            match &self.wire {
+                Wire::Chunked(ch) => ch.chunk,
+                _ => 1,
+            },
             |i| i as u64,
-            // Uniform field elements, ≈ 9 varint bytes each.
-            |i| {
-                (0..vector_len)
-                    .map(|v| mix(session ^ (i as u64) << 24 ^ v as u64) & MASK61)
-                    .collect()
+            |i, v| mix(session ^ (i as u64) << 24 ^ v as u64) & MASK61,
+            |transport, spent| {
+                *undecodable += drain_counting(transport, traffic, |_, msg| {
+                    if let Message::SecAgg(batch) = msg {
+                        spent.push(batch.into_frame());
+                    }
+                });
             },
         );
-        drain_counting(link.transport, &mut link.traffic, |_, _| {});
-        link.clock += 1.0;
+        *clock += 1.0;
     }
 
     /// The result broadcast, modeled as one closing frame. The returned
@@ -289,7 +314,8 @@ impl Carrier for Session<'_> {
             sent_at: self.link.clock,
             payload: frame,
         });
-        drain_counting(self.link.transport, &mut self.link.traffic, |_, _| {});
+        let link = &mut self.link;
+        link.undecodable += drain_counting(link.transport, &mut link.traffic, |_, _| {});
         match published {
             Ok(Message::Publish(p)) => Ok(p.feedback),
             _ => Err(FedError::InvalidConfig(
@@ -388,6 +414,7 @@ impl PerClient {
 
         while let Some((at, env)) = link.transport.poll() {
             let Ok(msg) = Message::decode(&env.payload) else {
+                link.undecodable += 1;
                 continue;
             };
             let nbytes = env.payload.len() as u64;
@@ -584,7 +611,7 @@ impl Chunked {
         // Server side: decode what actually arrived, keyed by chunk nonce
         // so transport reordering cannot scramble slot identity.
         let mut arrived: Vec<Option<BitPlanes>> = (0..n_chunks).map(|_| None).collect();
-        drain_counting(link.transport, &mut link.traffic, |at, msg| {
+        link.undecodable += drain_counting(link.transport, &mut link.traffic, |at, msg| {
             if let Message::BatchReport(br) = msg {
                 if br.body.task_id == round_id && at <= deadline {
                     if let Some(slot) = arrived.get_mut(br.nonce as usize) {
@@ -683,7 +710,7 @@ impl Shuffled {
         // bit): sender identity is dropped at this line and never reaches
         // the coordinator.
         let mut buffered: Vec<(u8, bool)> = Vec::new();
-        drain_counting(link.transport, &mut link.traffic, |_, msg| {
+        link.undecodable += drain_counting(link.transport, &mut link.traffic, |_, msg| {
             if let Message::Shuffle(ShuffleMessage::Submit {
                 round_id: r,
                 bit_index,
@@ -719,7 +746,7 @@ impl Shuffled {
         // past the codec counts toward neither the tally nor the batch size.
         let st = &mut *wave.st;
         let mut received = 0u64;
-        drain_counting(link.transport, &mut link.traffic, |_, msg| {
+        link.undecodable += drain_counting(link.transport, &mut link.traffic, |_, msg| {
             let Message::Shuffle(ShuffleMessage::Batch {
                 round_id: r,
                 entries,
@@ -815,7 +842,7 @@ pub(crate) fn run_session(
 
     let (mut outcome, feedback) = round.publish(config, &mut session, with_feedback)?;
     outcome.robustness.salvage = salvage;
-    outcome.robustness.traffic = session.into_traffic();
+    outcome.robustness.traffic = session.close(&mut outcome.robustness.rejections);
     Ok((outcome, feedback))
 }
 
@@ -964,7 +991,9 @@ pub(crate) fn run_salvage(
         ledger,
         &mut follow_up,
     );
-    let follow_up_traffic = follow_up.into_traffic();
+    // The follow-up's drops surface with the parent session's.
+    link.undecodable += follow_up.link.undecodable;
+    let follow_up_traffic = follow_up.close(&mut RejectionCounts::default());
     link.clock = engine.watermark();
     link.traffic
         .absorb_as(&follow_up_traffic, TrafficPhase::Salvage);
@@ -976,100 +1005,126 @@ pub(crate) fn run_salvage(
     }
 }
 
-/// Fills `out` with hash-derived bytes from `seed`.
-fn fill_derived(out: &mut [u8], seed: u64) {
-    for (i, chunk) in out.chunks_mut(8).enumerate() {
-        let word = mix(seed.wrapping_add(i as u64)).to_le_bytes();
-        chunk.copy_from_slice(&word[..chunk.len()]);
-    }
-}
-
 /// Frames one secure-aggregation instance's four message rounds onto
-/// `transport`, one frame per `STEP` from `t0`, sized like the real
-/// protocol (Bell et al. ring graph of degree `neighbors`, complete when
-/// `None`). `members[i]` is the wire identity at protocol position `i`,
-/// which `plan` is keyed on.
+/// `transport` from `t0`, a sender per `STEP`, sized like the real protocol
+/// (Bell et al. ring graph of degree `attempt.config.neighbors`, complete
+/// when `None`). `attempt.members[i]` is the wire identity at protocol
+/// position `i`, which `attempt.plan` is keyed on. A frame carries up to
+/// `chunk` consecutive senders of one round, fewer where their entries
+/// would pass `FRAME_BUDGET`.
 ///
 /// Key, ciphertext and unmask-share payloads are hash-derived stand-ins
-/// (size is what's accounted), seeded from `session` and `key(i)`;
-/// `masked_input(i)` is position `i`'s upload. Delivery is the caller's.
-#[allow(clippy::too_many_arguments)]
+/// (size is what's accounted), seeded from the session and `key(i)`;
+/// `masked_input(i, v)` is element `v` of position `i`'s upload. Delivery
+/// is `drain`'s: it runs whenever `IN_FLIGHT` bytes are queued, and once
+/// more at the end, so the transport is empty on return. Frame buffers it
+/// pushes onto its second argument are written into again instead of
+/// allocated afresh.
 pub(crate) fn frame_secagg_rounds(
     transport: &mut dyn Transport,
-    round_id: u64,
-    session: u64,
-    members: &[u64],
-    neighbors: Option<usize>,
-    plan: &DropoutPlan,
+    attempt: &SecAggAttempt<'_>,
     t0: f64,
+    chunk: usize,
     key: impl Fn(usize) -> u64,
-    mut masked_input: impl FnMut(usize) -> Vec<u64>,
+    masked_input: impl Fn(usize, usize) -> u64,
+    mut drain: impl FnMut(&mut dyn Transport, &mut Vec<Vec<u8>>),
 ) {
+    let (members, plan) = (attempt.members, attempt.plan);
+    let (session, vector_len) = (attempt.config.session_seed, attempt.config.vector_len);
     let n = members.len();
-    let degree = neighbors
+    let degree = (attempt.config.neighbors)
         .unwrap_or(n.saturating_sub(1))
         .clamp(1, n.max(2) - 1);
-    let mut seq = 0u64;
-    let mut send = |from: u64, message: Message| {
-        seq += 1;
-        transport.send(Envelope {
-            from,
-            to: COORDINATOR,
-            sent_at: t0 + seq as f64 * STEP,
-            payload: message.encode(),
+    // Unmask shares cover the dropped (their pairwise-mask seeds), capped
+    // at the survivor's neighborhood size.
+    let unmasked = (plan.before_masking.len() + plan.after_masking.len()).min(degree);
+    // The round a position last sends in: everyone exchanges keys, members
+    // still alive upload masked inputs, survivors send unmask shares.
+    let mut last_round = vec![SecAggStep::UnmaskShares as u8; n];
+    for &i in &plan.after_masking {
+        last_round[i] = SecAggStep::MaskedInput as u8;
+    }
+    for &i in &plan.before_masking {
+        last_round[i] = SecAggStep::KeyShares as u8;
+    }
+    let (round_id, key) = (attempt.round_id, &key);
+    let stand_in = |seed: u64, w: usize| mix(seed.wrapping_add(w as u64));
+    let (mut seq, mut in_flight) = (0usize, 0usize);
+    let mut senders = Vec::with_capacity(n);
+    let mut spent: Vec<Vec<u8>> = Vec::new();
+    for step in SecAggStep::ALL {
+        senders.clear();
+        senders.extend((0..n).filter(|&i| last_round[i] >= step as u8));
+        let entry_len = step.max_entry_len(match step {
+            SecAggStep::KeyAdvertise => 1,
+            SecAggStep::KeyShares => degree,
+            SecAggStep::MaskedInput => vector_len,
+            SecAggStep::UnmaskShares => unmasked,
         });
-    };
-    // Round 0 — key exchange: every cohort member advertises both keys.
-    for (i, &c) in members.iter().enumerate() {
-        let seed = mix(session ^ key(i).wrapping_mul(0x9E6C_63D0_876A_68DE));
-        let mut kem_pk = [0u8; PUBLIC_KEY_LEN];
-        let mut mask_pk = [0u8; PUBLIC_KEY_LEN];
-        fill_derived(&mut kem_pk, seed);
-        fill_derived(&mut mask_pk, mix(seed));
-        send(
-            c,
-            Message::KeyAdvertise(KeyAdvertise {
-                round_id,
-                kem_pk,
-                mask_pk,
-            }),
-        );
-    }
-    // Round 1 — key exchange: encrypted Shamir shares, one per ring
-    // neighbor, relayed through the coordinator.
-    for (i, &c) in members.iter().enumerate() {
-        let shares: Vec<EncryptedShare> = (0..degree)
-            .map(|d| {
-                let mut ct = [0u8; ENCRYPTED_SHARE_LEN];
-                fill_derived(&mut ct, mix(session ^ key(i) << 20 ^ d as u64));
-                EncryptedShare {
-                    recipient: members[(i + d + 1) % n],
-                    ct,
+        for group in senders.chunks((FRAME_BUDGET / entry_len).clamp(1, chunk)) {
+            let buffer = spent.pop().unwrap_or_default();
+            let group_members = group.iter().map(|&i| (i, members[i]));
+            let frame = match step {
+                SecAggStep::KeyAdvertise => {
+                    let entries = group_members.map(|(i, member)| {
+                        let seed = mix(session ^ key(i).wrapping_mul(0x9E6C_63D0_876A_68DE));
+                        let keys: [u64; 8] = std::array::from_fn(|w| match w {
+                            0..4 => stand_in(seed, w),
+                            _ => stand_in(mix(seed), w - 4),
+                        });
+                        (member, std::iter::once((0, keys)))
+                    });
+                    SecAggBatch::build(round_id, step, buffer, entries)
                 }
-            })
-            .collect();
-        send(c, Message::KeyShares(KeyShares { round_id, shares }));
-    }
-    // Round 2 — masking: members still alive upload masked inputs.
-    for (i, &c) in members.iter().enumerate() {
-        if plan.before_masking.contains(&i) {
-            continue;
+                // One encrypted Shamir share per ring neighbor.
+                SecAggStep::KeyShares => {
+                    let entries = group_members.map(|(i, member)| {
+                        let shares = (0..degree).map(move |d| {
+                            let seed = mix(session ^ key(i) << 20 ^ d as u64);
+                            let neighbor = i + d + 1;
+                            let neighbor = if neighbor < n { neighbor } else { neighbor - n };
+                            let share: [u64; 6] = std::array::from_fn(|w| stand_in(seed, w));
+                            (members[neighbor], share)
+                        });
+                        (member, shares)
+                    });
+                    SecAggBatch::build(round_id, step, buffer, entries)
+                }
+                SecAggStep::MaskedInput => {
+                    let masked_input = &masked_input;
+                    let entries = group_members.map(|(i, member)| {
+                        let elements = (0..vector_len).map(move |v| (0, [masked_input(i, v)]));
+                        (member, elements)
+                    });
+                    SecAggBatch::build(round_id, step, buffer, entries)
+                }
+                SecAggStep::UnmaskShares => {
+                    let entries = group_members.map(|(i, member)| {
+                        let shares = (0..unmasked).map(move |d| {
+                            let d = d as u64;
+                            (d, [mix(session ^ key(i) << 28 ^ d) & MASK61])
+                        });
+                        (member, shares)
+                    });
+                    SecAggBatch::build(round_id, step, buffer, entries)
+                }
+            };
+            let payload = frame.into_frame();
+            in_flight += payload.len();
+            transport.send(Envelope {
+                from: members[group[0]],
+                to: COORDINATOR,
+                sent_at: t0 + (seq + 1) as f64 * STEP,
+                payload,
+            });
+            seq += group.len();
+            if in_flight >= IN_FLIGHT {
+                drain(transport, &mut spent);
+                in_flight = 0;
+            }
         }
-        let values = masked_input(i);
-        send(c, Message::MaskedInput(MaskedInput { round_id, values }));
     }
-    // Round 3 — unmask: survivors send shares covering the dropped (their
-    // pairwise-mask seeds) capped at their neighborhood size.
-    let dropped = plan.before_masking.len() + plan.after_masking.len();
-    for (i, &c) in members.iter().enumerate() {
-        if plan.before_masking.contains(&i) || plan.after_masking.contains(&i) {
-            continue;
-        }
-        let shares: Vec<(u64, u64)> = (0..dropped.min(degree))
-            .map(|d| (d as u64, mix(session ^ key(i) << 28 ^ d as u64) & MASK61))
-            .collect();
-        send(c, Message::UnmaskShares(UnmaskShares { round_id, shares }));
-    }
+    drain(transport, &mut spent);
 }
 
 /// Meters the one Publish broadcast that closes a round merged across
@@ -1094,18 +1149,25 @@ pub(crate) fn record_publish(
 }
 
 /// Drains the transport, tallying every delivered frame and handing it to
-/// `visit` with its arrival time.
-fn drain_counting(
+/// `visit` with its arrival time. A frame that does not decode is dropped
+/// unmetered; returns how many were.
+pub(crate) fn drain_counting(
     transport: &mut dyn Transport,
     traffic: &mut TrafficStats,
     mut visit: impl FnMut(f64, Message),
-) {
+) -> u64 {
+    let mut undecodable = 0;
     while let Some((at, env)) = transport.poll() {
-        if let Ok(msg) = Message::decode(&env.payload) {
-            traffic.record(msg.phase(), msg.direction(), env.payload.len() as u64);
-            visit(at, msg);
+        let nbytes = env.payload.len() as u64;
+        match Message::from_bytes(env.payload) {
+            Ok(msg) => {
+                traffic.record(msg.phase(), msg.direction(), nbytes);
+                visit(at, msg);
+            }
+            Err(_) => undecodable += 1,
         }
     }
+    undecodable
 }
 
 #[cfg(test)]
@@ -1358,6 +1420,158 @@ mod tests {
             }
         }
         assert!(hit_retry, "no seed exercised the retry loop");
+    }
+
+    /// Meters what a session leaves queued: bytes sent and not yet polled,
+    /// their peak, and the largest single frame.
+    struct Held<T> {
+        inner: T,
+        held: usize,
+        peak: usize,
+        largest: usize,
+    }
+
+    impl<T: Transport> Transport for Held<T> {
+        fn send(&mut self, env: Envelope) {
+            self.held += env.payload.len();
+            self.peak = self.peak.max(self.held);
+            self.largest = self.largest.max(env.payload.len());
+            self.inner.send(env);
+        }
+
+        fn poll(&mut self) -> Option<(f64, Envelope)> {
+            let polled = self.inner.poll();
+            if let Some((_, env)) = &polled {
+                self.held -= env.payload.len();
+            }
+            polled
+        }
+
+        fn peek_time(&self) -> Option<f64> {
+            self.inner.peek_time()
+        }
+    }
+
+    #[test]
+    fn secagg_rounds_stream_within_the_in_flight_bound_and_the_frame_budget() {
+        // (clients, chunk, mask-graph degree): the benchmark's shape, the
+        // per-client wire, and a complete graph whose chunk of entries is
+        // many times the frame budget.
+        let shapes = [
+            (20_000, Some(512), Some(64)),
+            (2_000, None, Some(64)),
+            (300, Some(512), None),
+        ];
+        for (n, batched, neighbors) in shapes {
+            let vs = values(n, 100);
+            let cfg = base_config(7)
+                .with_dropout(DropoutModel::phased(0.1, 0.05))
+                .with_secagg(SecAggSettings {
+                    threshold_fraction: 0.5,
+                    neighbors,
+                });
+            let mut t = Held {
+                inner: InMemoryTransport::new(8),
+                held: 0,
+                peak: 0,
+                largest: 0,
+            };
+            let mut rng = StdRng::seed_from_u64(8);
+            let out = super::run_session(&vs, &cfg, None, &mut t, batched, &mut rng, false)
+                .unwrap()
+                .0;
+            let sent = out.robustness.traffic.direction_total(Direction::Uplink);
+            assert!(
+                t.largest <= FRAME_BUDGET,
+                "n={n}: a {}-byte frame",
+                t.largest
+            );
+            assert!(
+                t.peak < IN_FLIGHT + t.largest,
+                "n={n}: {} bytes in flight",
+                t.peak
+            );
+            assert_eq!(t.held, 0);
+            // The bound is the point only where the exchange exceeds it.
+            assert!(n < 2_000 || sent.bytes as usize > 4 * IN_FLIGHT, "n={n}");
+        }
+    }
+
+    /// The stand-in derivation the per-message frames used: word `i` of
+    /// `out` is `mix(seed + i)`, little-endian.
+    fn fill_derived(out: &mut [u8], seed: u64) {
+        for (i, chunk) in out.chunks_mut(8).enumerate() {
+            let word = mix(seed.wrapping_add(i as u64)).to_le_bytes();
+            chunk.copy_from_slice(&word[..chunk.len()]);
+        }
+    }
+
+    #[test]
+    fn batched_frames_carry_the_per_message_frames_stand_in_bytes() {
+        use fednum_secagg::protocol::{DropoutPlan, SecAggConfig};
+        let members = [40u64, 41, 42, 43, 44, 45];
+        let (n, degree, vector_len, session) = (members.len(), 3, 4, 0x5E55_1077);
+        let plan = DropoutPlan {
+            before_masking: [1].into(),
+            after_masking: [4].into(),
+        };
+        let config = SecAggConfig::new(n, 3, vector_len, session).with_neighbors(degree);
+        let attempt = SecAggAttempt {
+            config: &config,
+            members: &members,
+            plan: &plan,
+            round_id: 9,
+        };
+        let key = |i: usize| 1_000 + i as u64;
+        let masked = |i: usize, v: usize| (i * 10 + v) as u64;
+        let mut t = InMemoryTransport::new(1);
+        for chunk in [1, 4] {
+            // What every sender's entry holds, per message round.
+            let mut got: Vec<Vec<(u64, u64, Vec<u8>)>> = vec![Vec::new(); 4];
+            let mut frames = 0;
+            frame_secagg_rounds(&mut t, &attempt, 0.0, chunk, key, masked, |t, _| {
+                while let Some((_, env)) = t.poll() {
+                    let Ok(Message::SecAgg(batch)) = Message::decode(&env.payload) else {
+                        panic!("not a secure-aggregation frame");
+                    };
+                    frames += 1;
+                    got[batch.step() as usize].extend(
+                        (batch.items()).map(|(sender, k, payload)| (sender, k, payload.to_vec())),
+                    );
+                }
+            });
+            // 6 + 6 + 5 + 4 senders, one frame each or four to a frame.
+            assert_eq!(frames, if chunk == 1 { 21 } else { 2 + 2 + 2 + 1 });
+
+            let mut want: Vec<Vec<(u64, u64, Vec<u8>)>> = vec![Vec::new(); 4];
+            for (i, &member) in members.iter().enumerate() {
+                let seed = mix(session ^ key(i).wrapping_mul(0x9E6C_63D0_876A_68DE));
+                let mut keys = [0u8; 64];
+                fill_derived(&mut keys[..32], seed);
+                fill_derived(&mut keys[32..], mix(seed));
+                want[0].push((member, 0, keys.to_vec()));
+                for d in 0..degree {
+                    let mut ct = [0u8; 48];
+                    fill_derived(&mut ct, mix(session ^ key(i) << 20 ^ d as u64));
+                    want[1].push((member, members[(i + d + 1) % n], ct.to_vec()));
+                }
+                if i == 1 {
+                    continue;
+                }
+                for v in 0..vector_len {
+                    want[2].push((member, 0, masked(i, v).to_le_bytes().to_vec()));
+                }
+                if i == 4 {
+                    continue;
+                }
+                // Two dropped, under the degree: two unmask shares each.
+                for d in 0..2u64 {
+                    let share = mix(session ^ key(i) << 28 ^ d) & MASK61;
+                    want[3].push((member, d, share.to_le_bytes().to_vec()));
+                }
+            }
+            assert_eq!(got, want, "chunk {chunk}");
+        }
     }
 
     #[test]

@@ -27,20 +27,19 @@
 
 use fednum_core::protocol::basic::Outcome;
 use fednum_hiersec::{merge_salvaged_shard_sums, merge_shard_sums, run_indexed, HierSecConfig};
-use fednum_secagg::{add_assign, client_mask_ring, DropoutPlan, Fe};
+use fednum_secagg::{add_assign, client_mask_ring, DropoutPlan, Fe, SecAggConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fednum_fedsim::error::FedError;
 use fednum_fedsim::round::{
-    check_cohort, finish, DegradedMode, FederatedMeanConfig, SalvageOutcome,
+    check_cohort, finish, DegradedMode, FederatedMeanConfig, SalvageOutcome, SecAggAttempt,
 };
 use fednum_fedsim::traffic::{TrafficPhase, TrafficStats};
 use fednum_fedsim::validation::RejectionCounts;
 
-use crate::coordinator::{frame_secagg_rounds, record_publish};
-use crate::message::Message;
-use crate::net::{InMemoryTransport, Transport, WireMetrics, COORDINATOR};
+use crate::coordinator::{drain_counting, frame_secagg_rounds, record_publish};
+use crate::net::{InMemoryTransport, Transport, WireMetrics};
 use crate::scheduler::mix;
 use crate::shard::{contacted_reporters, partition, run_shard, ShardRuns};
 
@@ -196,18 +195,19 @@ pub(crate) fn hierarchical_impl(
     // the protocol's round 3), so `merge_frames` is a faithful record of
     // everything the top-level coordinator sees.
     let mut merge_transport = InMemoryTransport::new(mix(seed ^ MERGE_TAG));
-    let merge_session = hier.merge_session();
     let base_parties: Vec<u64> = (0..k as u64).collect();
     let mut merge_frames = Vec::new();
-    let mut merge_traffic = frame_merge_session(
+    let mut rejections = tier1.rejections;
+    let (mut merge_traffic, dropped) = frame_merge_session(
         &mut merge_transport,
         &base_parties,
         &shard_sums,
-        merge_session,
+        &SecAggConfig::new(k, hier.merge_threshold, vector_len, hier.merge_session()),
         round_id,
         completion_time,
         &mut merge_frames,
     );
+    rejections.unknown_client += dropped;
     let mut merge_rng = StdRng::seed_from_u64(mix(seed.wrapping_add(1) ^ MERGE_TAG));
     let merge = merge_shard_sums(hier, &shard_sums, vector_len, &mut merge_rng)?;
     completion_time += 1.0;
@@ -232,15 +232,22 @@ pub(crate) fn hierarchical_impl(
         Some(_) => {
             let parties: Vec<u64> = late.iter().map(|&(s, _)| s as u64).collect();
             let sums: Vec<Option<Vec<u64>>> = late.iter().map(|(_, v)| Some(v.clone())).collect();
-            let salvage_tier_traffic = frame_merge_session(
+            let instance = SecAggConfig::new(
+                parties.len(),
+                parties.len(),
+                vector_len,
+                hier.salvage_merge_session(),
+            );
+            let (salvage_tier_traffic, dropped) = frame_merge_session(
                 &mut merge_transport,
                 &parties,
                 &sums,
-                hier.salvage_merge_session(),
+                &instance,
                 round_id,
                 completion_time,
                 &mut merge_frames,
             );
+            rejections.unknown_client += dropped;
             merge_traffic.absorb_as(&salvage_tier_traffic, TrafficPhase::Salvage);
             completion_time += 1.0;
             let mut salvage_rng = StdRng::seed_from_u64(mix(seed.wrapping_add(2) ^ MERGE_TAG));
@@ -292,7 +299,7 @@ pub(crate) fn hierarchical_impl(
             reports: total_reports,
             waves_used: tier1.waves_used,
             completion_time,
-            rejections: tier1.rejections,
+            rejections,
             late_frames: tier1.late_frames,
             faults_injected: tier1.faults_injected,
             secagg_retries: tier1.retries,
@@ -312,25 +319,27 @@ pub(crate) fn hierarchical_impl(
     ))
 }
 
-/// Frames one merge-tier instance's message rounds: the shared secagg
-/// framing keyed on party identity, the masked inputs the genuine masked
-/// per-party sums. `parties[i]` is the wire identity masking (and sending)
-/// `shard_sums[i]` — contiguous shard indices for the base merge, the
-/// recovered shards' indices for the salvage merge, so the two instances
-/// derive disjoint mask material even beyond their distinct sessions. A
-/// `None` sum is a degraded shard: enrolled, never uploading.
+/// Frames one merge-tier `instance`'s message rounds: the shared secagg
+/// framing keyed on party identity, every party its own frame, the masked
+/// inputs the genuine masked per-party sums. `parties[i]` is the wire
+/// identity masking (and sending) `shard_sums[i]` — contiguous shard
+/// indices for the base merge, the recovered shards' indices for the
+/// salvage merge, so the two instances derive disjoint mask material even
+/// beyond their distinct sessions. A `None` sum is a degraded shard:
+/// enrolled, never uploading.
 ///
-/// Returns the instance's traffic, metered at delivery, and appends every
-/// uplink frame the top-level coordinator received to `frames`.
+/// Returns the instance's traffic, metered at delivery, and how many
+/// frames arrived undecodable; appends every frame the top-level
+/// coordinator received to `frames`.
 fn frame_merge_session(
     transport: &mut dyn Transport,
     parties: &[u64],
     shard_sums: &[Option<Vec<u64>>],
-    session: u64,
+    instance: &SecAggConfig,
     round_id: u64,
     t0: f64,
     frames: &mut Vec<Vec<u8>>,
-) -> TrafficStats {
+) -> (TrafficStats, u64) {
     let k = parties.len();
     debug_assert_eq!(k, shard_sums.len());
     let plan = DropoutPlan {
@@ -340,34 +349,41 @@ fn frame_merge_session(
     // The merge instance runs the complete graph; its masked inputs are the
     // exact vectors the merge protocol's round 3 computes, so the
     // coordinator-facing wire carries no plaintext shard sum.
-    let masked_sum = |i: usize| {
-        let sum = shard_sums[i].as_ref().expect("a live aggregator has a sum");
-        let mut y: Vec<Fe> = sum.iter().map(|&v| Fe::new(v)).collect();
-        let degree = k.saturating_sub(1).max(1);
-        let mask = client_mask_ring(session, parties[i], parties, degree, sum.len());
-        add_assign(&mut y, &mask, false);
-        y.iter().map(|f| f.value()).collect()
-    };
-    let key = |i: usize| parties[i];
+    let (session, degree) = (instance.session_seed, k.saturating_sub(1).max(1));
+    let masked_sums: Vec<Vec<Fe>> = (shard_sums.iter().zip(parties))
+        .map(|(sum, &party)| {
+            let mut y: Vec<Fe> = sum.iter().flatten().map(|&v| Fe::new(v)).collect();
+            let mask = client_mask_ring(session, party, parties, degree, y.len());
+            add_assign(&mut y, &mask, false);
+            y
+        })
+        .collect();
+    let (mut traffic, mut dropped) = (TrafficStats::new(), 0);
     frame_secagg_rounds(
-        transport, round_id, session, parties, None, &plan, t0, key, masked_sum,
+        transport,
+        &SecAggAttempt {
+            config: instance,
+            members: parties,
+            plan: &plan,
+            round_id,
+        },
+        t0,
+        1,
+        |i| parties[i],
+        |i, v| masked_sums[i][v].value(),
+        |transport, _| {
+            dropped += drain_counting(transport, &mut traffic, |_, msg| {
+                frames.push(msg.encode());
+            });
+        },
     );
-    let mut traffic = TrafficStats::new();
-    while let Some((_, env)) = transport.poll() {
-        if let Ok(msg) = Message::decode(&env.payload) {
-            traffic.record(msg.phase(), msg.direction(), env.payload.len() as u64);
-            if env.to == COORDINATOR {
-                frames.push(env.payload);
-            }
-        }
-    }
-    traffic
+    (traffic, dropped)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::MaskedInput;
+    use crate::message::{Message, SecAggStep};
     use crate::shard::sharded_impl;
     use fednum_core::encoding::FixedPointCodec;
     use fednum_core::protocol::basic::BasicConfig;
@@ -468,9 +484,16 @@ mod tests {
         let mut masked_inputs = 0usize;
         let mut key_adverts = 0usize;
         for frame in &out.merge_frames {
-            match Message::decode(frame).expect("merge frames must decode") {
-                Message::MaskedInput(MaskedInput { values, .. }) => {
+            let Message::SecAgg(batch) = Message::decode(frame).expect("merge frames must decode")
+            else {
+                panic!("unexpected merge-tier uplink frame");
+            };
+            match batch.step() {
+                SecAggStep::MaskedInput => {
                     masked_inputs += 1;
+                    let values: Vec<u64> = (batch.items())
+                        .map(|(_, _, element)| u64::from_le_bytes(element.try_into().unwrap()))
+                        .collect();
                     assert_eq!(values.len(), 12, "vector is [ones | counts]");
                     // A plaintext shard sum is bounded by the shard cohort
                     // (200 clients); pairwise masks spread values uniformly
@@ -482,9 +505,8 @@ mod tests {
                         "frame looks like a plaintext shard sum: max {max}"
                     );
                 }
-                Message::KeyAdvertise(_) => key_adverts += 1,
-                Message::KeyShares(_) | Message::UnmaskShares(_) => {}
-                other => panic!("unexpected merge-tier uplink frame: {other:?}"),
+                SecAggStep::KeyAdvertise => key_adverts += 1,
+                SecAggStep::KeyShares | SecAggStep::UnmaskShares => {}
             }
         }
         assert_eq!(masked_inputs, 4, "every live shard uploads a masked sum");

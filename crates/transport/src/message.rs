@@ -5,8 +5,10 @@
 //! encoded as a one-byte type tag followed by varint-framed fields. Sender
 //! identity is *not* part of the frame: like a real deployment, it comes
 //! from the authenticated connection (the [`crate::net::Envelope`] around
-//! the frame). The round identifier *is* in-band, because stale-round
-//! detection is a payload property, not a connection property.
+//! the frame) — except in a [`SecAggBatch`], which stands for a chunk of
+//! connections and names each entry's sender. The round identifier *is*
+//! in-band, because stale-round detection is a payload property, not a
+//! connection property.
 //!
 //! Sizes are the point of this module — the paper's communication claims
 //! ("only a single private bit of data is disclosed... both can be easily
@@ -15,8 +17,8 @@
 //! accounting in the coordinator.
 
 use fednum_core::wire::{
-    push_varint, read_bytes, read_varint, BatchReportMessage, ReportMessage, ShuffleMessage,
-    WireError,
+    push_varint, read_bytes, read_varint, varint_len, BatchReportMessage, ReportMessage,
+    ShuffleMessage, WireError,
 };
 use fednum_fedsim::traffic::{Direction, TrafficPhase};
 
@@ -29,10 +31,7 @@ pub const ENCRYPTED_SHARE_LEN: usize = 48;
 const TAG_HELLO: u8 = 0;
 const TAG_ROUND_CONFIG: u8 = 1;
 pub(crate) const TAG_REPORT: u8 = 2;
-const TAG_KEY_ADVERTISE: u8 = 3;
-const TAG_KEY_SHARES: u8 = 4;
-const TAG_MASKED_INPUT: u8 = 5;
-const TAG_UNMASK_SHARES: u8 = 6;
+const TAG_SECAGG: u8 = 3;
 const TAG_PUBLISH: u8 = 7;
 const TAG_CONFIG_HEADER: u8 = 8;
 const TAG_ASSIGN_BIT: u8 = 9;
@@ -92,54 +91,183 @@ pub struct BatchReport {
     pub body: BatchReportMessage,
 }
 
-/// Secure-aggregation round 0: key advertisement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KeyAdvertise {
-    /// Round identifier.
-    pub round_id: u64,
-    /// Key-agreement public key.
-    pub kem_pk: [u8; PUBLIC_KEY_LEN],
-    /// Pairwise-mask public key.
-    pub mask_pk: [u8; PUBLIC_KEY_LEN],
+/// Which of a secure-aggregation instance's four message rounds a
+/// [`SecAggBatch`] carries (on the wire: its index), and with it what the
+/// items of an entry are. Field elements are 8 bytes little-endian below
+/// 2^61: uniform elements do not compress as varints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SecAggStep {
+    /// Round 0: one item, the key-agreement and pairwise-mask public keys.
+    KeyAdvertise,
+    /// Round 1: per mask-graph neighbor `varint(recipient)` and its
+    /// encrypted Shamir share.
+    KeyShares,
+    /// Round 2: the masked input's field elements.
+    MaskedInput,
+    /// Round 3: per dropped neighbor (or the sender's self-mask)
+    /// `varint(subject)` and the share, a field element.
+    UnmaskShares,
 }
 
-/// One encrypted Shamir share addressed to a mask-graph neighbor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EncryptedShare {
-    /// Receiving client.
-    pub recipient: u64,
-    /// The encrypted share blob.
-    pub ct: [u8; ENCRYPTED_SHARE_LEN],
+impl SecAggStep {
+    /// Every step, in protocol order.
+    pub const ALL: [Self; 4] = [
+        Self::KeyAdvertise,
+        Self::KeyShares,
+        Self::MaskedInput,
+        Self::UnmaskShares,
+    ];
+
+    /// Whether a varint key opens each item, and an item's payload bytes —
+    /// a field element where that is one word.
+    fn layout(self) -> (bool, usize) {
+        match self {
+            Self::KeyAdvertise => (false, 2 * PUBLIC_KEY_LEN),
+            Self::KeyShares => (true, ENCRYPTED_SHARE_LEN),
+            Self::MaskedInput => (false, 8),
+            Self::UnmaskShares => (true, 8),
+        }
+    }
+
+    /// The most bytes an entry of `items` items takes, every varint at its
+    /// longest: what a sender sizes a batch by.
+    #[must_use]
+    pub fn max_entry_len(self, items: usize) -> usize {
+        let (keyed, width) = self.layout();
+        20 + items * (width + 10 * usize::from(keyed))
+    }
 }
 
-/// Secure-aggregation round 1: Shamir shares of the self-mask and key
-/// seeds, relayed through the coordinator to each neighbor.
+/// One secure-aggregation message round of one chunk of senders, batched
+/// the way [`BatchReport`] batches reports (a lone sender is a batch of
+/// one): `tag · step · varint(round) · varint(entries)`, then per sender
+/// `varint(sender) · varint(items)` and its items ([`SecAggStep`]).
+///
+/// The value *is* its encoded frame, and holding one means the frame is
+/// valid: [`build`](Self::build) writes one, [`Message::decode`] /
+/// [`Message::from_bytes`] admit one only after a bounds-checked walk that
+/// allocates nothing and believes no count (every entry and item read
+/// consumes bytes). Only such a frame can be [iterated](Self::items).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KeyShares {
-    /// Round identifier.
-    pub round_id: u64,
-    /// One encrypted share per mask-graph neighbor.
-    pub shares: Vec<EncryptedShare>,
+pub struct SecAggBatch(Vec<u8>);
+
+/// One item of an entry, `(sender, key, payload)`: `key` is the share's
+/// recipient or subject, 0 where the step has none.
+pub type SecAggItem<'a> = (u64, u64, &'a [u8]);
+
+/// Walks a secure-aggregation frame's items, entry by entry.
+pub struct SecAggItems<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    layout: (bool, usize),
+    sender: u64,
+    /// Entries, and items of the current entry, not yet read.
+    left: (u64, u64),
 }
 
-/// Secure-aggregation round 2: the masked input vector.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MaskedInput {
-    /// Round identifier.
-    pub round_id: u64,
-    /// Masked field elements (uniform in the 61-bit field, so ≈ 9 varint
-    /// bytes each on the wire).
-    pub values: Vec<u64>,
+impl<'a> SecAggItems<'a> {
+    /// Opens the frame at the start of `buf` (its tag at index 0).
+    fn open(buf: &'a [u8]) -> Result<Self, WireError> {
+        let step = usize::from(*buf.get(1).ok_or(WireError::Truncated)?);
+        let step = (SecAggStep::ALL.get(step)).ok_or(WireError::InvalidField("secagg step"))?;
+        let mut items = Self {
+            buf,
+            pos: 2,
+            layout: step.layout(),
+            sender: 0,
+            left: (0, 0),
+        };
+        read_varint(buf, &mut items.pos)?;
+        items.left.0 = read_varint(buf, &mut items.pos)?;
+        Ok(items)
+    }
+
+    fn read(&mut self) -> Result<Option<SecAggItem<'a>>, WireError> {
+        let (keyed, width) = self.layout;
+        let (buf, pos) = (self.buf, &mut self.pos);
+        while self.left.1 == 0 {
+            if self.left.0 == 0 {
+                return Ok(None);
+            }
+            self.sender = read_varint(buf, pos)?;
+            self.left = (self.left.0 - 1, read_varint(buf, pos)?);
+        }
+        self.left.1 -= 1;
+        let key = if keyed { read_varint(buf, pos)? } else { 0 };
+        let payload = read_bytes(buf, pos, width)?;
+        if width == 8 && payload[7] >> 5 != 0 {
+            return Err(WireError::InvalidField("field element"));
+        }
+        Ok(Some((self.sender, key, payload)))
+    }
 }
 
-/// Secure-aggregation round 3: unmask shares for dropped neighbors (and the
-/// sender's own self-mask).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnmaskShares {
-    /// Round identifier.
-    pub round_id: u64,
-    /// `(subject client, share)` pairs.
-    pub shares: Vec<(u64, u64)>,
+impl<'a> Iterator for SecAggItems<'a> {
+    type Item = SecAggItem<'a>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.read().expect("the frame was validated")
+    }
+}
+
+impl SecAggBatch {
+    /// Writes a frame straight into `frame` (over what it held, keeping its
+    /// allocation): per sender, its items as `(key, payload)` — the payload
+    /// as the `W` little-endian words of the step's item width, the key
+    /// ignored where the step has none. The iterators' stated lengths go on
+    /// the wire.
+    #[must_use]
+    pub fn build<const W: usize, I: ExactSizeIterator<Item = (u64, [u64; W])>>(
+        round_id: u64,
+        step: SecAggStep,
+        mut frame: Vec<u8>,
+        entries: impl ExactSizeIterator<Item = (u64, I)>,
+    ) -> Self {
+        let (keyed, width) = step.layout();
+        assert_eq!(8 * W, width, "item width");
+        frame.clear();
+        frame.extend_from_slice(&[TAG_SECAGG, step as u8]);
+        push_varint(&mut frame, round_id);
+        push_varint(&mut frame, entries.len() as u64);
+        for (sender, items) in entries {
+            push_varint(&mut frame, sender);
+            push_varint(&mut frame, items.len() as u64);
+            for (key, words) in items {
+                if keyed {
+                    push_varint(&mut frame, key);
+                }
+                assert!(W > 1 || words[0] >> 61 == 0, "field element range");
+                frame.extend_from_slice(words.map(u64::to_le_bytes).as_flattened());
+            }
+        }
+        debug_assert_eq!(Self::validate(&frame), Ok(frame.len()));
+        Self(frame)
+    }
+
+    /// Validates the frame at the start of `buf`; returns its length.
+    fn validate(buf: &[u8]) -> Result<usize, WireError> {
+        let mut items = SecAggItems::open(buf)?;
+        while items.read()?.is_some() {}
+        Ok(items.pos)
+    }
+
+    /// The message round the entries belong to.
+    #[must_use]
+    pub fn step(&self) -> SecAggStep {
+        SecAggStep::ALL[usize::from(self.0[1])]
+    }
+
+    /// Every item of every entry, in frame order.
+    #[must_use]
+    pub fn items(&self) -> SecAggItems<'_> {
+        SecAggItems::open(&self.0).expect("the frame was validated")
+    }
+
+    /// The encoded frame, without a copy.
+    #[must_use]
+    pub fn into_frame(self) -> Vec<u8> {
+        self.0
+    }
 }
 
 /// Result broadcast closing the session.
@@ -171,14 +299,8 @@ pub enum Message {
     RoundConfig(RoundConfig),
     /// Bit-pushing report uplink.
     Report(Report),
-    /// Secure-aggregation key advertisement uplink.
-    KeyAdvertise(KeyAdvertise),
-    /// Secure-aggregation encrypted-share uplink.
-    KeyShares(KeyShares),
-    /// Secure-aggregation masked-input uplink.
-    MaskedInput(MaskedInput),
-    /// Secure-aggregation unmask-share uplink.
-    UnmaskShares(UnmaskShares),
+    /// Secure-aggregation uplink: one message round of one chunk of senders.
+    SecAgg(SecAggBatch),
     /// Result broadcast downlink.
     Publish(Publish),
     /// Compressed-config broadcast downlink (shared round parameters).
@@ -206,9 +328,11 @@ impl Message {
                 TrafficPhase::Configure
             }
             Message::Report(_) | Message::BatchReport(_) => TrafficPhase::Collect,
-            Message::KeyAdvertise(_) | Message::KeyShares(_) => TrafficPhase::KeyExchange,
-            Message::MaskedInput(_) => TrafficPhase::Masking,
-            Message::UnmaskShares(_) => TrafficPhase::Unmask,
+            Message::SecAgg(b) => match b.step() {
+                SecAggStep::KeyAdvertise | SecAggStep::KeyShares => TrafficPhase::KeyExchange,
+                SecAggStep::MaskedInput => TrafficPhase::Masking,
+                SecAggStep::UnmaskShares => TrafficPhase::Unmask,
+            },
             Message::Publish(_) => TrafficPhase::Publish,
             Message::Shuffle(_) => TrafficPhase::Shuffle,
         }
@@ -254,38 +378,7 @@ impl Message {
                 push_varint(out, r.nonce);
                 r.body.encode_into(out);
             }
-            Message::KeyAdvertise(k) => {
-                out.push(TAG_KEY_ADVERTISE);
-                push_varint(out, k.round_id);
-                out.extend_from_slice(&k.kem_pk);
-                out.extend_from_slice(&k.mask_pk);
-            }
-            Message::KeyShares(k) => {
-                out.push(TAG_KEY_SHARES);
-                push_varint(out, k.round_id);
-                push_varint(out, k.shares.len() as u64);
-                for s in &k.shares {
-                    push_varint(out, s.recipient);
-                    out.extend_from_slice(&s.ct);
-                }
-            }
-            Message::MaskedInput(m) => {
-                out.push(TAG_MASKED_INPUT);
-                push_varint(out, m.round_id);
-                push_varint(out, m.values.len() as u64);
-                for &v in &m.values {
-                    push_varint(out, v);
-                }
-            }
-            Message::UnmaskShares(u) => {
-                out.push(TAG_UNMASK_SHARES);
-                push_varint(out, u.round_id);
-                push_varint(out, u.shares.len() as u64);
-                for &(subject, share) in &u.shares {
-                    push_varint(out, subject);
-                    push_varint(out, share);
-                }
-            }
+            Message::SecAgg(b) => out.extend_from_slice(&b.0),
             Message::Publish(p) => {
                 out.push(TAG_PUBLISH);
                 push_varint(out, p.round_id);
@@ -322,9 +415,28 @@ impl Message {
     /// Encoded size in bytes.
     #[must_use]
     pub fn encoded_len(&self) -> usize {
-        let mut buf = Vec::with_capacity(16);
-        self.encode_into(&mut buf);
-        buf.len()
+        1 + match self {
+            Message::Hello { round_id } => varint_len(*round_id),
+            Message::RoundConfig(c) => {
+                varint_len(c.round_id) + 2 + varint_len(c.threshold) + varint_len(c.vector_len)
+            }
+            Message::Report(r) => varint_len(r.nonce) + r.body.encoded_len(),
+            Message::SecAgg(b) => b.0.len() - 1,
+            Message::Publish(p) => {
+                let feedback = p.feedback.len();
+                varint_len(p.round_id)
+                    + 8
+                    + varint_len(p.reports)
+                    + varint_len(feedback as u64)
+                    + 8 * feedback
+            }
+            Message::ConfigHeader(h) => {
+                varint_len(h.round_id) + 1 + varint_len(h.threshold) + varint_len(h.vector_len)
+            }
+            Message::AssignBit { .. } => 1,
+            Message::Shuffle(s) => s.encoded_len(),
+            Message::BatchReport(b) => varint_len(b.nonce) + b.body.encoded_len(),
+        }
     }
 
     /// Decodes one message, requiring the buffer to be fully consumed.
@@ -339,6 +451,21 @@ impl Message {
             return Err(WireError::TrailingBytes);
         }
         Ok(msg)
+    }
+
+    /// [`decode`](Self::decode) of a frame the caller owns: a
+    /// secure-aggregation batch keeps the buffer instead of copying it.
+    ///
+    /// # Errors
+    /// See [`decode`](Self::decode).
+    pub fn from_bytes(frame: Vec<u8>) -> Result<Self, WireError> {
+        if frame.first() != Some(&TAG_SECAGG) {
+            return Self::decode(&frame);
+        }
+        if SecAggBatch::validate(&frame)? != frame.len() {
+            return Err(WireError::TrailingBytes);
+        }
+        Ok(Message::SecAgg(SecAggBatch(frame)))
     }
 
     /// Decodes one message starting at `*pos`, advancing `*pos` past it.
@@ -377,60 +504,11 @@ impl Message {
                 let body = ReportMessage::decode_from(buf, pos)?;
                 Ok(Message::Report(Report { nonce, body }))
             }
-            TAG_KEY_ADVERTISE => {
-                let round_id = read_varint(buf, pos)?;
-                let mut kem_pk = [0u8; PUBLIC_KEY_LEN];
-                kem_pk.copy_from_slice(read_bytes(buf, pos, PUBLIC_KEY_LEN)?);
-                let mut mask_pk = [0u8; PUBLIC_KEY_LEN];
-                mask_pk.copy_from_slice(read_bytes(buf, pos, PUBLIC_KEY_LEN)?);
-                Ok(Message::KeyAdvertise(KeyAdvertise {
-                    round_id,
-                    kem_pk,
-                    mask_pk,
-                }))
-            }
-            TAG_KEY_SHARES => {
-                let round_id = read_varint(buf, pos)?;
-                let count = read_varint(buf, pos)? as usize;
-                // Each share costs at least 1 + ENCRYPTED_SHARE_LEN bytes;
-                // an impossible count fails before any allocation.
-                if count > buf.len().saturating_sub(*pos) / (1 + ENCRYPTED_SHARE_LEN) {
-                    return Err(WireError::Truncated);
-                }
-                let mut shares = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let recipient = read_varint(buf, pos)?;
-                    let mut ct = [0u8; ENCRYPTED_SHARE_LEN];
-                    ct.copy_from_slice(read_bytes(buf, pos, ENCRYPTED_SHARE_LEN)?);
-                    shares.push(EncryptedShare { recipient, ct });
-                }
-                Ok(Message::KeyShares(KeyShares { round_id, shares }))
-            }
-            TAG_MASKED_INPUT => {
-                let round_id = read_varint(buf, pos)?;
-                let count = read_varint(buf, pos)? as usize;
-                if count > buf.len().saturating_sub(*pos) {
-                    return Err(WireError::Truncated);
-                }
-                let mut values = Vec::with_capacity(count);
-                for _ in 0..count {
-                    values.push(read_varint(buf, pos)?);
-                }
-                Ok(Message::MaskedInput(MaskedInput { round_id, values }))
-            }
-            TAG_UNMASK_SHARES => {
-                let round_id = read_varint(buf, pos)?;
-                let count = read_varint(buf, pos)? as usize;
-                if count > buf.len().saturating_sub(*pos) / 2 {
-                    return Err(WireError::Truncated);
-                }
-                let mut shares = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let subject = read_varint(buf, pos)?;
-                    let share = read_varint(buf, pos)?;
-                    shares.push((subject, share));
-                }
-                Ok(Message::UnmaskShares(UnmaskShares { round_id, shares }))
+            TAG_SECAGG => {
+                let frame = &buf[*pos - 1..];
+                let frame = &frame[..SecAggBatch::validate(frame)?];
+                *pos += frame.len() - 1;
+                Ok(Message::SecAgg(SecAggBatch(frame.to_vec())))
             }
             TAG_PUBLISH => {
                 let round_id = read_varint(buf, pos)?;
@@ -494,6 +572,22 @@ impl Message {
 mod tests {
     use super::*;
 
+    /// A frame of `entries`: per sender its `(key, first payload word)`
+    /// items, the word repeated across the step's item width.
+    fn secagg(step: SecAggStep, entries: &[(u64, Vec<(u64, u64)>)]) -> Message {
+        fn build<const W: usize>(step: SecAggStep, entries: &[(u64, Vec<(u64, u64)>)]) -> Message {
+            let items =
+                |items: &Vec<(u64, u64)>| items.clone().into_iter().map(|(k, w)| (k, [w; W]));
+            let entries = entries.iter().map(|(sender, its)| (*sender, items(its)));
+            Message::SecAgg(SecAggBatch::build(3, step, Vec::new(), entries))
+        }
+        match step {
+            SecAggStep::KeyAdvertise => build::<8>(step, entries),
+            SecAggStep::KeyShares => build::<6>(step, entries),
+            _ => build::<1>(step, entries),
+        }
+    }
+
     fn samples() -> Vec<Message> {
         vec![
             Message::Hello { round_id: 7 },
@@ -511,32 +605,20 @@ mod tests {
                     reports: vec![(5, true)],
                 },
             }),
-            Message::KeyAdvertise(KeyAdvertise {
-                round_id: 3,
-                kem_pk: [0xAB; PUBLIC_KEY_LEN],
-                mask_pk: [0xCD; PUBLIC_KEY_LEN],
-            }),
-            Message::KeyShares(KeyShares {
-                round_id: 3,
-                shares: vec![
-                    EncryptedShare {
-                        recipient: 1,
-                        ct: [1; ENCRYPTED_SHARE_LEN],
-                    },
-                    EncryptedShare {
-                        recipient: u64::MAX,
-                        ct: [2; ENCRYPTED_SHARE_LEN],
-                    },
-                ],
-            }),
-            Message::MaskedInput(MaskedInput {
-                round_id: 3,
-                values: vec![0, 1, (1 << 61) - 2, 12345],
-            }),
-            Message::UnmaskShares(UnmaskShares {
-                round_id: 3,
-                shares: vec![(0, 42), (17, (1 << 61) - 3)],
-            }),
+            secagg(SecAggStep::KeyAdvertise, &[(5, vec![(0, 0xAB)])]),
+            secagg(
+                SecAggStep::KeyShares,
+                &[(1, vec![(2, 1), (u64::MAX, 2)]), (2, vec![])],
+            ),
+            secagg(
+                SecAggStep::MaskedInput,
+                &[(9, [0, 1, (1 << 61) - 1, 12345].map(|v| (0, v)).to_vec())],
+            ),
+            secagg(
+                SecAggStep::UnmaskShares,
+                &[(0, vec![]), (7, vec![(0, 42), (17, (1 << 61) - 3)])],
+            ),
+            secagg(SecAggStep::UnmaskShares, &[]),
             Message::Publish(Publish {
                 round_id: 3,
                 estimate: -12.75,
@@ -581,7 +663,22 @@ mod tests {
             let bytes = msg.encode();
             assert_eq!(bytes.len(), msg.encoded_len());
             assert_eq!(Message::decode(&bytes).unwrap(), msg, "{msg:?}");
+            assert_eq!(Message::from_bytes(bytes).unwrap(), msg);
         }
+    }
+
+    #[test]
+    fn secagg_items_read_back_what_was_written() {
+        let entries = [(1, vec![(2, 1), (u64::MAX, 2)]), (2, vec![])];
+        let Message::SecAgg(batch) = secagg(SecAggStep::KeyShares, &entries) else {
+            unreachable!();
+        };
+        assert_eq!(batch.step(), SecAggStep::KeyShares);
+        // The second sender states no items: the walk passes over it.
+        let share = |word: u8| [[word, 0, 0, 0, 0, 0, 0, 0]; 6].concat();
+        let items: Vec<_> = batch.items().collect();
+        assert_eq!(items, [(1, 2, &share(1)[..]), (1, u64::MAX, &share(2)[..])]);
+        assert_eq!(batch.clone().into_frame(), Message::SecAgg(batch).encode());
     }
 
     #[test]
@@ -606,7 +703,7 @@ mod tests {
 
     #[test]
     fn unknown_tags_rejected() {
-        for tag in 12..=255u8 {
+        for tag in (4..=6).chain(12..=255u8) {
             assert_eq!(Message::decode(&[tag]), Err(WireError::UnknownTag(tag)));
         }
         assert_eq!(Message::decode(&[]), Err(WireError::Truncated));
@@ -665,9 +762,14 @@ mod tests {
 
     #[test]
     fn oversized_counts_fail_before_allocating() {
-        for tag in [TAG_KEY_SHARES, TAG_MASKED_INPUT, TAG_UNMASK_SHARES] {
-            let mut buf = vec![tag, 0]; // round_id = 0
-            push_varint(&mut buf, u64::MAX); // impossible count
+        for step in 0..4 {
+            // An impossible entry count, then an impossible item count.
+            let mut buf = vec![TAG_SECAGG, step, 0]; // round_id = 0
+            push_varint(&mut buf, u64::MAX);
+            assert_eq!(Message::decode(&buf), Err(WireError::Truncated));
+            buf.truncate(3);
+            buf.extend_from_slice(&[1, 0]); // one entry, sender 0
+            push_varint(&mut buf, u64::MAX);
             assert_eq!(Message::decode(&buf), Err(WireError::Truncated));
         }
         // Publish: round_id, 8-byte estimate, reports, then the feedback

@@ -219,7 +219,7 @@ pub(crate) fn run_shard(
     run.salvage = salvage;
     run.late
         .extend(late.map(|late| (s, ones_then_counts(late))));
-    run.traffic = session.into_traffic();
+    run.traffic = session.close(&mut run.rejections);
     run.completion = st.completion_time + st.backoff_time;
     run.compute_seconds.push(clock.elapsed().as_secs_f64());
     // A transport that failed underneath the session drained silently;

@@ -177,7 +177,7 @@ pub(crate) fn run_shuffled_session(
     let charge = charge.ok_or(FedError::NoReports)?;
 
     let (mut outcome, _) = round.publish(config, &mut session, false)?;
-    outcome.robustness.traffic = session.into_traffic();
+    outcome.robustness.traffic = session.close(&mut outcome.robustness.rejections);
     Ok(ShuffledOutcome {
         round: outcome,
         charge,

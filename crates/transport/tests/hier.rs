@@ -23,7 +23,7 @@ use fednum_fedsim::traffic::{Direction, TrafficPhase};
 use fednum_fedsim::{DropoutModel, FedError, RetryPolicy};
 use fednum_hiersec::HierSecConfig;
 use fednum_secagg::SecAggError;
-use fednum_transport::message::MaskedInput;
+use fednum_transport::message::SecAggStep;
 use fednum_transport::{
     HierShardedOutcome, InMemoryTransport, Message, RoundBuilder, ShardedOutcome, Transport,
 };
@@ -31,6 +31,21 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const BITS: u32 = 8;
+
+/// The masked sum a coordinator-facing merge frame uploads, read off the
+/// validated frame's items (`None` for the other three message rounds).
+/// Anything but a secure-aggregation frame has no business on that wire.
+fn masked_upload(frame: &[u8]) -> Option<Vec<u64>> {
+    let msg = Message::decode(frame).expect("coordinator frames must decode");
+    let Message::SecAgg(batch) = msg else {
+        panic!("non-protocol frame reached the coordinator: {msg:?}");
+    };
+    (batch.step() == SecAggStep::MaskedInput).then(|| {
+        (batch.items())
+            .map(|(_, _, element)| u64::from_le_bytes(element.try_into().unwrap()))
+            .collect()
+    })
+}
 
 // Builder-backed stand-ins for the removed free functions: the call
 // shapes below predate `RoundBuilder` and stay put so the assertions read
@@ -129,21 +144,16 @@ fn coordinator_sees_only_masked_frames_while_estimate_survives() {
     // nothing but the four protocol message kinds reaches the coordinator.
     let plaintext_bound = 1u64 << 32;
     let mut masked = 0usize;
-    for frame in &out.merge_frames {
-        match Message::decode(frame).expect("coordinator frames must decode") {
-            Message::MaskedInput(MaskedInput { values, .. }) => {
-                masked += 1;
-                assert_eq!(values.len(), 2 * BITS as usize);
-                let max = values.iter().copied().max().unwrap();
-                assert!(
-                    max > plaintext_bound,
-                    "merge frame within plaintext range (max {max}): \
-                     shard sum leaked unmasked"
-                );
-            }
-            Message::KeyAdvertise(_) | Message::KeyShares(_) | Message::UnmaskShares(_) => {}
-            other => panic!("non-protocol frame reached the coordinator: {other:?}"),
-        }
+    for values in out.merge_frames.iter().filter_map(|f| masked_upload(f)) {
+        masked += 1;
+        assert_eq!(values.len(), 2 * BITS as usize);
+        assert!(values.iter().all(|&v| v < 1 << 61), "outside the field");
+        let max = values.iter().copied().max().unwrap();
+        assert!(
+            max > plaintext_bound,
+            "merge frame within plaintext range (max {max}): \
+             shard sum leaked unmasked"
+        );
     }
     assert_eq!(masked, 8, "one masked upload per live shard");
 }
@@ -375,9 +385,7 @@ fn hier_salvage_readmits_late_shards_under_fresh_masks() {
     let plaintext_bound = 1u64 << 32;
     let mut masked_frames: Vec<&Vec<u8>> = Vec::new();
     for frame in &on.merge_frames {
-        if let Message::MaskedInput(MaskedInput { values, .. }) =
-            Message::decode(frame).expect("merge frames must decode")
-        {
+        if let Some(values) = masked_upload(frame) {
             let max = values.iter().copied().max().unwrap();
             assert!(
                 max > plaintext_bound,

@@ -3,15 +3,47 @@
 //! and over-long frames, and panic-freedom on arbitrary byte soup.
 
 use fednum_core::bits::BitPlanes;
-use fednum_core::wire::{BatchReportMessage, ReportMessage};
+use fednum_core::wire::{
+    push_varint, read_varint, BatchReportMessage, ReportMessage, ShuffleMessage, WireError,
+};
 use fednum_transport::message::{
-    BatchReport, EncryptedShare, KeyAdvertise, KeyShares, MaskedInput, Publish, Report,
-    RoundConfig, UnmaskShares, ENCRYPTED_SHARE_LEN, PUBLIC_KEY_LEN,
+    BatchReport, ConfigHeader, Publish, Report, RoundConfig, SecAggBatch, SecAggStep,
 };
 use fednum_transport::Message;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
+
+/// Draws one secure-aggregation frame of `step`: 0–5 entries of 0–11 items
+/// (one, for key advertisement), senders, keys and payload words across
+/// their whole range.
+fn arb_secagg(round_id: u64, step: SecAggStep, rng: &mut StdRng) -> Message {
+    fn build<const W: usize>(round_id: u64, step: SecAggStep, rng: &mut StdRng) -> Message {
+        let item = |rng: &mut StdRng| -> (u64, [u64; W]) {
+            let key = rng.random::<u64>() >> rng.random_range(0..64u32);
+            // One-word payloads are field elements: below 2^61.
+            (key, std::array::from_fn(|_| rng.random::<u64>() >> 3))
+        };
+        let entries: Vec<_> = (0..rng.random_range(0..6usize))
+            .map(|_| {
+                let sender = rng.random::<u64>() >> rng.random_range(0..64u32);
+                let items = match step {
+                    SecAggStep::KeyAdvertise => 1,
+                    _ => rng.random_range(0..12usize),
+                };
+                let items: Vec<_> = (0..items).map(|_| item(rng)).collect();
+                (sender, items.into_iter())
+            })
+            .collect();
+        let entries = entries.into_iter();
+        Message::SecAgg(SecAggBatch::build(round_id, step, Vec::new(), entries))
+    }
+    match step {
+        SecAggStep::KeyAdvertise => build::<8>(round_id, step, rng),
+        SecAggStep::KeyShares => build::<6>(round_id, step, rng),
+        SecAggStep::MaskedInput | SecAggStep::UnmaskShares => build::<1>(round_id, step, rng),
+    }
+}
 
 /// Draws one random message of the variant selected by `pick`, exercising
 /// extreme field values (zero, `u64::MAX`, empty and large collections).
@@ -42,49 +74,31 @@ fn arb_message(pick: u8, rng: &mut StdRng) -> Message {
                 },
             })
         }
-        3 => {
-            let mut kem_pk = [0u8; PUBLIC_KEY_LEN];
-            let mut mask_pk = [0u8; PUBLIC_KEY_LEN];
-            rng.fill_bytes(&mut kem_pk);
-            rng.fill_bytes(&mut mask_pk);
-            Message::KeyAdvertise(KeyAdvertise {
+        3 => arb_secagg(round_id, SecAggStep::ALL[rng.random_range(0..4usize)], rng),
+        4 => Message::ConfigHeader(ConfigHeader {
+            round_id,
+            secagg: rng.random_bool(0.5),
+            threshold: rng.random::<u64>() >> rng.random_range(0..64u32),
+            vector_len: rng.random::<u64>() >> rng.random_range(0..64u32),
+        }),
+        5 => Message::AssignBit {
+            assigned_bit: rng.random_range(0..=255u8),
+        },
+        6 => Message::Shuffle(if rng.random_bool(0.5) {
+            ShuffleMessage::Submit {
                 round_id,
-                kem_pk,
-                mask_pk,
-            })
-        }
-        4 => {
-            let count = rng.random_range(0..12usize);
-            Message::KeyShares(KeyShares {
+                bit_index: rng.random_range(0..=255u8),
+                bit: rng.random_bool(0.5),
+            }
+        } else {
+            let count = rng.random_range(0..40usize);
+            ShuffleMessage::Batch {
                 round_id,
-                shares: (0..count)
-                    .map(|_| {
-                        let mut ct = [0u8; ENCRYPTED_SHARE_LEN];
-                        rng.fill_bytes(&mut ct);
-                        EncryptedShare {
-                            recipient: rng.random::<u64>(),
-                            ct,
-                        }
-                    })
+                entries: (0..count)
+                    .map(|_| (rng.random_range(0..=255u8), rng.random_bool(0.5)))
                     .collect(),
-            })
-        }
-        5 => {
-            let count = rng.random_range(0..64usize);
-            Message::MaskedInput(MaskedInput {
-                round_id,
-                values: (0..count).map(|_| rng.random::<u64>()).collect(),
-            })
-        }
-        6 => {
-            let count = rng.random_range(0..32usize);
-            Message::UnmaskShares(UnmaskShares {
-                round_id,
-                shares: (0..count)
-                    .map(|_| (rng.random::<u64>(), rng.random::<u64>()))
-                    .collect(),
-            })
-        }
+            }
+        }),
         7 => {
             let bits = rng.random_range(1..=16u32);
             let slots = rng.random_range(0..150usize);
@@ -121,14 +135,24 @@ fn arb_message(pick: u8, rng: &mut StdRng) -> Message {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Encode→decode is the identity on every message variant.
+    /// Encode→decode is the identity on every message variant, whether
+    /// the decoder borrows the frame or is handed it.
     #[test]
     fn encode_decode_identity(pick in 0u8..9, seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let msg = arb_message(pick, &mut rng);
         let bytes = msg.encode();
-        prop_assert_eq!(bytes.len(), msg.encoded_len());
-        prop_assert_eq!(Message::decode(&bytes).unwrap(), msg);
+        prop_assert_eq!(&Message::decode(&bytes).unwrap(), &msg);
+        prop_assert_eq!(Message::from_bytes(bytes).unwrap(), msg);
+    }
+
+    /// `encoded_len` is computed, not measured: it must equal the length
+    /// of the frame `encode` writes, for every variant.
+    #[test]
+    fn encoded_len_is_the_encoded_length(pick in 0u8..9, seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let msg = arb_message(pick, &mut rng);
+        prop_assert_eq!(msg.encoded_len(), msg.encode().len());
     }
 
     /// Every strict prefix of a valid frame is rejected (the codec is
@@ -194,19 +218,21 @@ fn regression_max_varint_fields_round_trip() {
 
 #[test]
 fn regression_empty_collections_round_trip() {
+    let no_items = std::iter::empty::<(u64, [u64; 1])>;
     for msg in [
-        Message::KeyShares(KeyShares {
-            round_id: 0,
-            shares: vec![],
-        }),
-        Message::MaskedInput(MaskedInput {
-            round_id: 0,
-            values: vec![],
-        }),
-        Message::UnmaskShares(UnmaskShares {
-            round_id: 0,
-            shares: vec![],
-        }),
+        // A batch of no senders, and a sender of no shares.
+        Message::SecAgg(SecAggBatch::build(
+            0,
+            SecAggStep::MaskedInput,
+            Vec::new(),
+            std::iter::empty::<(u64, std::iter::Empty<(u64, [u64; 1])>)>(),
+        )),
+        Message::SecAgg(SecAggBatch::build(
+            0,
+            SecAggStep::UnmaskShares,
+            Vec::new(),
+            std::iter::once((7, no_items())),
+        )),
         Message::Report(Report {
             nonce: 0,
             body: ReportMessage {
@@ -282,11 +308,147 @@ fn regression_batch_slot_on_two_planes_rejected() {
     assert!(Message::decode(&msg.encode()).is_err());
 }
 
+/// Counts this thread's heap allocations, so "rejected before any
+/// allocation" is something a test can observe.
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a const-initialized thread-local
+// `Cell` without a destructor, so touching it neither allocates nor runs
+// code at thread exit.
+unsafe impl std::alloc::GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: `layout` is the caller's, passed through as received.
+        unsafe { std::alloc::System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this `layout`.
+        unsafe { std::alloc::System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// The first `n` varints after a secure-aggregation frame's tag and step
+/// bytes — the round, the entry count, then the first entry's sender, item
+/// count and (where items are keyed) first key — and where they end.
+fn head(frame: &[u8], n: usize) -> Option<(Vec<u64>, usize)> {
+    let mut pos = 2;
+    let values: Option<Vec<u64>> = (0..n).map(|_| read_varint(frame, &mut pos).ok()).collect();
+    Some((values?, pos))
+}
+
+/// `frame` with the `nth` of those varints set to `value`.
+fn with_varint(frame: &[u8], nth: usize, value: u64) -> Vec<u8> {
+    let (start, end) = (head(frame, nth).unwrap().1, head(frame, nth + 1).unwrap().1);
+    let mut out = frame[..start].to_vec();
+    push_varint(&mut out, value);
+    out.extend_from_slice(&frame[end..]);
+    out
+}
+
 #[test]
-fn regression_hostile_count_fails_closed() {
-    // KeyShares claiming u64::MAX shares in a 12-byte buffer: must fail
-    // before any allocation, with a typed error.
-    let mut buf = vec![4u8, 0];
-    buf.extend_from_slice(&[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]);
-    assert!(Message::decode(&buf).is_err());
+fn regression_hostile_secagg_frame_fails_closed() {
+    // Per step: whether a varint key opens an item, and its payload bytes.
+    let table = [
+        (SecAggStep::KeyAdvertise, false, 64),
+        (SecAggStep::KeyShares, true, 48),
+        (SecAggStep::MaskedInput, false, 8),
+        (SecAggStep::UnmaskShares, true, 8),
+    ];
+    // Rejected, and rejected without having allocated anything.
+    let rejected = |hostile: &[u8], why: &str| {
+        let before = ALLOCATIONS.with(std::cell::Cell::get);
+        let result = Message::decode(hostile);
+        let allocated = ALLOCATIONS.with(std::cell::Cell::get) - before;
+        assert!(result.is_err(), "{why}: accepted");
+        assert_eq!(allocated, 0, "{why}: allocated before rejecting");
+        result.unwrap_err()
+    };
+    for (step, keyed, width) in table {
+        let mut rng = StdRng::seed_from_u64(step as u64);
+        // A specimen of several entries whose first has an item to corrupt.
+        let frame = loop {
+            let frame = arb_secagg(9, step, &mut rng).encode();
+            if head(&frame, 4).is_some_and(|(v, _)| v[1] > 1 && v[3] > 0) {
+                break frame;
+            }
+        };
+        assert!(Message::decode(&frame).is_ok());
+        assert!(Message::from_bytes(frame.clone()).is_ok());
+
+        for cut in 0..frame.len() {
+            rejected(&frame[..cut], &format!("{step:?} cut at {cut}"));
+        }
+        let mut padded = frame.clone();
+        padded.push(0);
+        assert_eq!(Message::decode(&padded), Err(WireError::TrailingBytes));
+        assert_eq!(Message::from_bytes(padded), Err(WireError::TrailingBytes));
+        for tag in [4, 5, u8::MAX] {
+            let mut hostile = frame.clone();
+            hostile[1] = tag;
+            let why = format!("{step:?} as step {tag}");
+            assert_eq!(
+                rejected(&hostile, &why),
+                WireError::InvalidField("secagg step")
+            );
+        }
+
+        // Counts: the frame's entries (2 bytes each at the least), the
+        // first entry's items (`width` bytes, and a key byte, each).
+        for (nth, unit) in [(1, 2), (3, width + usize::from(keyed))] {
+            let (_, end) = head(&frame, nth + 1).unwrap();
+            let holds = ((frame.len() - end) / unit) as u64;
+            for count in [u64::MAX, holds + 1] {
+                let why = format!("{step:?} varint {nth} = {count}");
+                rejected(&with_varint(&frame, nth, count), &why);
+            }
+        }
+
+        if width == 8 {
+            // The first item's element, first at the bound then all ones.
+            let (_, pos) = head(&frame, 4 + usize::from(keyed)).unwrap();
+            for element in [1u64 << 61, u64::MAX] {
+                let mut hostile = frame.clone();
+                hostile[pos..pos + 8].copy_from_slice(&element.to_le_bytes());
+                let why = format!("{step:?} element {element:#x}");
+                assert_eq!(
+                    rejected(&hostile, &why),
+                    WireError::InvalidField("field element")
+                );
+            }
+            let mut honest = frame.clone();
+            honest[pos..pos + 8].copy_from_slice(&((1u64 << 61) - 1).to_le_bytes());
+            assert!(
+                Message::decode(&honest).is_ok(),
+                "{step:?}: 2^61 - 1 is in range"
+            );
+        }
+    }
+}
+
+/// The `(pick, seed)` pairs listed in `proptest_messages.proptest-regressions`
+/// — one secure-aggregation frame per step — replayed as a unit test.
+#[test]
+fn regression_secagg_batch_seeds_round_trip() {
+    for seed in [0u64, 1, 2, 3, 0x5EC_A66] {
+        for step in SecAggStep::ALL {
+            let msg = arb_secagg(seed, step, &mut StdRng::seed_from_u64(seed));
+            let bytes = msg.encode();
+            assert_eq!(bytes.len(), msg.encoded_len());
+            assert_eq!(
+                Message::decode(&bytes).unwrap(),
+                msg,
+                "seed {seed} {step:?}"
+            );
+            assert_eq!(Message::from_bytes(bytes).unwrap(), msg);
+        }
+    }
 }

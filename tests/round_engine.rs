@@ -25,12 +25,14 @@ use fednum::fedsim::round::{FederatedMeanConfig, FederatedOutcome, SecAggSetting
 use fednum::fedsim::traffic::TrafficStats;
 use fednum::fedsim::{Direction, DropoutModel, LatencyModel, RetryPolicy};
 use fednum::hiersec::HierSecConfig;
+use fednum::transport::message::SecAggStep;
 use fednum::transport::scheduler::mix;
 use fednum::transport::{
     Envelope, InMemoryTransport, Message, RoundDetail, ShuffleConfig, ShuffledOutcome,
     SimNetTransport, Tampered, Transport,
 };
 use fednum::RoundBuilder;
+use std::cell::Cell;
 
 const SEEDS: [u64; 3] = [1, 2, 3];
 
@@ -556,7 +558,11 @@ fn shuffled_rounds_are_frozen_in_memory_and_over_the_simulated_network() {
 // the first value past its bound, on every builder shape that crosses a
 // wire. The round must end `Ok` or in a typed `FedError` — a panic fails
 // the test — and where the integer is an index or a routing address an
-// out-of-range value must read exactly as that frame being lost.
+// out-of-range value must read exactly as that frame being lost. The
+// secure-aggregation message rounds carry stand-in payloads no tally reads:
+// whatever is done to one of their frames, the round publishes what the
+// honest one does, and a frame left undecodable is metered as a lost one
+// and booked as dropped, once.
 
 /// The frame a case hits.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -568,6 +574,8 @@ enum Frame {
     BatchReport,
     Submit,
     Batch,
+    /// One secure-aggregation message round of one chunk of senders.
+    SecAgg(SecAggStep),
 }
 
 impl Frame {
@@ -580,6 +588,7 @@ impl Frame {
             Message::BatchReport(_) => Frame::BatchReport,
             Message::Shuffle(ShuffleMessage::Submit { .. }) => Frame::Submit,
             Message::Shuffle(ShuffleMessage::Batch { .. }) => Frame::Batch,
+            Message::SecAgg(batch) => Frame::SecAgg(batch.step()),
             _ => return None,
         })
     }
@@ -599,6 +608,13 @@ enum Field {
     Nonce,
     Slots,
     Bits,
+    /// A secure-aggregation frame's step byte and entry count, then its
+    /// first entry's sender, item count and first item's field element.
+    Step,
+    Count,
+    Sender,
+    Items,
+    Element,
 }
 
 /// What it is rewritten to.
@@ -646,7 +662,20 @@ impl Case {
         }
     }
 
-    fn far_end(self, lose: bool) -> impl FnMut(Envelope) -> Option<Envelope> {
+    /// Whether the case hits a secure-aggregation message round. The
+    /// tally is the driver's, so nothing that happens to such a frame may
+    /// move the estimate: only the wire's own books can tell.
+    fn hits_message_round(&self) -> bool {
+        matches!(self.frame, Frame::SecAgg(_))
+    }
+
+    /// `undecodable` is set when the frame the far end hands back no
+    /// longer decodes: the session must drop it, unmetered, exactly once.
+    fn far_end(
+        self,
+        lose: bool,
+        undecodable: &Cell<bool>,
+    ) -> impl FnMut(Envelope) -> Option<Envelope> + '_ {
         let mut seen = 0;
         move |mut env| {
             let Ok(msg) = Message::decode(&env.payload) else {
@@ -734,8 +763,46 @@ impl Case {
                     payload.extend_from_slice(&env.payload[pos..]);
                     env.payload = payload;
                 }
+                (_, Message::SecAgg(batch)) => {
+                    // Rewritten in place, as above: tag · step · round ·
+                    // entries, then the first entry's sender · items and
+                    // its first item's key (where the step has one) ·
+                    // payload.
+                    let keyed = matches!(
+                        batch.step(),
+                        SecAggStep::KeyShares | SecAggStep::UnmaskShares
+                    );
+                    let mut pos = 2;
+                    let mut header = [0u64; 4];
+                    for h in &mut header {
+                        *h = read_varint(&env.payload, &mut pos).unwrap();
+                    }
+                    let mut payload = env.payload[..2].to_vec();
+                    match self.field {
+                        Field::Step => payload[1] = pick(u64::from(u8::MAX), 4) as u8,
+                        Field::Count => header[1] = pick(u64::MAX, header[1] + 1),
+                        Field::Sender => header[2] = pick(u64::MAX, SWEEP_CLIENTS as u64),
+                        Field::Items => header[3] = pick(u64::MAX, header[3] + 1),
+                        _ => {}
+                    }
+                    for h in header {
+                        push_varint(&mut payload, h);
+                    }
+                    let mut rest = env.payload[pos..].to_vec();
+                    if self.field == Field::Element {
+                        let mut at = 0;
+                        if keyed {
+                            read_varint(&rest, &mut at).unwrap();
+                        }
+                        let element = pick(u64::MAX, 1 << 61);
+                        rest[at..at + 8].copy_from_slice(&element.to_le_bytes());
+                    }
+                    payload.extend_from_slice(&rest);
+                    env.payload = payload;
+                }
                 (field, msg) => unreachable!("{field:?} of {msg:?} is not in the sweep"),
             }
+            undecodable.set(Message::decode(&env.payload).is_err());
             Some(env)
         }
     }
@@ -765,7 +832,7 @@ impl Shape {
         Shape::Adaptive,
     ];
 
-    fn targets(self) -> &'static [(Frame, Field)] {
+    fn targets(self) -> Vec<(Frame, Field)> {
         const PER_CLIENT: &[(Frame, Field)] = &[
             (Frame::Hello, Field::From),
             (Frame::RoundConfig, Field::To),
@@ -779,17 +846,29 @@ impl Shape {
             (Frame::BatchReport, Field::Slots),
             (Frame::BatchReport, Field::Bits),
         ];
+        // The frame's integers, each where a message round has one.
+        const MESSAGE_ROUNDS: &[(Frame, Field)] = &[
+            (Frame::SecAgg(SecAggStep::KeyAdvertise), Field::Step),
+            (Frame::SecAgg(SecAggStep::KeyShares), Field::Count),
+            (Frame::SecAgg(SecAggStep::KeyShares), Field::Sender),
+            (Frame::SecAgg(SecAggStep::KeyShares), Field::Items),
+            (Frame::SecAgg(SecAggStep::MaskedInput), Field::Element),
+            (Frame::SecAgg(SecAggStep::UnmaskShares), Field::Step),
+            (Frame::SecAgg(SecAggStep::UnmaskShares), Field::Element),
+        ];
         match self {
-            Shape::PerClient | Shape::Secure | Shape::Adaptive => PER_CLIENT,
-            Shape::Compressed => &[
+            Shape::PerClient | Shape::Adaptive => PER_CLIENT.to_vec(),
+            Shape::Secure => [PER_CLIENT, MESSAGE_ROUNDS].concat(),
+            Shape::Compressed => vec![
                 (Frame::Hello, Field::From),
                 (Frame::AssignBit, Field::To),
                 (Frame::AssignBit, Field::Bit),
                 (Frame::Report, Field::From),
                 (Frame::Report, Field::Bit),
             ],
-            Shape::Batched | Shape::SecureBatched => BATCHED,
-            Shape::Shuffled => &[
+            Shape::Batched => BATCHED.to_vec(),
+            Shape::SecureBatched => [BATCHED, MESSAGE_ROUNDS].concat(),
+            Shape::Shuffled => vec![
                 (Frame::Submit, Field::From),
                 (Frame::Submit, Field::Bit),
                 (Frame::Batch, Field::From),
@@ -799,8 +878,7 @@ impl Shape {
     }
 
     /// Runs the shape over `transport`: the fingerprint of what it
-    /// published (traffic aside — a rewritten frame is metered, a lost one
-    /// is not) or the typed error it ended in.
+    /// published, or the typed error it ended in.
     fn run(self, transport: &mut dyn Transport) -> Result<String, String> {
         let mut cfg = config(SWEEP_BITS, 1);
         let vs = values(SWEEP_CLIENTS, 50);
@@ -844,14 +922,32 @@ impl Shape {
             ),
             other => unreachable!("{other:?} is not in the sweep"),
         };
-        Ok(without_traffic(&print).join(" "))
+        Ok(print)
     }
+}
+
+/// What a run published, traffic aside — a rewritten frame is metered, a
+/// lost one is not.
+fn published(run: &Result<String, String>) -> Result<String, String> {
+    run.clone().map(|print| without_traffic(&print).join(" "))
+}
+
+/// `run` as it must read had the session also dropped one frame as
+/// undecodable: booked, once, with the unknown-client rejections (the
+/// first `rej=` figure).
+fn dropped_once(run: &Result<String, String>) -> Result<String, String> {
+    run.clone().map(|print| {
+        let (head, tail) = print.split_once("rej=").expect("a rejections column");
+        let (unknown, tail) = tail.split_once('/').expect("six rejection classes");
+        format!("{head}rej={}/{tail}", unknown.parse::<u64>().unwrap() + 1)
+    })
 }
 
 #[test]
 fn one_rewritten_wire_integer_never_panics_a_round_and_an_index_out_of_range_reads_as_lost() {
     let mut cases = 0;
     let mut lost = 0;
+    let mut dropped = 0;
     for shape in Shape::ALL {
         // How many frames of each kind the honest round sends.
         let mut sent: Vec<Frame> = Vec::new();
@@ -874,7 +970,7 @@ fn one_rewritten_wire_integer_never_panics_a_round_and_an_index_out_of_range_rea
         } else {
             3
         };
-        for &(frame, field) in shape.targets() {
+        for (frame, field) in shape.targets() {
             let count = sent.iter().filter(|&&f| f == frame).count();
             assert!(count > 0, "{shape:?} sends no {frame:?}");
             for value in [Value::Zero, Value::Max, Value::PastBound] {
@@ -888,25 +984,54 @@ fn one_rewritten_wire_integer_never_panics_a_round_and_an_index_out_of_range_rea
                         entry: draw >> 32,
                     };
                     println!("{shape:?} {case:?}");
+                    let undecodable = Cell::new(false);
                     let run = |lose| {
                         shape.run(&mut Tampered {
                             inner: InMemoryTransport::new(1),
-                            rewrite: case.far_end(lose),
+                            rewrite: case.far_end(lose, &undecodable),
                         })
                     };
                     let hostile = run(false);
-                    if case.reads_as_lost() {
-                        assert_eq!(hostile, run(true), "{shape:?} {case:?}");
-                        assert_ne!(hostile, honest, "{shape:?} {case:?} hit nothing");
+                    // A frame that no longer decodes is dropped exactly
+                    // once: unmetered like a lost one, and on the books.
+                    let undecodable = undecodable.get();
+                    let book = |run: &Result<String, String>| match undecodable {
+                        true => dropped_once(run),
+                        false => run.clone(),
+                    };
+                    if case.hits_message_round() {
+                        // Nothing but traffic and that entry may differ
+                        // from the honest round.
+                        assert_eq!(
+                            published(&hostile),
+                            published(&book(&honest)),
+                            "{shape:?} {case:?}"
+                        );
+                        if undecodable {
+                            assert_eq!(hostile, book(&run(true)), "{shape:?} {case:?}");
+                        }
+                    } else if case.reads_as_lost() {
+                        assert_eq!(
+                            published(&hostile),
+                            published(&book(&run(true))),
+                            "{shape:?} {case:?}"
+                        );
+                        assert_ne!(
+                            published(&hostile),
+                            published(&honest),
+                            "{shape:?} {case:?} hit nothing"
+                        );
                         lost += 1;
                     }
+                    dropped += usize::from(undecodable);
                     cases += 1;
                 }
             }
         }
     }
-    assert!(cases >= 200, "{cases} cases");
+    assert!(cases >= 300, "{cases} cases");
     assert!(lost >= 100, "{lost} index cases");
+    assert!(dropped >= 50, "{dropped} undecodable frames");
 }
 
 /// `(shape/carrier/seed, fingerprint)`, recorded at the commit before the
@@ -921,6 +1046,13 @@ fn one_rewritten_wire_integer_never_panics_a_round_and_an_index_out_of_range_rea
 /// time, 0 without a latency model as on every carrier.
 /// `shuffled/{refill,latency}` were recorded after it — the private engine
 /// ran one wave and drew no latency, so it had nothing comparable to pin.
+///
+/// The `secure`, `retry`, `adaptive-secure` and `hier` rows on a wire moved
+/// in their `up=` column alone when the four per-client secure-aggregation
+/// messages became one batched frame type: field elements are 8 bytes
+/// instead of ≈ 9-byte varints, the chunked wire pays one frame header per
+/// chunk of senders instead of one per sender, and every entry names its
+/// sender (one varint).
 const ANCHORS: &[(&str, &str)] = &[
     ("adaptive/Sync/s1", "est=403ddb08461b3d02 | est=4040881f841065bc reports=1601 contacted=2000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=- | est=403dac3bd089da3c reports=3197 contacted=4000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=-"),
     ("adaptive/Mem/s1", "est=403ddb08461b3d02 | est=4040881f841065bc reports=1601 contacted=2000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=22312 down=16111 ledger=- | est=403dac3bd089da3c reports=3197 contacted=4000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=44664 down=32015 ledger=-"),
@@ -929,26 +1061,26 @@ const ANCHORS: &[(&str, &str)] = &[
     ("adaptive/Sync/s3", "est=403d6633f7190aca | est=4039ccb253275e71 reports=1638 contacted=2000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=- | est=403d92752c99f5ec reports=3164 contacted=4000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=-"),
     ("adaptive/Mem/s3", "est=403d6633f7190aca | est=4039ccb253275e71 reports=1638 contacted=2000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=22642 down=16111 ledger=- | est=403d92752c99f5ec reports=3164 contacted=4000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=44368 down=32015 ledger=-"),
     ("adaptive-secure/Sync/s1", "est=403d49866f323c8f | est=40383bbbbbbbbbbc reports=534 contacted=600 waves=1 secagg=534/66 rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=- | est=403d8741e8481904 reports=1072 contacted=1200 waves=1 secagg=1072/128 rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=-"),
-    ("adaptive-secure/Mem/s1", "est=403d49866f323c8f | est=40383bbbbbbbbbbc reports=534 contacted=600 waves=1 secagg=534/66 rej=0/0/0/0/0/0 late=0 retries=0 up=729844 down=5511 ledger=- | est=403d8741e8481904 reports=1072 contacted=1200 waves=1 secagg=1072/128 rej=0/0/0/0/0/0 late=0 retries=0 up=1461311 down=10815 ledger=-"),
-    ("adaptive-secure/MemBatched/s1", "est=403d49866f323c8f | est=40383bbbbbbbbbbc reports=534 contacted=600 waves=1 secagg=534/66 rej=0/0/0/0/0/0 late=0 retries=0 up=724683 down=119 ledger=- | est=403d8741e8481904 reports=1072 contacted=1200 waves=1 secagg=1072/128 rej=0/0/0/0/0/0 late=0 retries=0 up=1450648 down=23 ledger=-"),
+    ("adaptive-secure/Mem/s1", "est=403d49866f323c8f | est=40383bbbbbbbbbbc reports=534 contacted=600 waves=1 secagg=534/66 rej=0/0/0/0/0/0 late=0 retries=0 up=718680 down=5511 ledger=- | est=403d8741e8481904 reports=1072 contacted=1200 waves=1 secagg=1072/128 rej=0/0/0/0/0/0 late=0 retries=0 up=1439450 down=10815 ledger=-"),
+    ("adaptive-secure/MemBatched/s1", "est=403d49866f323c8f | est=40383bbbbbbbbbbc reports=534 contacted=600 waves=1 secagg=534/66 rej=0/0/0/0/0/0 late=0 retries=0 up=700126 down=119 ledger=- | est=403d8741e8481904 reports=1072 contacted=1200 waves=1 secagg=1072/128 rej=0/0/0/0/0/0 late=0 retries=0 up=1402014 down=23 ledger=-"),
     ("adaptive-secure/Sync/s2", "est=403ee031dc03591f | est=403b92a7b61e4a9f reports=543 contacted=600 waves=1 secagg=543/57 rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=- | est=403ef5b0a7fe18c6 reports=1092 contacted=1200 waves=1 secagg=1092/108 rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=-"),
-    ("adaptive-secure/Mem/s2", "est=403ee031dc03591f | est=403b92a7b61e4a9f reports=543 contacted=600 waves=1 secagg=543/57 rej=0/0/0/0/0/0 late=0 retries=0 up=733917 down=5511 ledger=- | est=403ef5b0a7fe18c6 reports=1092 contacted=1200 waves=1 secagg=1092/108 rej=0/0/0/0/0/0 late=0 retries=0 up=1467869 down=10815 ledger=-"),
-    ("adaptive-secure/MemBatched/s2", "est=403ee031dc03591f | est=403b92a7b61e4a9f reports=543 contacted=600 waves=1 secagg=543/57 rej=0/0/0/0/0/0 late=0 retries=0 up=728678 down=119 ledger=- | est=403ef5b0a7fe18c6 reports=1092 contacted=1200 waves=1 secagg=1092/108 rej=0/0/0/0/0/0 late=0 retries=0 up=1457033 down=23 ledger=-"),
+    ("adaptive-secure/Mem/s2", "est=403ee031dc03591f | est=403b92a7b61e4a9f reports=543 contacted=600 waves=1 secagg=543/57 rej=0/0/0/0/0/0 late=0 retries=0 up=722403 down=5511 ledger=- | est=403ef5b0a7fe18c6 reports=1092 contacted=1200 waves=1 secagg=1092/108 rej=0/0/0/0/0/0 late=0 retries=0 up=1445465 down=10815 ledger=-"),
+    ("adaptive-secure/MemBatched/s2", "est=403ee031dc03591f | est=403b92a7b61e4a9f reports=543 contacted=600 waves=1 secagg=543/57 rej=0/0/0/0/0/0 late=0 retries=0 up=703651 down=119 ledger=- | est=403ef5b0a7fe18c6 reports=1092 contacted=1200 waves=1 secagg=1092/108 rej=0/0/0/0/0/0 late=0 retries=0 up=1407664 down=23 ledger=-"),
     ("adaptive-secure/Sync/s3", "est=403dd1697765a870 | est=40340dda52023769 reports=538 contacted=600 waves=1 secagg=538/62 rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=- | est=403e31d73016af46 reports=1081 contacted=1200 waves=1 secagg=1081/119 rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=-"),
-    ("adaptive-secure/Mem/s3", "est=403dd1697765a870 | est=40340dda52023769 reports=538 contacted=600 waves=1 secagg=538/62 rej=0/0/0/0/0/0 late=0 retries=0 up=731273 down=5511 ledger=- | est=403e31d73016af46 reports=1081 contacted=1200 waves=1 secagg=1081/119 rej=0/0/0/0/0/0 late=0 retries=0 up=1464840 down=10815 ledger=-"),
-    ("adaptive-secure/MemBatched/s3", "est=403dd1697765a870 | est=40340dda52023769 reports=538 contacted=600 waves=1 secagg=538/62 rej=0/0/0/0/0/0 late=0 retries=0 up=726083 down=119 ledger=- | est=403e31d73016af46 reports=1081 contacted=1200 waves=1 secagg=1081/119 rej=0/0/0/0/0/0 late=0 retries=0 up=1454104 down=23 ledger=-"),
+    ("adaptive-secure/Mem/s3", "est=403dd1697765a870 | est=40340dda52023769 reports=538 contacted=600 waves=1 secagg=538/62 rej=0/0/0/0/0/0 late=0 retries=0 up=719959 down=5511 ledger=- | est=403e31d73016af46 reports=1081 contacted=1200 waves=1 secagg=1081/119 rej=0/0/0/0/0/0 late=0 retries=0 up=1442698 down=10815 ledger=-"),
+    ("adaptive-secure/MemBatched/s3", "est=403dd1697765a870 | est=40340dda52023769 reports=538 contacted=600 waves=1 secagg=538/62 rej=0/0/0/0/0/0 late=0 retries=0 up=701334 down=119 ledger=- | est=403e31d73016af46 reports=1081 contacted=1200 waves=1 secagg=1081/119 rej=0/0/0/0/0/0 late=0 retries=0 up=1405081 down=23 ledger=-"),
     ("faults/Sync/s1", "est=404852660d601f74 reports=2463 contacted=3000 waves=1 secagg=- rej=0/50/0/59/51/49 late=49 retries=0 up=0 down=0 ledger=-"),
     ("faults/SimNet/s1", "est=404852660d601f74 reports=2463 contacted=3000 waves=1 secagg=- rej=0/50/0/59/51/49 late=49 retries=0 up=36337 down=24015 ledger=-"),
     ("faults/Sync/s2", "est=40482a2c486754c6 reports=2470 contacted=3000 waves=1 secagg=- rej=0/49/0/61/47/60 late=60 retries=0 up=0 down=0 ledger=-"),
     ("faults/SimNet/s2", "est=40482a2c486754c6 reports=2470 contacted=3000 waves=1 secagg=- rej=0/49/0/61/47/60 late=60 retries=0 up=36470 down=24015 ledger=-"),
     ("faults/Sync/s3", "est=40486afb10a5c205 reports=2471 contacted=3000 waves=1 secagg=- rej=0/62/0/49/64/59 late=59 retries=0 up=0 down=0 ledger=-"),
     ("faults/SimNet/s3", "est=40486afb10a5c205 reports=2471 contacted=3000 waves=1 secagg=- rej=0/62/0/49/64/59 late=59 retries=0 up=36730 down=24015 ledger=-"),
-    ("hier/Mem/s1", "est=4048dfbf8eed6d0c reports=819 contacted=900 waves=1 retries=0 up=3360696 down=8115 included=[0, 1, 2] degraded=[]"),
-    ("hier/MemBatched/s1", "est=4048dfbf8eed6d0c reports=819 contacted=900 waves=1 retries=0 up=3351545 down=39 included=[0, 1, 2] degraded=[]"),
-    ("hier/Mem/s2", "est=40469e9c5a8df467 reports=816 contacted=900 waves=1 retries=0 up=3351280 down=8115 included=[0, 1, 2] degraded=[]"),
-    ("hier/MemBatched/s2", "est=40469e9c5a8df467 reports=816 contacted=900 waves=1 retries=0 up=3342149 down=39 included=[0, 1, 2] degraded=[]"),
-    ("hier/Mem/s3", "est=4048fe5642bcec5a reports=816 contacted=900 waves=1 retries=0 up=3369359 down=8115 included=[0, 1, 2] degraded=[]"),
-    ("hier/MemBatched/s3", "est=4048fe5642bcec5a reports=816 contacted=900 waves=1 retries=0 up=3360234 down=39 included=[0, 1, 2] degraded=[]"),
+    ("hier/Mem/s1", "est=4048dfbf8eed6d0c reports=819 contacted=900 waves=1 retries=0 up=3331850 down=8115 included=[0, 1, 2] degraded=[]"),
+    ("hier/MemBatched/s1", "est=4048dfbf8eed6d0c reports=819 contacted=900 waves=1 retries=0 up=3302476 down=39 included=[0, 1, 2] degraded=[]"),
+    ("hier/Mem/s2", "est=40469e9c5a8df467 reports=816 contacted=900 waves=1 retries=0 up=3323348 down=8115 included=[0, 1, 2] degraded=[]"),
+    ("hier/MemBatched/s2", "est=40469e9c5a8df467 reports=816 contacted=900 waves=1 retries=0 up=3293988 down=39 included=[0, 1, 2] degraded=[]"),
+    ("hier/Mem/s3", "est=4048fe5642bcec5a reports=816 contacted=900 waves=1 retries=0 up=3339663 down=8115 included=[0, 1, 2] degraded=[]"),
+    ("hier/MemBatched/s3", "est=4048fe5642bcec5a reports=816 contacted=900 waves=1 retries=0 up=3310357 down=39 included=[0, 1, 2] degraded=[]"),
     ("metered/Sync/s1", "est=40400108c53eb5f0 reports=1606 contacted=2000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=1606/1606/3fffffffffffffff"),
     ("metered/Mem/s1", "est=40400108c53eb5f0 reports=1606 contacted=2000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=22359 down=16015 ledger=1606/1606/3fffffffffffffff"),
     ("metered/MemBatched/s1", "est=40400108c53eb5f0 reports=1606 contacted=2000 waves=1 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=3104 down=22 ledger=1606/1606/3fffffffffffffff"),
@@ -983,23 +1115,23 @@ const ANCHORS: &[(&str, &str)] = &[
     ("refill/Mem/s3", "est=405961758186b93b reports=1370 contacted=1938 waves=3 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=20033 down=15519 ledger=-"),
     ("refill/MemBatched/s3", "est=405961758186b93b reports=1370 contacted=1938 waves=3 secagg=- rej=0/0/0/0/0/0 late=0 retries=0 up=4271 down=36 ledger=-"),
     ("retry/Sync/s1", "est=404b10f4b233dd6c reports=282 contacted=300 waves=1 secagg=168/0 rej=0/0/0/0/0/0 late=0 retries=1 up=0 down=0 ledger=282/282/0000000000000000"),
-    ("retry/Mem/s1", "est=404b10f4b233dd6c reports=282 contacted=300 waves=1 secagg=168/0 rej=0/0/0/0/0/0 late=0 retries=1 up=6158260 down=2715 ledger=282/282/0000000000000000"),
-    ("retry/MemBatched/s1", "est=404b10f4b233dd6c reports=282 contacted=300 waves=1 secagg=168/0 rej=0/0/0/0/0/0 late=0 retries=1 up=6155212 down=23 ledger=282/282/0000000000000000"),
+    ("retry/Mem/s1", "est=404b10f4b233dd6c reports=282 contacted=300 waves=1 secagg=168/0 rej=0/0/0/0/0/0 late=0 retries=1 up=6137296 down=2715 ledger=282/282/0000000000000000"),
+    ("retry/MemBatched/s1", "est=404b10f4b233dd6c reports=282 contacted=300 waves=1 secagg=168/0 rej=0/0/0/0/0/0 late=0 retries=1 up=6124125 down=23 ledger=282/282/0000000000000000"),
     ("retry/Sync/s2", "est=40491c3565680bd2 reports=288 contacted=300 waves=1 secagg=186/0 rej=0/0/0/0/0/0 late=0 retries=1 up=0 down=0 ledger=288/288/0000000000000000"),
-    ("retry/Mem/s2", "est=40491c3565680bd2 reports=288 contacted=300 waves=1 secagg=186/0 rej=0/0/0/0/0/0 late=0 retries=1 up=6467000 down=2715 ledger=288/288/0000000000000000"),
-    ("retry/MemBatched/s2", "est=40491c3565680bd2 reports=288 contacted=300 waves=1 secagg=186/0 rej=0/0/0/0/0/0 late=0 retries=1 up=6463897 down=23 ledger=288/288/0000000000000000"),
+    ("retry/Mem/s2", "est=40491c3565680bd2 reports=288 contacted=300 waves=1 secagg=186/0 rej=0/0/0/0/0/0 late=0 retries=1 up=6447008 down=2715 ledger=288/288/0000000000000000"),
+    ("retry/MemBatched/s2", "est=40491c3565680bd2 reports=288 contacted=300 waves=1 secagg=186/0 rej=0/0/0/0/0/0 late=0 retries=1 up=6433212 down=23 ledger=288/288/0000000000000000"),
     ("retry/Sync/s3", "est=404a204f31385e96 reports=287 contacted=300 waves=1 secagg=194/0 rej=0/0/0/0/0/0 late=0 retries=1 up=0 down=0 ledger=287/287/0000000000000000"),
-    ("retry/Mem/s3", "est=404a204f31385e96 reports=287 contacted=300 waves=1 secagg=194/0 rej=0/0/0/0/0/0 late=0 retries=1 up=6611775 down=2715 ledger=287/287/0000000000000000"),
-    ("retry/MemBatched/s3", "est=404a204f31385e96 reports=287 contacted=300 waves=1 secagg=194/0 rej=0/0/0/0/0/0 late=0 retries=1 up=6608681 down=23 ledger=287/287/0000000000000000"),
+    ("retry/Mem/s3", "est=404a204f31385e96 reports=287 contacted=300 waves=1 secagg=194/0 rej=0/0/0/0/0/0 late=0 retries=1 up=6592460 down=2715 ledger=287/287/0000000000000000"),
+    ("retry/MemBatched/s3", "est=404a204f31385e96 reports=287 contacted=300 waves=1 secagg=194/0 rej=0/0/0/0/0/0 late=0 retries=1 up=6578446 down=23 ledger=287/287/0000000000000000"),
     ("secure/Sync/s1", "est=40481cb0e36c666a reports=538 contacted=600 waves=1 secagg=538/62 rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=-"),
-    ("secure/Mem/s1", "est=40481cb0e36c666a reports=538 contacted=600 waves=1 secagg=538/62 rej=0/0/0/0/0/0 late=0 retries=0 up=2360922 down=5415 ledger=-"),
-    ("secure/MemBatched/s1", "est=40481cb0e36c666a reports=538 contacted=600 waves=1 secagg=538/62 rej=0/0/0/0/0/0 late=0 retries=0 up=2354926 down=23 ledger=-"),
+    ("secure/Mem/s1", "est=40481cb0e36c666a reports=538 contacted=600 waves=1 secagg=538/62 rej=0/0/0/0/0/0 late=0 retries=0 up=2331114 down=5415 ledger=-"),
+    ("secure/MemBatched/s1", "est=40481cb0e36c666a reports=538 contacted=600 waves=1 secagg=538/62 rej=0/0/0/0/0/0 late=0 retries=0 up=2311730 down=23 ledger=-"),
     ("secure/Sync/s2", "est=40478c518adf6141 reports=530 contacted=600 waves=1 secagg=530/70 rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=-"),
-    ("secure/Mem/s2", "est=40478c518adf6141 reports=530 contacted=600 waves=1 secagg=530/70 rej=0/0/0/0/0/0 late=0 retries=0 up=2361764 down=5415 ledger=-"),
-    ("secure/MemBatched/s2", "est=40478c518adf6141 reports=530 contacted=600 waves=1 secagg=530/70 rej=0/0/0/0/0/0 late=0 retries=0 up=2355842 down=23 ledger=-"),
+    ("secure/Mem/s2", "est=40478c518adf6141 reports=530 contacted=600 waves=1 secagg=530/70 rej=0/0/0/0/0/0 late=0 retries=0 up=2331821 down=5415 ledger=-"),
+    ("secure/MemBatched/s2", "est=40478c518adf6141 reports=530 contacted=600 waves=1 secagg=530/70 rej=0/0/0/0/0/0 late=0 retries=0 up=2312541 down=23 ledger=-"),
     ("secure/Sync/s3", "est=404a4ab316b5cbc4 reports=548 contacted=600 waves=1 secagg=548/52 rej=0/0/0/0/0/0 late=0 retries=0 up=0 down=0 ledger=-"),
-    ("secure/Mem/s3", "est=404a4ab316b5cbc4 reports=548 contacted=600 waves=1 secagg=548/52 rej=0/0/0/0/0/0 late=0 retries=0 up=2368759 down=5415 ledger=-"),
-    ("secure/MemBatched/s3", "est=404a4ab316b5cbc4 reports=548 contacted=600 waves=1 secagg=548/52 rej=0/0/0/0/0/0 late=0 retries=0 up=2362680 down=23 ledger=-"),
+    ("secure/Mem/s3", "est=404a4ab316b5cbc4 reports=548 contacted=600 waves=1 secagg=548/52 rej=0/0/0/0/0/0 late=0 retries=0 up=2338245 down=5415 ledger=-"),
+    ("secure/MemBatched/s3", "est=404a4ab316b5cbc4 reports=548 contacted=600 waves=1 secagg=548/52 rej=0/0/0/0/0/0 late=0 retries=0 up=2318658 down=23 ledger=-"),
     ("sharded/plain/Mem/s1", "est=405852b931057262 reports=3000 contacted=3000 waves=1 retries=0 up=38872 down=24015 included=[0, 1, 2, 3] degraded=[]"),
     ("sharded/plain/MemBatched/s1", "est=405852b931057262 reports=3000 contacted=3000 waves=1 retries=0 up=6208 down=43 included=[0, 1, 2, 3] degraded=[]"),
     ("sharded/plain/Mem/s2", "est=4058438489fc5e6a reports=3000 contacted=3000 waves=1 retries=0 up=38872 down=24015 included=[0, 1, 2, 3] degraded=[]"),
