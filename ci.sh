@@ -63,6 +63,16 @@ PROPTEST_CASES=1 cargo test --release --offline -p fednum-transport \
 # recovering >50 stragglers and replaying bit-identically.
 exact_test -p fednum-transport --test salvage \
     regression_salvage_seed_0x5a17_recovers_and_stays_pinned
+# Batched-wire parity seeds: batched plain/secagg rounds must stay
+# bit-identical to the scalar path per seed across chunk sizes.
+exact_test -p fednum-transport --lib \
+    coordinator::tests::batched_plain_round_is_bit_identical_per_seed
+exact_test -p fednum-transport --lib \
+    coordinator::tests::batched_secagg_round_is_bit_identical_per_seed
+# The secure-aggregation message rounds stream: bytes queued between send
+# and poll stay under the in-flight bound, frames under their byte budget.
+exact_test -p fednum-transport --lib \
+    coordinator::tests::secagg_rounds_stream_within_the_in_flight_bound_and_the_frame_budget
 
 step "cargo test (workspace)"
 # --include-ignored: the process-spawning suites (fleet_e2e, chaos_e2e) are
@@ -92,73 +102,6 @@ exact_test -q --test chaos \
 step "salvage chaos pass (salvage never worse than discard)"
 exact_test -q --test chaos \
     salvage_never_worsens_the_estimate_across_the_chaos_grid
-
-step "bench_transport --hiersec smoke (fixed seed, 10s budget)"
-# Quick grid (50k clients, K in {4,16}, 1/4 workers); the binary itself
-# enforces the wall-clock budget and the >=2x modeled pool speedup.
-# --smoke = quick sizes + the BENCH_*_smoke.json artifact name (see
-# EXPERIMENTS.md: smoke runs never overwrite a full run's numbers).
-./target/release/bench_transport --hiersec --smoke
-
-step "bench_transport --salvage smoke (fixed seed, recovery/overhead gates)"
-# Quick sweep (50k clients, straggle rates {0.05,0.1,0.2}); the binary
-# enforces >=90% straggler recovery per rate and <=15% wall overhead.
-./target/release/bench_transport --salvage --smoke
-
-step "tcp-loopback smoke (fednumd + concurrent drivers over real sockets)"
-# Spawns the real fednumd binary on an OS-assigned port, holds its stdin
-# open on a FIFO (EOF is its hang-up signal), and drives it with
-# bench_tcp: in-memory parity assert, 3 concurrent driver sessions, then
-# the admin Shutdown frame. fednumd exits 2 on leaked threads, and we
-# assert its printed peak concurrency. The serial frames/s line is printed
-# and written to the JSON but gates nothing under --smoke: the number is
-# the host's (13k-137k on one checkout), and stopping here would skip every
-# step below. Timing claims go through `benchmark/run.sh compare` on
-# `tcp_campaign`.
-FEDNUMD_LOG=$(mktemp)
-FEDNUMD_FIFO=$(mktemp -u)
-mkfifo "$FEDNUMD_FIFO"
-./target/release/fednumd --addr 127.0.0.1:0 --workers 4 \
-    > "$FEDNUMD_LOG" < "$FEDNUMD_FIFO" &
-FEDNUMD_PID=$!
-exec 8> "$FEDNUMD_FIFO"
-FEDNUMD_ADDR=""
-for _ in $(seq 100); do
-    FEDNUMD_ADDR=$(sed -n 's/^fednumd listening on //p' "$FEDNUMD_LOG")
-    [[ -n "$FEDNUMD_ADDR" ]] && break
-    sleep 0.1
-done
-[[ -n "$FEDNUMD_ADDR" ]] || { echo "fednumd never came up"; exit 1; }
-./target/release/bench_tcp --smoke --addr "$FEDNUMD_ADDR" --shutdown-daemon
-wait "$FEDNUMD_PID"
-exec 8>&-
-rm -f "$FEDNUMD_FIFO"
-cat "$FEDNUMD_LOG"
-grep -Eq 'peak [3-9][0-9]* concurrent' "$FEDNUMD_LOG" \
-    || { echo "fednumd never served 3 concurrent sessions"; exit 1; }
-rm -f "$FEDNUMD_LOG"
-
-step "bench_tcp --longitudinal smoke (amortized per-round overhead gate)"
-# Multi-round campaign over one connection vs fresh per-round sessions,
-# with and without the durable ledger; the binary enforces the <=10%
-# amortized per-round overhead gate and per-round estimate parity.
-./target/release/bench_tcp --longitudinal --smoke
-
-step "bench_tcp --planes smoke (bit-plane wire: >=10x + scalar parity gates)"
-# Pinned parity regression seeds first: batched plain/secagg rounds must
-# stay bit-identical to the scalar path per seed across chunk sizes.
-exact_test -p fednum-transport --lib \
-    coordinator::tests::batched_plain_round_is_bit_identical_per_seed
-exact_test -p fednum-transport --lib \
-    coordinator::tests::batched_secagg_round_is_bit_identical_per_seed
-# The secure-aggregation message rounds stream: bytes queued between send
-# and poll stay under the in-flight bound, frames under their byte budget.
-exact_test -p fednum-transport --lib \
-    coordinator::tests::secagg_rounds_stream_within_the_in_flight_bound_and_the_frame_budget
-# Then the throughput panel: the binary enforces batched-vs-scalar
-# estimate parity over the socket (plain + secagg, 3 seeds) and the
-# >=10x client-aggregation speedup over the scalar wire's frames/s.
-./target/release/bench_tcp --planes --smoke
 
 step "fleet smoke (fednumd + 50 fednumc processes, 5 seeded kills)"
 # The real binaries end to end: fednumd hosts a 2-round, 40-cohort fleet
@@ -293,14 +236,6 @@ grep -Eq '[1-9][0-9]* reset' "$CHAOS_X_LOG" \
     || { echo "the fault proxy never injected a reset"; exit 1; }
 rm -f "$CHAOS_LOG" "$CHAOS_X_LOG"
 
-step "bench_tcp --chaos smoke (recovery >=95%, overhead <=25%, bit-identical)"
-# Fault-free vs chaotic campaign (reference fault schedule through the
-# in-process proxy) with the same seed; the binary enforces >=20% of
-# connections reset, >=95% faulted-session recovery, <=25% round-wall
-# overhead, zero double-counts both arms, protocol errors == injected
-# corruptions exactly, and bit-identical per-round estimates.
-./target/release/bench_tcp --chaos --smoke
-
 step "amplification regression anchor (fixed (eps, n, delta) pinned to 1e-12)"
 # The shuffle tier's amplification-by-shuffling bound: three pinned
 # (local epsilon, cohort, delta) triples must reproduce their recorded
@@ -308,12 +243,6 @@ step "amplification regression anchor (fixed (eps, n, delta) pinned to 1e-12)"
 # loosen what the durable ledger bills.
 exact_test -p fednum-core --lib \
     privacy::amplification::tests::regression_amplified_epsilon_pinned_to_1e12
-
-step "bench_tcp --fleet smoke (5k idle connections + 1k-cohort round gate)"
-# One event-loop daemon vs a 6000-session nonblocking client pool on one
-# thread; the binary enforces >=5k concurrently-connected idle clients
-# sustained (zero drops) while the 1k-cohort round completes in budget.
-./target/release/bench_tcp --fleet --smoke
 
 step "crash-recovery smoke (kill -9 mid-round, restart, bit-identical ledger)"
 # Starts fednumd with a durable state dir, runs a reference 3-round

@@ -4,15 +4,13 @@
 //! Usage:
 //!
 //! ```text
-//! figures [--quick|--smoke] [--no-json] [PANEL ...]
+//! figures [--quick] [--no-json] [PANEL ...]
 //! figures --list
 //! ```
 //!
 //! With no panels given, runs everything. `--quick` uses reduced cohort
-//! sizes and repetitions for smoke runs; `--smoke` is accepted as an
-//! alias so every bench binary takes the same flag (figure panels write
-//! `results/<id>.json`, which full runs don't consume, so no suffix is
-//! needed here).
+//! sizes and repetitions for smoke runs. Unknown flags exit 2, like
+//! unknown panels.
 
 use std::io::Write as _;
 
@@ -107,7 +105,14 @@ fn main() {
         }
         return;
     }
-    let quick = args.iter().any(|a| a == "--quick" || a == "--smoke");
+    if let Some(flag) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !matches!(a.as_str(), "--quick" | "--no-json"))
+    {
+        eprintln!("unknown flag '{flag}' — usage: figures [--quick] [--no-json] [PANEL ...]");
+        std::process::exit(2);
+    }
+    let quick = args.iter().any(|a| a == "--quick");
     let write_json = !args.iter().any(|a| a == "--no-json");
     let budget = if quick {
         Budget::quick()

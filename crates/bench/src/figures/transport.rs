@@ -111,7 +111,8 @@ pub fn transport_scale(budget: Budget) -> String {
     }
     if full {
         out.push_str(
-            "flagship: 1M clients must land under the 10 s budget (see BENCH_transport.json)\n",
+            "flagship: wall times are this host's; timing claims go through benchmark/ \
+             (sync_front_door, mem_planes: 1M clients)\n",
         );
     }
     out

@@ -28,7 +28,7 @@
 //! round's report and exits cleanly once the configured rounds complete.
 //!
 //! ```text
-//! fednumd [--addr HOST:PORT] [--workers N] [--read-timeout-ms MS]
+//! fednumd [--addr HOST:PORT] [--read-timeout-ms MS]
 //!         [--state-dir DIR] [--snapshot-every N]
 //!         [--fleet-cohort N --fleet-population N [--fleet-rounds N]
 //!          [--fleet-bits N] [--fleet-heartbeat-ms MS]
@@ -47,14 +47,12 @@ use fednum_core::privacy::durable::DEFAULT_SNAPSHOT_EVERY;
 use fednum_transport::daemon::{spawn_with_state, DaemonConfig, RoundStream};
 use fednum_transport::fleet::FleetConfig;
 
-const USAGE: &str = "usage: fednumd [--addr HOST:PORT] [--workers N] [--read-timeout-ms MS] \
+const USAGE: &str = "usage: fednumd [--addr HOST:PORT] [--read-timeout-ms MS] \
 [--state-dir DIR] [--snapshot-every N] [--fleet-cohort N --fleet-population N \
 [--fleet-rounds N] [--fleet-bits N] [--fleet-heartbeat-ms MS] [--fleet-liveness-ms MS] \
 [--fleet-deadline-ms MS] [--fleet-seed N] [--fleet-value-seed N]]
 
   --addr HOST:PORT     bind address (default 127.0.0.1:7447)
-  --workers N          accepted for compatibility; the reactor daemon
-                       serves any number of sessions on one thread
   --read-timeout-ms MS idle-connection drop timeout (default 30000)
   --state-dir DIR      durable campaign state: snapshot + write-ahead log
                        per campaign; on startup the WAL is replayed to the
@@ -111,10 +109,6 @@ fn main() -> ExitCode {
         };
         match flag.as_str() {
             "--addr" => cfg.addr = value,
-            "--workers" => match value.parse::<usize>() {
-                Ok(n) if n > 0 => cfg.workers = n,
-                _ => return usage(),
-            },
             "--read-timeout-ms" => match value.parse::<u64>() {
                 Ok(ms) if ms > 0 => cfg.read_timeout = Duration::from_millis(ms),
                 _ => return usage(),

@@ -24,8 +24,8 @@
 //! **Threading model.** One reactor thread multiplexes the listener and
 //! every connection through nonblocking sockets and the [`crate::reactor`]
 //! `poll(2)` wrapper — no worker pool, no thread per connection, no async
-//! runtime. The previous bounded pool capped concurrency at `workers`
-//! sessions and parked a thread per blocked read; a fleet of thousands of
+//! runtime. The previous bounded worker pool capped concurrency at its
+//! size and parked a thread per blocked read; a fleet of thousands of
 //! heartbeating participants would have needed thousands of threads (or
 //! starved). The event loop's cost per idle connection is one `pollfd`
 //! entry, so thousands of idle participants coexist with driver sessions
@@ -39,7 +39,7 @@
 //! flushes pending replies under a bounded drain, closes every socket,
 //! and exits. [`DaemonHandle::shutdown`] then joins the thread under a
 //! grace deadline — reporting a leak as a typed error rather than
-//! hanging, which the `tcp-loopback` CI smoke turns into a nonzero exit.
+//! hanging, which `fednumd` turns into exit code 2.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
@@ -80,10 +80,6 @@ pub struct DaemonConfig {
     /// Bind address; use port 0 to let the OS pick (see
     /// [`DaemonHandle::addr`] for the resolved address).
     pub addr: String,
-    /// Legacy worker-pool size, accepted for compatibility. The reactor
-    /// daemon serves any number of connections on one thread; this knob
-    /// no longer bounds concurrency.
-    pub workers: usize,
     /// Per-connection idle timeout: a driver connection with no traffic
     /// for this long is dropped (and counted in
     /// [`DaemonSnapshot::timeouts`]). Fleet participants are governed by
@@ -118,7 +114,6 @@ impl Default for DaemonConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            workers: 4,
             read_timeout: Duration::from_secs(30),
             shutdown_grace: Duration::from_secs(5),
             read_progress: Duration::from_secs(10),

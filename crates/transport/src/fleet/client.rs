@@ -1,19 +1,13 @@
 //! The participant side of the fleet protocol.
 //!
 //! [`ClientSession`] is the pure per-participant state machine — frames
-//! in, frames out, time injected — shared by the `fednumc` binary (one
-//! session on a blocking socket) and [`ClientPool`] (thousands of
-//! sessions multiplexed over the [`crate::reactor`] for the fleet
-//! benchmark). Keeping the protocol logic I/O-free means the binary, the
-//! pool, and the unit tests all exercise the same code path.
+//! in, frames out, time injected — driven by the `fednumc` binary (one
+//! session on a blocking socket) and by the benchmark's live-fleet load
+//! generator. Keeping the protocol logic I/O-free means every driver and
+//! the unit tests exercise the same code path.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::Instant;
+use fednum_core::wire::{self, FleetMessage};
 
-use fednum_core::wire::{self, FleetMessage, FrameDecoder};
-
-use crate::reactor::{self, PollFd, INTEREST_READ, INTEREST_WRITE};
 use crate::tcp::Ctrl;
 
 use super::client_value;
@@ -354,383 +348,8 @@ pub fn decode_fleet_frame(payload: &[u8]) -> Option<FleetMessage> {
     }
 }
 
-fn raw_fd(stream: &TcpStream) -> i32 {
-    #[cfg(unix)]
-    {
-        use std::os::unix::io::AsRawFd;
-        stream.as_raw_fd()
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = stream;
-        // The non-Unix reactor fallback never dereferences the fd — it
-        // claims readiness for every registered descriptor.
-        0
-    }
-}
-
-/// The ceiling [`ClientPool`] (and `fednumc`) put on a single
-/// [`backoff_ms`] reconnect delay.
+/// The ceiling `fednumc` puts on a single [`backoff_ms`] reconnect delay.
 pub const BACKOFF_CAP_MS: u64 = 2_000;
-
-struct PoolConn {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    session: ClientSession,
-    out: Vec<u8>,
-    written: usize,
-    /// Reconnects this session has been through.
-    attempts: u32,
-}
-
-/// A session between connections: waiting out its backoff before the
-/// pool re-dials it.
-struct Parked {
-    slot: usize,
-    session: ClientSession,
-    due_ms: u64,
-    attempts: u32,
-}
-
-/// Thousands of [`ClientSession`]s multiplexed over nonblocking sockets
-/// on one thread — the load generator behind `bench_tcp --fleet`, where
-/// spawning one OS process per client would measure the fork path of the
-/// kernel instead of the daemon's event loop.
-pub struct ClientPool {
-    addr: SocketAddr,
-    conns: Vec<Option<PoolConn>>,
-    parked: Vec<Parked>,
-    start: Instant,
-    peak_connected: usize,
-    completed: usize,
-    dropped: usize,
-    max_retries: u32,
-    base_backoff_ms: u64,
-    faulted: usize,
-    recovered: usize,
-}
-
-impl ClientPool {
-    /// Connects one session per client id. Sockets go nonblocking after
-    /// the (blocking) connect; each opens with its rendezvous frame
-    /// queued.
-    ///
-    /// # Errors
-    /// Propagates connection failures — a pool that silently came up
-    /// short would invalidate the benchmark's concurrency gate.
-    pub fn connect(addr: SocketAddr, client_ids: &[u64]) -> std::io::Result<Self> {
-        let mut pool = Self {
-            addr,
-            conns: Vec::with_capacity(client_ids.len()),
-            parked: Vec::new(),
-            start: Instant::now(),
-            peak_connected: 0,
-            completed: 0,
-            dropped: 0,
-            max_retries: 0,
-            base_backoff_ms: 50,
-            faulted: 0,
-            recovered: 0,
-        };
-        pool.join(addr, client_ids)?;
-        Ok(pool)
-    }
-
-    /// Arms the reconnect path: a session whose connection dies without a
-    /// dismissal is parked under [`backoff_ms`] and re-dialed with its
-    /// [`ClientSession::reconnect_frame`], up to `max_retries` times.
-    /// With the default of zero retries a drop is final (the pre-chaos
-    /// behavior).
-    #[must_use]
-    pub fn with_retries(mut self, max_retries: u32, base_backoff_ms: u64) -> Self {
-        self.max_retries = max_retries;
-        self.base_backoff_ms = base_backoff_ms.max(1);
-        self
-    }
-
-    /// Connects more sessions into a live pool. Large fleets should come
-    /// up in waves — `join` a chunk, [`pump`](Self::pump) a few times,
-    /// repeat — so early joiners rendezvous and heartbeat while later
-    /// waves are still connecting; a single monolithic connect pass can
-    /// outlast the coordinator's liveness window on a slow host and get
-    /// its own first wave reaped as dead.
-    ///
-    /// # Errors
-    /// Propagates connection failures, like [`connect`](Self::connect).
-    pub fn join(&mut self, addr: SocketAddr, client_ids: &[u64]) -> std::io::Result<()> {
-        for &client_id in client_ids {
-            let stream = TcpStream::connect(addr)?;
-            stream.set_nodelay(true)?;
-            stream.set_nonblocking(true)?;
-            let (session, hello) = ClientSession::new(client_id, FailMode::None);
-            let mut out = Vec::new();
-            push_fleet_frame(&mut out, hello);
-            self.conns.push(Some(PoolConn {
-                stream,
-                decoder: FrameDecoder::new(),
-                session,
-                out,
-                written: 0,
-                attempts: 0,
-            }));
-        }
-        self.peak_connected = self.peak_connected.max(self.connected());
-        Ok(())
-    }
-
-    /// Milliseconds since the pool came up — the session clock.
-    #[must_use]
-    pub fn now_ms(&self) -> u64 {
-        self.start.elapsed().as_millis() as u64
-    }
-
-    /// Currently open connections.
-    #[must_use]
-    pub fn connected(&self) -> usize {
-        self.conns.iter().filter(|c| c.is_some()).count()
-    }
-
-    /// The most connections ever open at once.
-    #[must_use]
-    pub fn peak_connected(&self) -> usize {
-        self.peak_connected
-    }
-
-    /// Sessions dismissed cleanly with `Done`.
-    #[must_use]
-    pub fn completed(&self) -> usize {
-        self.completed
-    }
-
-    /// Connections that died without a dismissal and exhausted their
-    /// retries.
-    #[must_use]
-    pub fn dropped(&self) -> usize {
-        self.dropped
-    }
-
-    /// Sessions that lost at least one connection mid-campaign.
-    #[must_use]
-    pub fn faulted(&self) -> usize {
-        self.faulted
-    }
-
-    /// Faulted sessions that still reached a clean dismissal — the
-    /// numerator of the chaos benchmark's recovery-rate gate.
-    #[must_use]
-    pub fn recovered(&self) -> usize {
-        self.recovered
-    }
-
-    /// Whether every session has left the pool (cleanly or not).
-    #[must_use]
-    pub fn done(&self) -> bool {
-        self.conns.iter().all(|c| c.is_none()) && self.parked.is_empty()
-    }
-
-    /// Total reports sent across all sessions (parked ones included).
-    #[must_use]
-    pub fn reports_sent(&self) -> u64 {
-        let live: u64 = self
-            .conns
-            .iter()
-            .flatten()
-            .map(|c| c.session.reports_sent())
-            .sum();
-        let parked: u64 = self.parked.iter().map(|p| p.session.reports_sent()).sum();
-        live + parked
-    }
-
-    /// One reactor iteration: re-dial parked sessions that are due, poll
-    /// every open socket, drain reads, process frames, queue due
-    /// heartbeats, flush writes, reap closed connections.
-    ///
-    /// # Errors
-    /// Only reactor failures propagate; per-connection I/O errors park
-    /// the session for retry (or count it dropped once retries are
-    /// exhausted).
-    pub fn pump(&mut self, poll_timeout_ms: i32) -> std::io::Result<()> {
-        let now = self.now_ms();
-        // Revive parked sessions whose backoff has elapsed.
-        let mut still_parked = Vec::new();
-        for mut p in std::mem::take(&mut self.parked) {
-            if now < p.due_ms {
-                still_parked.push(p);
-                continue;
-            }
-            let connected = TcpStream::connect(self.addr).and_then(|stream| {
-                stream.set_nodelay(true)?;
-                stream.set_nonblocking(true)?;
-                Ok(stream)
-            });
-            match connected {
-                Ok(stream) => {
-                    let mut session = p.session;
-                    let mut out = Vec::new();
-                    push_fleet_frame(&mut out, session.reconnect_frame());
-                    self.conns[p.slot] = Some(PoolConn {
-                        stream,
-                        decoder: FrameDecoder::new(),
-                        session,
-                        out,
-                        written: 0,
-                        attempts: p.attempts,
-                    });
-                }
-                Err(_) => {
-                    p.attempts += 1;
-                    if p.attempts > self.max_retries {
-                        self.dropped += 1;
-                    } else {
-                        p.due_ms = now.saturating_add(backoff_ms(
-                            p.session.client_id(),
-                            p.attempts,
-                            self.base_backoff_ms,
-                            BACKOFF_CAP_MS,
-                        ));
-                        still_parked.push(p);
-                    }
-                }
-            }
-        }
-        self.parked = still_parked;
-        // Heartbeats next so they ride the same flush as any replies.
-        for conn in self.conns.iter_mut().flatten() {
-            for beat in conn.session.tick(now) {
-                push_fleet_frame(&mut conn.out, beat);
-            }
-        }
-        let mut fds = Vec::new();
-        let mut index = Vec::new();
-        for (i, conn) in self.conns.iter().enumerate() {
-            if let Some(conn) = conn {
-                let mut interest = INTEREST_READ;
-                if conn.written < conn.out.len() {
-                    interest |= INTEREST_WRITE;
-                }
-                fds.push(PollFd::new(raw_fd(&conn.stream), interest));
-                index.push(i);
-            }
-        }
-        if fds.is_empty() {
-            return Ok(());
-        }
-        reactor::wait(&mut fds, poll_timeout_ms)?;
-        let now = self.now_ms();
-        let mut buf = [0u8; 4096];
-        for (slot, fd) in index.iter().zip(&fds) {
-            let Some(conn) = self.conns[*slot].as_mut() else {
-                continue;
-            };
-            let mut close = false;
-            let mut clean_eof = false;
-            if fd.readable() {
-                loop {
-                    match conn.stream.read(&mut buf) {
-                        Ok(0) => {
-                            close = true;
-                            clean_eof = true;
-                            break;
-                        }
-                        Ok(n) => conn.decoder.feed(&buf[..n]),
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            close = true;
-                            break;
-                        }
-                    }
-                }
-                loop {
-                    match conn.decoder.next_frame() {
-                        Ok(Some(frame)) => match Ctrl::decode(&frame) {
-                            Ok(Ctrl::Fleet(msg)) => {
-                                for reply in conn.session.on_frame(&msg, now) {
-                                    push_fleet_frame(&mut conn.out, reply);
-                                }
-                            }
-                            _ => {
-                                close = true;
-                                break;
-                            }
-                        },
-                        Ok(None) => break,
-                        Err(_) => {
-                            close = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            if !close && conn.written < conn.out.len() {
-                loop {
-                    match conn.stream.write(&conn.out[conn.written..]) {
-                        Ok(0) => {
-                            close = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            conn.written += n;
-                            if conn.written == conn.out.len() {
-                                conn.out.clear();
-                                conn.written = 0;
-                                break;
-                            }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            close = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            // The coordinator closes the connection once it has processed
-            // our dismissal acknowledgement, so a clean EOF after Done is
-            // the proof the ack landed. A fault before that (reset,
-            // truncated write) reconnects and re-acks via Resume — the
-            // coordinator re-sends Done to a resumed dismissed session —
-            // rather than leaving the registration to its grace lapse.
-            if close {
-                let flushed = conn.written >= conn.out.len();
-                let conn = self.conns[*slot].take().expect("checked above");
-                let acked = conn.session.finished() && flushed && clean_eof;
-                if acked || (conn.session.finished() && conn.attempts >= self.max_retries) {
-                    self.completed += 1;
-                    if conn.attempts > 0 {
-                        self.recovered += 1;
-                    }
-                } else if conn.attempts < self.max_retries {
-                    // Lost mid-campaign with retries left: park the
-                    // session and re-dial it after its backoff.
-                    if conn.attempts == 0 {
-                        self.faulted += 1;
-                    }
-                    let attempts = conn.attempts + 1;
-                    let mut session = conn.session;
-                    let hint = session.take_busy_hint().unwrap_or(0);
-                    let delay = backoff_ms(
-                        session.client_id(),
-                        attempts,
-                        self.base_backoff_ms,
-                        BACKOFF_CAP_MS,
-                    )
-                    .max(hint);
-                    self.parked.push(Parked {
-                        slot: *slot,
-                        session,
-                        due_ms: now.saturating_add(delay),
-                        attempts,
-                    });
-                } else {
-                    self.dropped += 1;
-                }
-            }
-        }
-        Ok(())
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -113,10 +113,6 @@ pub struct HierShardedOutcome {
     /// session, verbatim — the audit surface the privacy e2e test decodes
     /// to check that only *masked* per-shard material reaches the top.
     pub merge_frames: Vec<Vec<u8>>,
-    /// Measured busy seconds per shard session (this process, in shard
-    /// index order) — the per-job costs the bench's makespan model
-    /// schedules over worker slots.
-    pub shard_compute_seconds: Vec<f64>,
 }
 
 /// Runs one federated mean round with the population partitioned across
@@ -313,7 +309,6 @@ pub(crate) fn hierarchical_impl(
             shard_traffic: tier1.traffic,
             merge_traffic,
             merge_frames,
-            shard_compute_seconds: tier1.compute_seconds,
         },
         tier1.wire,
     ))
@@ -549,7 +544,5 @@ mod tests {
         assert_eq!(merged_total, shard_total + merge_total);
         assert!(shard_total > merge_total, "tier 1 carries the client fleet");
         assert!(merge_total > 0, "merge tier must be metered");
-        assert_eq!(out.shard_compute_seconds.len(), 4);
-        assert!(out.shard_compute_seconds.iter().all(|&s| s >= 0.0));
     }
 }

@@ -35,7 +35,7 @@ pub mod tcp;
 
 pub use builder::{RoundBuilder, RoundDetail, RoundOutcome};
 pub use daemon::{DaemonConfig, DaemonHandle, DaemonSnapshot, RoundStream};
-pub use fleet::client::{ClientPool, ClientSession, FailMode};
+pub use fleet::client::{ClientSession, FailMode};
 pub use fleet::{FleetConfig, FleetEngine, FleetLedger, FleetRoundReport};
 pub use hier::{HierShardedOutcome, ShardTransportFactory};
 pub use message::Message;

@@ -6,8 +6,8 @@
 //! per-connection schedule derived from one seed: mid-frame connection
 //! resets, partial-write stalls, duplicate delivery, byte corruption,
 //! arbitrary frame-boundary splits, and per-frame delivery delay. The
-//! `fednumx` binary wraps it for shell use; the chaos e2e suite and
-//! `bench_tcp --chaos` drive it in-process.
+//! `fednumx` binary wraps it for shell use; the chaos e2e suite drives it
+//! in-process.
 //!
 //! **Frame-aware, order-preserving.** The proxy reassembles each
 //! direction through a [`FrameDecoder`] and re-emits canonical frame
@@ -114,9 +114,8 @@ impl Default for ChaosConfig {
     }
 }
 
-/// The reference fault schedule the chaos CI smoke and `bench_tcp
-/// --chaos` run: 30% resets, 10% stalls, 5% duplicates, 5% corruptions,
-/// everything split and jittered.
+/// The reference fault schedule (`fednumx --reference`): 30% resets, 10%
+/// stalls, 5% duplicates, 5% corruptions, everything split and jittered.
 #[must_use]
 pub fn reference_schedule(upstream: String, seed: u64) -> ChaosConfig {
     ChaosConfig {

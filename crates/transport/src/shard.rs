@@ -96,8 +96,6 @@ pub(crate) struct ShardRuns {
     /// instance stays degraded — only its parked late reports recover.
     pub late: Vec<(usize, Vec<u64>)>,
     pub salvage: Option<SalvageOutcome>,
-    /// Measured busy seconds per shard session.
-    pub compute_seconds: Vec<f64>,
     /// Wire totals of the shard transports that meter one (TCP).
     pub wire: Option<WireMetrics>,
 }
@@ -123,7 +121,6 @@ impl ShardRuns {
             (Some(SalvageAborted), _) | (_, Some(SalvageAborted)) => Some(SalvageAborted),
             (a, b) => a.or(b),
         };
-        self.compute_seconds.extend(run.compute_seconds);
         if let Some(wire) = run.wire {
             self.wire
                 .get_or_insert_with(WireMetrics::default)
@@ -158,7 +155,6 @@ pub(crate) fn run_shard(
     batched: Option<usize>,
     hier: Option<&HierSecConfig>,
 ) -> Result<ShardRuns, FedError> {
-    let clock = std::time::Instant::now();
     let mut rng = StdRng::seed_from_u64(mix(seed ^ s as u64));
     let tseed = mix(seed ^ (s as u64) ^ TRANSPORT_TAG);
     let mut transport: Box<dyn Transport> = match factory {
@@ -221,7 +217,6 @@ pub(crate) fn run_shard(
         .extend(late.map(|late| (s, ones_then_counts(late))));
     run.traffic = session.close(&mut run.rejections);
     run.completion = st.completion_time + st.backoff_time;
-    run.compute_seconds.push(clock.elapsed().as_secs_f64());
     // A transport that failed underneath the session drained silently;
     // surface the typed error instead of a quietly-degraded shard.
     if let Some(e) = transport.take_error() {

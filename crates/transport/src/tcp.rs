@@ -38,8 +38,8 @@
 //! (bounded by `SYNC_BYTES`/`SYNC_FRAMES` so neither peer's socket
 //! buffer can fill while the other is still writing), and the matching
 //! delivery batches are read back before the next poll. One socket
-//! round-trip therefore covers many frames, which is what makes loopback
-//! throughput land well above the `bench_tcp` gate.
+//! round-trip therefore covers many frames rather than one (measured by
+//! the `tcp_campaign` workload of `benchmark/`).
 
 use std::cell::RefCell;
 use std::io::{BufReader, BufWriter, Write};

@@ -6,9 +6,10 @@
 //! * **the fleet behind the chaos proxy** — 50 real `fednumc` processes
 //!   reach the daemon only through a seeded `netchaos` schedule that
 //!   resets well over 20% of their connections mid-stream (plus stalls,
-//!   duplicate deliveries, frame splits, and jitter). Every round must
-//!   complete with zero salvage and zero abandonment, no report may be
-//!   counted twice, and the estimates and cohort draws must be
+//!   duplicate deliveries, corrupted frames, frame splits, and jitter).
+//!   Every round must complete with zero salvage and zero abandonment, no
+//!   report may be counted twice, every corruption must cost exactly one
+//!   protocol error, and the estimates and cohort draws must be
 //!   **bit-identical** to a fault-free run under the same fleet seed —
 //!   resume heals faults without perturbing the protocol's arithmetic;
 //! * **the campaign driver across a severed connection** — a live TCP
@@ -69,16 +70,17 @@ fn fleet_config() -> FleetConfig {
 
 /// The chaos schedule of the acceptance criterion: ~45% of connections
 /// reset mid-stream (well past the 20% floor), plus stalls, duplicate
-/// deliveries, splits, and jitter. Corruption is exercised separately
-/// (`netchaos` unit tests): a corrupted frame is a *fatal* protocol
-/// error by design, not a healable fault.
+/// deliveries, 5% corrupted frames (as in `reference_schedule`), splits,
+/// and jitter. A corrupted uplink frame is a protocol error: the daemon
+/// drops that connection, and `fednumc` heals it like a reset, by
+/// resuming.
 fn chaos_schedule() -> ChaosConfig {
     ChaosConfig {
         seed: 0xC4A0_5EED,
         reset_frac: 0.45,
         stall_frac: 0.15,
         dup_frac: 0.10,
-        corrupt_frac: 0.0,
+        corrupt_frac: 0.05,
         stall_ms: 400,
         delay_ms: 2,
         split_frames: true,
@@ -262,9 +264,15 @@ fn chaos_run_is_bit_identical_to_the_fault_free_run() {
         "assignment count identical to the fault-free run (re-sends are \
          ledgered as resumed_assigns)"
     );
+    // Every corruption, and nothing else, read as protocol abuse: the
+    // reset/stall/dup/split faults never do.
+    assert!(
+        stats.corruptions > 0,
+        "schedule must corrupt a frame: {stats:?}"
+    );
     assert_eq!(
-        chaos.snapshot.protocol_errors, 0,
-        "reset/stall/dup/split faults never read as protocol abuse"
+        chaos.snapshot.protocol_errors, stats.corruptions,
+        "one protocol error per corrupted frame: {stats:?}"
     );
 }
 

@@ -189,6 +189,12 @@ fn two_hundred_processes_survive_seeded_kills() {
     // Clean daemon shutdown: no leaked threads, no leaked connections.
     let stats = handle.shutdown().expect("daemon threads joined");
     assert_eq!(stats.active_connections, 0, "no connection leaked");
+    // Zero drops at admission: the whole population was held at once.
+    assert!(
+        stats.peak_connections >= CLIENTS,
+        "peak {} concurrent connections, population {CLIENTS}",
+        stats.peak_connections
+    );
     assert_eq!(
         stats.protocol_errors, 0,
         "no participant tripped the protocol"

@@ -110,48 +110,54 @@ fn run(
 
 /// The headline recovery contract: every report the discard path loses to
 /// the deadline comes back through the salvage session, and the telemetry
-/// accounts for each one.
+/// accounts for each one — at every straggle rate of the sweep, the
+/// population sized so even the lowest rate parks more than 50.
 #[test]
 fn salvage_recovers_stragglers_the_discard_path_loses() {
-    let vs = values(800);
+    let vs = values(2_000);
     let truth = vs.iter().sum::<f64>() / vs.len() as f64;
-    let discard =
-        base_config(0x5A11).with_faults(FaultPlan::new(straggler_rates(0.2), 0xFA17).unwrap());
-    let salvage = discard.clone().with_salvage(SalvagePolicy::default());
+    for rate in [0.05, 0.10, 0.20] {
+        let discard =
+            base_config(0x5A11).with_faults(FaultPlan::new(straggler_rates(rate), 0xFA17).unwrap());
+        let salvage = discard.clone().with_salvage(SalvagePolicy::default());
 
-    let off = run(&vs, &discard, 3);
-    let on = run(&vs, &salvage, 3);
+        let off = run(&vs, &discard, 3);
+        let on = run(&vs, &salvage, 3);
 
-    assert!(
-        off.robustness.late_frames > 50,
-        "scenario produced too few stragglers to be interesting: {}",
-        off.robustness.late_frames
-    );
-    assert_eq!(off.robustness.salvage, None, "no policy, no telemetry");
-    let Some(SalvageOutcome::Salvaged { reports }) = on.robustness.salvage else {
-        panic!("salvage never fired: {:?}", on.robustness.salvage);
-    };
-    // Base collection is untouched (salvage draws RNG strictly after it),
-    // so the two runs park identical frames — and the direct path re-admits
-    // every one of them.
-    assert_eq!(on.robustness.late_frames, off.robustness.late_frames);
-    assert_eq!(
-        reports, off.robustness.late_frames,
-        "direct salvage must re-admit every parked straggler"
-    );
-    assert_eq!(
-        on.reports,
-        off.reports + reports,
-        "recovered reports missing"
-    );
-    // More reports, no bias: the salvaged estimate stays inside the same
-    // error envelope the discard run satisfies.
-    let tolerance = 8.0 * on.outcome.predicted_std.max(1.0);
-    assert!(
-        (on.outcome.estimate - truth).abs() <= tolerance,
-        "salvaged estimate {} vs truth {truth} outside ±{tolerance:.2}",
-        on.outcome.estimate
-    );
+        assert!(
+            off.robustness.late_frames > 50,
+            "rate {rate}: scenario produced too few stragglers to be interesting: {}",
+            off.robustness.late_frames
+        );
+        assert_eq!(off.robustness.salvage, None, "no policy, no telemetry");
+        let Some(SalvageOutcome::Salvaged { reports }) = on.robustness.salvage else {
+            panic!(
+                "rate {rate}: salvage never fired: {:?}",
+                on.robustness.salvage
+            );
+        };
+        // Base collection is untouched (salvage draws RNG strictly after
+        // it), so the two runs park identical frames — and the direct path
+        // re-admits every one of them.
+        assert_eq!(on.robustness.late_frames, off.robustness.late_frames);
+        assert_eq!(
+            reports, off.robustness.late_frames,
+            "rate {rate}: direct salvage must re-admit every parked straggler"
+        );
+        assert_eq!(
+            on.reports,
+            off.reports + reports,
+            "rate {rate}: recovered reports missing"
+        );
+        // More reports, no bias: the salvaged estimate stays inside the
+        // same error envelope the discard run satisfies.
+        let tolerance = 8.0 * on.outcome.predicted_std.max(1.0);
+        assert!(
+            (on.outcome.estimate - truth).abs() <= tolerance,
+            "rate {rate}: salvaged estimate {} vs truth {truth} outside ±{tolerance:.2}",
+            on.outcome.estimate
+        );
+    }
 }
 
 /// Deadline accounting (the `late_frames` ↔ `rejections.straggler`
