@@ -73,6 +73,12 @@ exact_test -p fednum-transport --lib \
 # and poll stay under the in-flight bound, frames under their byte budget.
 exact_test -p fednum-transport --lib \
     coordinator::tests::secagg_rounds_stream_within_the_in_flight_bound_and_the_frame_budget
+# TcpTransport predicts every echo: a wrong, surplus or missing one fails
+# the session closed, and a round blocks once per batch, never per event.
+exact_test -p fednum-transport --lib \
+    tcp::tests::tampered_or_missing_echoes_fail_closed
+exact_test -p fednum-transport --lib \
+    tcp::tests::a_scalar_round_blocks_once_per_batch_not_per_event
 
 step "cargo test (workspace)"
 # --include-ignored: the process-spawning suites (fleet_e2e, chaos_e2e) are

@@ -23,15 +23,11 @@
 //!
 //! **Threading model.** One reactor thread multiplexes the listener and
 //! every connection through nonblocking sockets and the [`crate::reactor`]
-//! `poll(2)` wrapper — no worker pool, no thread per connection, no async
-//! runtime. The previous bounded worker pool capped concurrency at its
-//! size and parked a thread per blocked read; a fleet of thousands of
-//! heartbeating participants would have needed thousands of threads (or
-//! starved). The event loop's cost per idle connection is one `pollfd`
-//! entry, so thousands of idle participants coexist with driver sessions
-//! on a single thread. Per-connection frame order is unchanged — replies
-//! are queued in arrival order on each connection — which keeps driver
-//! sessions bit-identical to the worker-pool daemon.
+//! `poll(2)` wrapper — no thread per connection, no async runtime. The
+//! event loop's cost per idle connection is one `pollfd` entry, so
+//! thousands of idle participants coexist with driver sessions on a single
+//! thread. Replies are queued in arrival order on each connection, so a
+//! driver reads its echoes in the order it wrote the frames.
 //!
 //! **Shutdown.** [`DaemonHandle::request_shutdown`] (or an admin
 //! `Shutdown` frame, which `fednumd` maps to the same flag) flags the
@@ -968,9 +964,9 @@ fn apply_fleet_actions(conns: &mut BTreeMap<u64, Conn>, actions: Vec<FleetAction
 }
 
 /// Handles one decoded control frame on `conn`, queueing replies and
-/// possibly marking the connection ended. Exactly mirrors the per-frame
-/// semantics of the worker-pool daemon so driver sessions stay
-/// bit-identical.
+/// possibly marking the connection ended. The driver's `TcpTransport`
+/// replays the `Env`/`Redeliver`/`Window` arms and the stage re-arm on
+/// its side to predict every echo, so those must stay in step with it.
 fn handle_frame(
     conn: &mut Conn,
     conn_id: u64,

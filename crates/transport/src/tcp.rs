@@ -3,68 +3,86 @@
 //! Every envelope a session sends is framed (length-delimited
 //! `core::wire` frames), written to a live socket, decoded and
 //! fault-staged by the [`daemon`](crate::daemon) on the far side, and
-//! echoed back as scheduled deliveries that the driver's local
-//! discrete-event queue then orders. The split of responsibilities is
-//! deliberate:
+//! echoed back as the scheduled deliveries the stage produced. The split
+//! of responsibilities is deliberate:
 //!
-//! * **the daemon owns the wire** — framing, codec validation, the
-//!   per-session [`SimNetTransport`](crate::net::SimNetTransport)-
-//!   equivalent fault stage (straggle /
-//!   corrupt / duplicate / replay with the replay register), read/idle
-//!   timeouts, and wire metrics;
-//! * **the driver owns the clock** — the same seeded [`EventQueue`] that
-//!   backs [`InMemoryTransport`](crate::net::InMemoryTransport) orders the
-//!   echoed deliveries, so tie-breaks, FIFO-per-stream order, and
-//!   therefore the published estimate are bit-identical to an in-process
-//!   run under the same seed.
+//! * **the daemon decides** — framing, codec validation, the per-session
+//!   [`SimNetTransport`] fault stage (straggle / corrupt / duplicate /
+//!   replay with the replay register), read/idle timeouts, and wire
+//!   metrics; its one `Deliveries` echo per frame is the authoritative
+//!   outcome of that frame;
+//! * **the driver predicts and checks** — it runs the same stage, built by
+//!   [`SimNetTransport::with_plan`] from the same parameters (the
+//!   handshake, every fresh round admission, every reconnect), feeds it
+//!   each frame in write order, and schedules the predicted deliveries at
+//!   once on the same seeded [`EventQueue`] that backs
+//!   [`InMemoryTransport`](crate::net::InMemoryTransport), so tie-breaks,
+//!   FIFO-per-stream order, and therefore the published estimate are
+//!   bit-identical to an in-process run under the same seed. Each
+//!   predicted echo is kept encoded, and every echo read off the socket
+//!   must equal it byte for byte.
 //!
 //! **Parity contract.** For any session, `TcpTransport::connect(addr,
 //! seed)` is observationally identical to `InMemoryTransport::new(seed)`,
 //! and [`TcpTransport::connect_for_config`] to
-//! [`SimNetTransport::for_config`](crate::net::SimNetTransport::for_config)
-//! — every frame genuinely crosses the
+//! [`SimNetTransport::for_config`] — every frame genuinely crosses the
 //! socket (encoded, fragmented by the kernel, reassembled, decoded,
-//! re-encoded) but arrives carrying the same payload at the same virtual
-//! time in the same order. The `tcp_parity` suite pins this across plain,
-//! secagg, salvage, and hierarchical rounds.
+//! fault-staged, re-encoded) and its echo is checked against the
+//! prediction, so a round either carries the same payloads at the same
+//! virtual times in the same order or fails. The `tcp_parity` suite pins
+//! this across plain, secagg, salvage, and hierarchical rounds.
 //!
 //! **Failure semantics.** The [`Transport`] call surface is infallible, so
-//! socket errors (including read timeouts) are recorded internally: the
-//! session drains as if the network went silent, and the driver surfaces
-//! the typed [`FedError::Transport`] via [`Transport::take_error`] — the
+//! socket errors (including read timeouts) and echoes that are missing,
+//! surplus, or differ from the prediction are recorded internally: every
+//! delivery still queued and every owed echo is dropped, the session
+//! drains as if the network went silent, and the driver surfaces the typed
+//! [`FedError::Transport`] via [`Transport::take_error`] — the
 //! [`RoundBuilder`](crate::builder::RoundBuilder) does this automatically.
+//! Deliveries are handed out before their echo arrives, but no session can
+//! end on an unchecked one: `poll` and `peek_time` cannot report an empty
+//! timeline, nor `idle` a drained one, until every echo has been verified.
 //!
-//! Sends are pipelined: envelopes are buffered and flushed in batches
-//! (bounded by `SYNC_BYTES`/`SYNC_FRAMES` so neither peer's socket
-//! buffer can fill while the other is still writing), and the matching
-//! delivery batches are read back before the next poll. One socket
-//! round-trip therefore covers many frames rather than one (measured by
-//! the `tcp_campaign` workload of `benchmark/`).
+//! **Pipelining.** Nothing waits on the daemon per event. Frames are
+//! buffered and flushed in batches; the driver blocks only once
+//! `SYNC_BYTES`/`SYNC_FRAMES` worth of echoes are unverified (so neither
+//! peer's socket buffer can fill while the other is still writing), when
+//! its local timeline runs empty, and in the request/reply exchanges
+//! (campaign control and `close`). Before handing out a delivery it takes
+//! in, without blocking, whatever echoes the socket already holds. One
+//! blocking round trip therefore covers many frames rather than one
+//! (measured by the `tcp_campaign` workload of `benchmark/`).
 
 use std::cell::RefCell;
-use std::io::{BufReader, BufWriter, Write};
+use std::collections::VecDeque;
+use std::io::{BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use fednum_core::wire::{
-    self, push_f64, read_f64, read_varint, CampaignMessage, FleetMessage, WireError,
+    self, push_f64, read_f64, read_varint, CampaignMessage, FleetMessage, FrameDecoder, WireError,
 };
 use fednum_fedsim::error::FedError;
 use fednum_fedsim::faults::{FaultPlan, FaultRates};
 use fednum_fedsim::round::FederatedMeanConfig;
 
-use crate::net::{Envelope, Transport, WireMetrics};
+use crate::net::{Envelope, SimNetTransport, Transport, WireMetrics};
+use crate::reactor::{self, PollFd, INTEREST_READ};
 use crate::scheduler::EventQueue;
 
 /// Wire-protocol version carried in the session handshake.
 pub const PROTOCOL_VERSION: u64 = 1;
 
-/// Flush-and-drain once this many encoded bytes are in flight unacked:
-/// echoes are roughly request-sized, so this bounds the daemon's pending
-/// response bytes far below any platform's socket buffers.
+/// Flush-and-drain once this many encoded bytes were written since the
+/// last drain: echoes are roughly request-sized, so this bounds the
+/// daemon's pending response bytes far below any platform's socket
+/// buffers.
 const SYNC_BYTES: usize = 16 * 1024;
-/// Flush-and-drain once this many envelope frames are in flight unacked.
+/// Flush-and-drain once this many echoes are owed and unverified.
 const SYNC_FRAMES: usize = 256;
+
+/// Bytes taken off the socket per `read` call.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// Default driver-side read timeout: how long a poll waits on the daemon
 /// before the session aborts with [`FedError::Transport`].
@@ -566,16 +584,25 @@ pub struct CommitReceipt {
 }
 
 struct Inner {
-    reader: BufReader<TcpStream>,
+    /// The read half; frames are cut out of it by `decoder`.
+    stream: TcpStream,
+    decoder: FrameDecoder,
     writer: BufWriter<TcpStream>,
     queue: EventQueue<Envelope>,
-    /// `Env`/`Redeliver` frames written but whose `Deliveries` response has
-    /// not been read back yet.
-    outstanding: usize,
+    /// The daemon's fault stage, replayed: built from the same parameters
+    /// and fed the same frames in the same order, so it predicts every
+    /// echo before the daemon sends it.
+    stage: SimNetTransport,
+    /// Encoded `Deliveries` frames the daemon still owes, in write order;
+    /// each echo read back must equal the head byte for byte.
+    owed: VecDeque<Vec<u8>>,
     /// Encoded bytes written since the last flush-and-drain.
     unsynced_bytes: usize,
     metrics: WireMetrics,
     error: Option<FedError>,
+    /// Blocking flush-and-drain passes over echoes, for the round-trip
+    /// count test.
+    drains: u64,
 }
 
 impl Inner {
@@ -585,27 +612,33 @@ impl Inner {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(DEFAULT_READ_TIMEOUT))?;
         let mut inner = Inner {
-            reader: BufReader::new(stream.try_clone()?),
+            stream: stream.try_clone()?,
+            decoder: FrameDecoder::new(),
             writer: BufWriter::new(stream),
             queue: EventQueue::new(hello.seed),
-            outstanding: 0,
+            stage: SimNetTransport::with_plan(
+                hello.seed,
+                hello.faults,
+                hello.validate,
+                hello.round_id,
+            ),
+            owed: VecDeque::new(),
             unsynced_bytes: 0,
             metrics: WireMetrics::default(),
             error: None,
+            drains: 0,
         };
         let frame = Ctrl::Hello(*hello).encode();
         wire::write_frame(&mut inner.writer, &frame)?;
         inner.writer.flush()?;
         inner.metrics.frames_sent += 1;
         inner.metrics.bytes_sent += wire::frame_len(frame.len()) as u64;
-        let ack = wire::read_frame(&mut inner.reader)?.ok_or_else(|| {
+        let ack = inner.read_frame()?.ok_or_else(|| {
             std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "daemon closed during handshake",
             )
         })?;
-        inner.metrics.frames_received += 1;
-        inner.metrics.bytes_received += wire::frame_len(ack.len()) as u64;
         match Ctrl::decode(&ack) {
             Ok(Ctrl::HelloAck { .. }) => Ok(inner),
             other => Err(std::io::Error::new(
@@ -614,6 +647,180 @@ impl Inner {
             )),
         }
     }
+
+    /// Reads one whole frame, blocking up to the read timeout; `None` when
+    /// the daemon closed the stream.
+    fn read_frame(&mut self) -> std::io::Result<Option<Vec<u8>>> {
+        loop {
+            if let Some(frame) = self.next_buffered()? {
+                return Ok(Some(frame));
+            }
+            if !self.fill()? {
+                return Ok(None);
+            }
+        }
+    }
+
+    /// The next complete frame already taken off the socket, if any.
+    fn next_buffered(&mut self) -> std::io::Result<Option<Vec<u8>>> {
+        let frame = self
+            .decoder
+            .next_frame()
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        if let Some(frame) = &frame {
+            self.metrics.frames_received += 1;
+            self.metrics.bytes_received += wire::frame_len(frame.len()) as u64;
+        }
+        Ok(frame)
+    }
+
+    /// One `read` into the frame decoder; `false` at end of stream.
+    fn fill(&mut self) -> std::io::Result<bool> {
+        let mut chunk = [0u8; READ_CHUNK];
+        loop {
+            match self.stream.read(&mut chunk) {
+                Ok(n) => {
+                    self.decoder.feed(&chunk[..n]);
+                    return Ok(n > 0);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Writes one frame and, for `Env`/`Redeliver`, stages it locally
+    /// exactly as the daemon will: its predicted deliveries go straight onto
+    /// the queue and its predicted echo onto `owed`.
+    fn write_ctrl(&mut self, ctrl: Ctrl) {
+        if self.error.is_some() {
+            return;
+        }
+        let frame = ctrl.encode();
+        let len = wire::frame_len(frame.len());
+        if let Err(e) = wire::write_frame(&mut self.writer, &frame) {
+            fail(self, "write", &e);
+            return;
+        }
+        self.metrics.frames_sent += 1;
+        self.metrics.bytes_sent += len as u64;
+        self.unsynced_bytes += len;
+        match ctrl {
+            Ctrl::Env(env) => self.stage.send(env),
+            Ctrl::Redeliver(env) => self.stage.redeliver(env),
+            Ctrl::Window { start, deadline } => {
+                self.stage.open_window(start, deadline);
+                return;
+            }
+            _ => unreachable!("only envelope and window frames are staged"),
+        }
+        let mut items = Vec::with_capacity(1);
+        while let Some(item) = self.stage.poll() {
+            items.push(item);
+        }
+        let echo = Ctrl::Deliveries(items);
+        self.owed.push_back(echo.encode());
+        if let Ctrl::Deliveries(items) = echo {
+            for (at, env) in items {
+                self.queue.push(at, env.from, env);
+            }
+        }
+        if self.unsynced_bytes >= SYNC_BYTES || self.owed.len() >= SYNC_FRAMES {
+            self.drain();
+        }
+    }
+
+    /// Checks every echo already taken off the socket against the oldest
+    /// owed one; bytes left over once nothing is owed can only be a
+    /// surplus frame.
+    fn verify_buffered(&mut self) {
+        while self.error.is_none() && !self.owed.is_empty() {
+            match self.next_buffered() {
+                Ok(Some(echo)) if self.owed.front() == Some(&echo) => {
+                    self.owed.pop_front();
+                }
+                Ok(Some(_)) => fail(
+                    self,
+                    "read",
+                    &invalid("echo differs from the staged deliveries"),
+                ),
+                Ok(None) => return,
+                Err(e) => fail(self, "read", &e),
+            }
+        }
+        if self.error.is_none() && self.decoder.pending() > 0 {
+            fail(self, "read", &invalid("frame arrived with no echo owed"));
+        }
+    }
+
+    /// Flushes buffered sends and blocks until every owed echo has been
+    /// read back and verified. On failure the typed error is recorded and
+    /// the transport goes silent (see module docs).
+    fn drain(&mut self) {
+        if self.error.is_some() || self.owed.is_empty() {
+            return;
+        }
+        self.drains += 1;
+        if let Err(e) = self.writer.flush() {
+            fail(self, "write", &e);
+            return;
+        }
+        self.unsynced_bytes = 0;
+        self.verify_buffered();
+        while self.error.is_none() && !self.owed.is_empty() {
+            match self.fill() {
+                Ok(true) => self.verify_buffered(),
+                Ok(false) => fail(self, "read", &closed()),
+                Err(e) => fail(self, "read", &e),
+            }
+        }
+    }
+
+    /// Takes in the echoes the socket already holds, without blocking.
+    fn take_in(&mut self) {
+        if self.error.is_some() || self.owed.is_empty() {
+            return;
+        }
+        let mut fds = [PollFd::new(raw_fd(&self.stream), INTEREST_READ)];
+        match reactor::wait(&mut fds, 0) {
+            Ok(_) if fds[0].readable() => match self.fill() {
+                Ok(true) => self.verify_buffered(),
+                Ok(false) => fail(self, "read", &closed()),
+                Err(e) => fail(self, "read", &e),
+            },
+            Ok(_) => {}
+            Err(e) => fail(self, "read", &e),
+        }
+    }
+
+    /// Brings the local timeline up to date before it is read: takes in
+    /// the echoes already here and, if nothing is left to hand out, blocks
+    /// until every owed echo is verified.
+    fn settle(&mut self) {
+        self.take_in();
+        if self.queue.is_empty() {
+            self.drain();
+        }
+    }
+}
+
+#[cfg(unix)]
+fn raw_fd<T: std::os::unix::io::AsRawFd>(socket: &T) -> i32 {
+    socket.as_raw_fd()
+}
+
+#[cfg(not(unix))]
+fn raw_fd<T>(_socket: &T) -> i32 {
+    // The non-Unix reactor fallback never dereferences the fd.
+    0
+}
+
+fn closed() -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "daemon closed session")
+}
+
+fn invalid(detail: &str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, detail)
 }
 
 /// A [`Transport`] whose frames cross a real TCP socket to a
@@ -735,8 +942,7 @@ impl TcpTransport {
     pub fn sever(&self) -> std::io::Result<()> {
         self.inner
             .borrow()
-            .reader
-            .get_ref()
+            .stream
             .shutdown(std::net::Shutdown::Both)
     }
 
@@ -747,11 +953,7 @@ impl TcpTransport {
     /// # Errors
     /// Propagates the socket option error.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.inner
-            .borrow()
-            .reader
-            .get_ref()
-            .set_read_timeout(timeout)
+        self.inner.borrow().stream.set_read_timeout(timeout)
     }
 
     /// Closes the session: drains in-flight echoes, then exchanges
@@ -762,7 +964,7 @@ impl TcpTransport {
     /// close handshake does.
     pub fn close(self) -> Result<SessionStats, FedError> {
         let mut inner = self.inner.into_inner();
-        sync(&mut inner);
+        inner.drain();
         if let Some(e) = inner.error.take() {
             return Err(e);
         }
@@ -775,7 +977,8 @@ impl TcpTransport {
         let frame = Ctrl::Close.encode();
         wire::write_frame(&mut inner.writer, &frame).map_err(io_err("write"))?;
         inner.writer.flush().map_err(io_err("write"))?;
-        let reply = wire::read_frame(&mut inner.reader)
+        let reply = inner
+            .read_frame()
             .map_err(io_err("read"))?
             .ok_or(FedError::Transport {
                 op: "read",
@@ -854,7 +1057,8 @@ impl TcpTransport {
     /// charges (durable mode) and rebuilt the session's simulated network
     /// from `net_seed`/`round_id`, so the round that follows is bit-identical
     /// to an independent single-round session opened with the same seeds.
-    /// The driver's local event queue is re-seeded to match. If the reply
+    /// The driver's local event queue is re-seeded to match, and its
+    /// replayed fault stage is re-armed whenever the daemon's is. If the reply
     /// says [`RoundAdmission::already_committed`], nothing was staged and
     /// the round body must be skipped.
     ///
@@ -884,9 +1088,19 @@ impl TcpTransport {
             } => {
                 // Match the daemon's fresh per-round SimNet: tie-break
                 // sequence state must not leak across rounds or parity with
-                // independent in-memory rounds is lost.
+                // independent in-memory rounds is lost. The daemon re-arms
+                // its stage only for a fresh admission, so the replay does
+                // too.
                 let inner = self.inner.get_mut();
                 inner.queue = EventQueue::new(net_seed);
+                if !already_committed {
+                    inner.stage = SimNetTransport::with_plan(
+                        net_seed,
+                        self.hello.faults,
+                        self.hello.validate,
+                        round_id,
+                    );
+                }
                 Ok(RoundAdmission {
                     round,
                     admitted,
@@ -928,7 +1142,7 @@ impl TcpTransport {
     /// typed error but leaves the connection usable.
     fn exchange(&mut self, ctrl: &Ctrl) -> Result<Ctrl, FedError> {
         let inner = self.inner.get_mut();
-        sync(inner);
+        inner.drain();
         if let Some(e) = inner.error.take() {
             return Err(e);
         }
@@ -943,14 +1157,13 @@ impl TcpTransport {
         inner.writer.flush().map_err(io_err("write"))?;
         inner.metrics.frames_sent += 1;
         inner.metrics.bytes_sent += wire::frame_len(frame.len()) as u64;
-        let reply = wire::read_frame(&mut inner.reader)
+        let reply = inner
+            .read_frame()
             .map_err(io_err("read"))?
             .ok_or(FedError::Transport {
                 op: "read",
                 detail: "daemon closed during campaign exchange".into(),
             })?;
-        inner.metrics.frames_received += 1;
-        inner.metrics.bytes_received += wire::frame_len(reply.len()) as u64;
         match Ctrl::decode(&reply) {
             Ok(Ctrl::CampaignErr { code, detail }) => Err(FedError::Transport {
                 op: "campaign",
@@ -961,28 +1174,6 @@ impl TcpTransport {
                 op: "read",
                 detail: format!("bad campaign reply: {e}"),
             }),
-        }
-    }
-
-    fn write_ctrl(&mut self, ctrl: &Ctrl, expects_reply: bool) {
-        let inner = self.inner.get_mut();
-        if inner.error.is_some() {
-            return;
-        }
-        let frame = ctrl.encode();
-        let len = wire::frame_len(frame.len());
-        if let Err(e) = wire::write_frame(&mut inner.writer, &frame) {
-            fail(inner, "write", &e);
-            return;
-        }
-        inner.metrics.frames_sent += 1;
-        inner.metrics.bytes_sent += len as u64;
-        inner.unsynced_bytes += len;
-        if expects_reply {
-            inner.outstanding += 1;
-        }
-        if inner.unsynced_bytes >= SYNC_BYTES || inner.outstanding >= SYNC_FRAMES {
-            sync(inner);
         }
     }
 }
@@ -1001,90 +1192,44 @@ fn fail(inner: &mut Inner, op: &'static str, e: &std::io::Error) {
             detail: e.to_string(),
         });
     }
-    // The stream is unrecoverable; stop waiting on echoes that will never
-    // arrive so the session drains instead of spinning.
-    inner.outstanding = 0;
+    // The stream is unrecoverable: drop every delivery not yet handed out
+    // (none may be trusted past this point) and stop waiting on echoes that
+    // will never arrive, so the session drains instead of spinning.
+    while inner.queue.pop().is_some() {}
+    inner.owed.clear();
     inner.unsynced_bytes = 0;
-}
-
-/// Flushes buffered sends and reads back one `Deliveries` frame per
-/// outstanding envelope, scheduling every echoed delivery on the local
-/// queue. On failure the typed error is recorded and the transport goes
-/// silent (see module docs).
-fn sync(inner: &mut Inner) {
-    if inner.error.is_some() {
-        return;
-    }
-    if inner.unsynced_bytes > 0 {
-        if let Err(e) = inner.writer.flush() {
-            fail(inner, "write", &e);
-            return;
-        }
-        inner.unsynced_bytes = 0;
-    }
-    while inner.outstanding > 0 {
-        let frame = match wire::read_frame(&mut inner.reader) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => {
-                let eof =
-                    std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "daemon closed session");
-                fail(inner, "read", &eof);
-                return;
-            }
-            Err(e) => {
-                fail(inner, "read", &e);
-                return;
-            }
-        };
-        inner.metrics.frames_received += 1;
-        inner.metrics.bytes_received += wire::frame_len(frame.len()) as u64;
-        match Ctrl::decode(&frame) {
-            Ok(Ctrl::Deliveries(items)) => {
-                for (at, env) in items {
-                    inner.queue.push(at, env.from, env);
-                }
-                inner.outstanding -= 1;
-            }
-            other => {
-                let bad = std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("expected deliveries, got {other:?}"),
-                );
-                fail(inner, "read", &bad);
-                return;
-            }
-        }
-    }
 }
 
 impl Transport for TcpTransport {
     fn send(&mut self, env: Envelope) {
-        self.write_ctrl(&Ctrl::Env(env), true);
+        self.inner.get_mut().write_ctrl(Ctrl::Env(env));
     }
 
     fn poll(&mut self) -> Option<(f64, Envelope)> {
         let inner = self.inner.get_mut();
-        sync(inner);
+        inner.settle();
         inner.queue.pop().map(|s| (s.time, s.item))
     }
 
     fn peek_time(&self) -> Option<f64> {
         let mut inner = self.inner.borrow_mut();
-        sync(&mut inner);
+        inner.settle();
         inner.queue.peek_time()
     }
 
     fn open_window(&mut self, start: f64, deadline: f64) {
-        self.write_ctrl(&Ctrl::Window { start, deadline }, false);
+        self.inner
+            .get_mut()
+            .write_ctrl(Ctrl::Window { start, deadline });
     }
 
     fn redeliver(&mut self, env: Envelope) {
-        self.write_ctrl(&Ctrl::Redeliver(env), true);
+        self.inner.get_mut().write_ctrl(Ctrl::Redeliver(env));
     }
 
     fn idle(&self) -> bool {
         let mut inner = self.inner.borrow_mut();
-        sync(&mut inner);
+        inner.settle();
         inner.queue.is_empty()
     }
 
@@ -1100,8 +1245,17 @@ impl Transport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::COORDINATOR;
+    use crate::builder::RoundBuilder;
+    use crate::daemon::{self, DaemonConfig};
+    use crate::message::Message;
+    use crate::net::{InMemoryTransport, COORDINATOR};
+    use fednum_core::encoding::FixedPointCodec;
+    use fednum_core::protocol::basic::BasicConfig;
+    use fednum_core::sampling::BitSampling;
     use fednum_core::wire::varint_len;
+    use std::io::BufReader;
+    use std::net::{SocketAddr, TcpListener};
+    use std::thread::JoinHandle;
 
     fn env(from: u64, at: f64, payload: Vec<u8>) -> Envelope {
         Envelope {
@@ -1348,5 +1502,233 @@ mod tests {
                 other => panic!("decoded {other:?}"),
             }
         }
+    }
+
+    /// How the scripted peer betrays the driver on echo `k` (1-based).
+    #[derive(Debug, Clone, Copy)]
+    enum Tamper {
+        /// Flips the lowest bit of the first delivery time.
+        TimeBit,
+        /// Changes the last payload byte of the first delivery.
+        PayloadByte,
+        /// Follows the echo with one surplus `Deliveries` frame.
+        ExtraFrame,
+        /// Closes the socket instead of sending the echo.
+        CloseEarly,
+    }
+
+    /// A loopback peer that answers the handshake and echoes every frame
+    /// through the daemon's own fault stage, except that echo `k` is
+    /// corrupted as `tamper` says.
+    fn scripted_peer(tamper: Tamper, k: usize) -> (SocketAddr, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            // One write per reply, so frames sent together are read together.
+            let mut reply = |ctrls: &[Ctrl]| {
+                let mut bytes = Vec::new();
+                for ctrl in ctrls {
+                    wire::write_frame(&mut bytes, &ctrl.encode()).unwrap();
+                }
+                // The driver may already have hung up.
+                let _ = writer.write_all(&bytes);
+            };
+            let mut reader = BufReader::new(stream);
+            let mut stage = SimNetTransport::new(0);
+            let mut echoes = 0;
+            while let Ok(Some(frame)) = wire::read_frame(&mut reader) {
+                match Ctrl::decode(&frame).unwrap() {
+                    Ctrl::Hello(h) => {
+                        stage =
+                            SimNetTransport::with_plan(h.seed, h.faults, h.validate, h.round_id);
+                        reply(&[Ctrl::HelloAck { session_id: 1 }]);
+                        continue;
+                    }
+                    Ctrl::Window { start, deadline } => {
+                        stage.open_window(start, deadline);
+                        continue;
+                    }
+                    Ctrl::Env(env) => stage.send(env),
+                    Ctrl::Redeliver(env) => stage.redeliver(env),
+                    other => panic!("scripted peer got {other:?}"),
+                }
+                echoes += 1;
+                let mut items = Vec::new();
+                while let Some(item) = stage.poll() {
+                    items.push(item);
+                }
+                if echoes == k {
+                    match tamper {
+                        Tamper::TimeBit => items[0].0 = f64::from_bits(items[0].0.to_bits() ^ 1),
+                        Tamper::PayloadByte => *items[0].1.payload.last_mut().unwrap() ^= 0x40,
+                        Tamper::ExtraFrame => {}
+                        Tamper::CloseEarly => return,
+                    }
+                }
+                let mut echo = vec![Ctrl::Deliveries(items)];
+                if echoes == k && matches!(tamper, Tamper::ExtraFrame) {
+                    echo.push(Ctrl::Deliveries(Vec::new()));
+                }
+                reply(&echo);
+            }
+        });
+        (addr, peer)
+    }
+
+    fn expect_read_error(tamper: Tamper, tcp: &mut TcpTransport) {
+        match tcp.take_error() {
+            Some(FedError::Transport { op: "read", .. }) => {}
+            other => panic!("{tamper:?}: expected a read transport error, got {other:?}"),
+        }
+    }
+
+    /// Counts the frames that owe an echo.
+    struct Counting<T> {
+        inner: T,
+        frames: usize,
+    }
+
+    impl<T: Transport> Transport for Counting<T> {
+        fn send(&mut self, env: Envelope) {
+            self.frames += 1;
+            self.inner.send(env);
+        }
+        fn poll(&mut self) -> Option<(f64, Envelope)> {
+            self.inner.poll()
+        }
+        fn peek_time(&self) -> Option<f64> {
+            self.inner.peek_time()
+        }
+        fn open_window(&mut self, start: f64, deadline: f64) {
+            self.inner.open_window(start, deadline);
+        }
+        fn redeliver(&mut self, env: Envelope) {
+            self.frames += 1;
+            self.inner.redeliver(env);
+        }
+        fn idle(&self) -> bool {
+            self.inner.idle()
+        }
+    }
+
+    fn scalar_config(session_seed: u64) -> FederatedMeanConfig {
+        let mut cfg = FederatedMeanConfig::new(BasicConfig::new(
+            FixedPointCodec::integer(8),
+            BitSampling::geometric(8, 1.0),
+        ));
+        cfg.session_seed = session_seed;
+        cfg
+    }
+
+    fn values(n: usize) -> Vec<f64> {
+        (0..n).map(|i| ((i * 37 + 11) % 230) as f64).collect()
+    }
+
+    #[test]
+    fn tampered_or_missing_echoes_fail_closed() {
+        // More frames than one drain covers, so the bound drain checks the
+        // first batch while the driver is still sending.
+        const N: usize = SYNC_FRAMES + 44;
+        // (tamper, echo k, deliveries handed out): a bad echo in the first
+        // batch is caught by the bound drain before anything is handed out;
+        // a surplus frame after the last echo, or a missing last echo, only
+        // once the timeline runs dry.
+        for (tamper, k, expected) in [
+            (Tamper::TimeBit, 10, 0),
+            (Tamper::PayloadByte, 10, 0),
+            (Tamper::ExtraFrame, 10, 0),
+            (Tamper::ExtraFrame, N, N),
+            (Tamper::CloseEarly, N, N),
+        ] {
+            let (addr, peer) = scripted_peer(tamper, k);
+            let mut tcp = TcpTransport::connect(addr, 7).unwrap();
+            for i in 0..N {
+                let payload = Message::Hello { round_id: 1 }.encode();
+                tcp.send(env(i as u64, i as f64 * 0.5, payload));
+            }
+            let mut handed = 0;
+            loop {
+                let got = tcp.poll();
+                if tcp.inner.borrow().error.is_some() {
+                    assert_eq!(got, None, "{tamper:?}: delivery handed out after detection");
+                }
+                if got.is_none() {
+                    break;
+                }
+                handed += 1;
+            }
+            assert_eq!(handed, expected, "{tamper:?} at echo {k}");
+            assert_eq!(
+                tcp.poll(),
+                None,
+                "{tamper:?}: failed transport stays silent"
+            );
+            expect_read_error(tamper, &mut tcp);
+            drop(tcp);
+            peer.join().unwrap();
+        }
+
+        // A whole round over the peer never publishes.
+        let cfg = scalar_config(0x5EED);
+        let vals = values(300);
+        let mut dry = Counting {
+            inner: InMemoryTransport::new(7),
+            frames: 0,
+        };
+        RoundBuilder::new(cfg.clone())
+            .via(&mut dry)
+            .run(&vals)
+            .unwrap();
+        for tamper in [
+            Tamper::TimeBit,
+            Tamper::PayloadByte,
+            Tamper::ExtraFrame,
+            Tamper::CloseEarly,
+        ] {
+            let k = if matches!(tamper, Tamper::CloseEarly) {
+                dry.frames
+            } else {
+                dry.frames / 2
+            };
+            let (addr, peer) = scripted_peer(tamper, k);
+            let mut tcp = TcpTransport::connect(addr, 7).unwrap();
+            let res = RoundBuilder::new(cfg.clone()).via(&mut tcp).run(&vals);
+            assert!(
+                matches!(res, Err(FedError::Transport { .. })),
+                "{tamper:?}: round over a lying peer returned {res:?}"
+            );
+            drop(tcp);
+            peer.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_scalar_round_blocks_once_per_batch_not_per_event() {
+        let handle = daemon::spawn(DaemonConfig::default()).unwrap();
+        let cfg = scalar_config(0xB10C);
+        let vals = values(2_000);
+        let mut mem = InMemoryTransport::new(3);
+        let reference = RoundBuilder::new(cfg.clone())
+            .via(&mut mem)
+            .run(&vals)
+            .unwrap();
+        let mut tcp = TcpTransport::connect(handle.addr(), 3).unwrap();
+        let over_tcp = RoundBuilder::new(cfg).via(&mut tcp).run(&vals).unwrap();
+        assert_eq!(
+            reference.flat().unwrap().outcome.estimate.to_bits(),
+            over_tcp.flat().unwrap().outcome.estimate.to_bits()
+        );
+        // One echo per Env/Redeliver frame, plus the handshake's ack.
+        let echoes = tcp.wire_metrics().unwrap().frames_received - 1;
+        let drains = tcp.inner.borrow().drains;
+        let bound = echoes.div_ceil(SYNC_FRAMES as u64) + 4;
+        assert!(
+            drains <= bound,
+            "{drains} blocking drains for {echoes} echoes (bound {bound})"
+        );
+        tcp.close().unwrap();
+        handle.shutdown().unwrap();
     }
 }

@@ -678,3 +678,164 @@ fn admin_shutdown_frame_stops_the_daemon() {
     assert!(handle.shutdown_requested());
     handle.shutdown().expect("clean daemon shutdown");
 }
+
+/// A wire that severs the driver's socket right after its `n`-th send.
+struct SeverAfter<'a> {
+    tcp: &'a mut TcpTransport,
+    n: usize,
+    sent: usize,
+}
+
+impl Transport for SeverAfter<'_> {
+    fn send(&mut self, env: Envelope) {
+        self.tcp.send(env);
+        self.sent += 1;
+        if self.sent == self.n {
+            self.tcp.sever().expect("sever");
+        }
+    }
+
+    fn poll(&mut self) -> Option<(f64, Envelope)> {
+        self.tcp.poll()
+    }
+
+    fn peek_time(&self) -> Option<f64> {
+        self.tcp.peek_time()
+    }
+
+    fn open_window(&mut self, start: f64, deadline: f64) {
+        self.tcp.open_window(start, deadline);
+    }
+
+    fn redeliver(&mut self, env: Envelope) {
+        self.tcp.redeliver(env);
+    }
+
+    fn idle(&self) -> bool {
+        self.tcp.idle()
+    }
+
+    fn wire_metrics(&self) -> Option<fednum_transport::WireMetrics> {
+        self.tcp.wire_metrics()
+    }
+
+    fn take_error(&mut self) -> Option<FedError> {
+        self.tcp.take_error()
+    }
+}
+
+/// The driver hands out deliveries before their echoes are checked, so a
+/// socket cut anywhere in a metered round — on the first send, mid-flight,
+/// or after the very last send — must still end in a typed transport
+/// error, never a published estimate; the daemon sees a hang-up, not a
+/// protocol violation.
+#[test]
+fn a_socket_severed_after_any_send_fails_the_metered_round() {
+    let handle = daemon();
+    let addr = handle.addr();
+    let mut cfg = base_config(0x5E7);
+    cfg.protocol = BasicConfig::new(
+        FixedPointCodec::integer(BITS),
+        BitSampling::geometric(BITS, 1.0),
+    )
+    .with_privacy(RandomizedResponse::from_epsilon(2.5));
+    let vals = values(2_000, cfg.session_seed);
+    let seed = 0x5E7E;
+    let run = |n: usize| {
+        let mut ledger = PrivacyLedger::new();
+        let mut tcp = TcpTransport::connect(addr, seed).expect("connect");
+        let mut wire = SeverAfter {
+            tcp: &mut tcp,
+            n,
+            sent: 0,
+        };
+        let res = RoundBuilder::new(cfg.clone())
+            .seed(cfg.session_seed)
+            .metered(&mut ledger)
+            .via(&mut wire)
+            .run(&vals);
+        (res, wire.sent)
+    };
+
+    let (uncut, last) = run(usize::MAX);
+    uncut.expect("an uncut round publishes");
+    for n in [1, 100, 1000, last] {
+        match run(n).0 {
+            Err(FedError::Transport { .. }) => {}
+            other => panic!("socket severed after send {n} of {last}: {other:?}"),
+        }
+    }
+    let stats = handle.shutdown().expect("clean daemon shutdown");
+    assert_eq!(stats.protocol_errors, 0);
+}
+
+/// The driver predicts every echo with its own replay of the daemon's
+/// fault stage, so it must re-arm that replay exactly when the daemon
+/// re-arms its stage: on a fresh admission, from the round's own seeds,
+/// and never on an `already_committed` one. Either mistake makes a faulted
+/// round's echoes differ from the prediction, and the round fails.
+#[test]
+fn faulted_campaign_rounds_rearm_the_replayed_stage_only_on_fresh_admission() {
+    use fednum_core::wire::CampaignMessage;
+
+    let handle = daemon();
+    let rates = FaultRates {
+        duplicate: 0.10,
+        replay: 0.07,
+        straggle: 0.08,
+        corrupt_bit: 0.04,
+        ..FaultRates::none()
+    };
+    let faulted = |seed: u64| base_config(seed).with_faults(FaultPlan::new(rates, 0xFA17).unwrap());
+    let policy = CampaignMessage {
+        campaign_id: 0xFA,
+        round_index: 0,
+        max_bits: Some(1_000),
+        max_epsilon: Some(100.0),
+        cooldown_rounds: 0,
+        bits_per_round: 16,
+        epsilon_per_round: 0.25,
+    };
+    let clients: Vec<u64> = (0..80).collect();
+    let vals = values(clients.len(), 0xFA);
+    let seeds = |r: u64| {
+        let cfg = faulted(0xF1 + r);
+        (cfg.session_seed ^ 0xD00D, cfg)
+    };
+
+    // The handshake's round id (0xF0) is neither round's.
+    let mut tcp =
+        TcpTransport::connect_for_config(handle.addr(), &faulted(0xF0), 0xD00D).expect("connect");
+    tcp.begin_campaign(&policy).expect("open campaign");
+    for r in 0..2 {
+        let (net_seed, cfg) = seeds(r);
+        let admission = tcp
+            .request_round(r, net_seed, cfg.session_seed, &clients)
+            .expect("admission");
+        assert!(!admission.already_committed);
+        let mut sim =
+            SimNetTransport::with_plan(net_seed, cfg.faults, cfg.validate, cfg.session_seed);
+        let reference = run_over(&vals, &cfg, &mut sim, cfg.session_seed).unwrap();
+        let over_tcp = run_over(&vals, &cfg, &mut tcp, cfg.session_seed).unwrap();
+        assert_identical(
+            &format!("faulted campaign round {r}"),
+            &reference,
+            &over_tcp,
+        );
+        tcp.commit_round(r).expect("commit");
+    }
+
+    // A replayed admission re-arms nothing, whatever seeds it carries: the
+    // daemon stays on round 1's stage. A driver that runs anyway is still
+    // talking to that stage, and its replay must still agree with every
+    // echo.
+    let (net_seed, cfg) = seeds(2);
+    let replay = tcp
+        .request_round(1, net_seed, cfg.session_seed, &clients)
+        .expect("replayed admission");
+    assert!(replay.already_committed);
+    run_over(&vals, &cfg, &mut tcp, cfg.session_seed)
+        .expect("the replayed stage kept step with the daemon's");
+    tcp.close().expect("clean close");
+    handle.shutdown().expect("clean daemon shutdown");
+}
