@@ -79,6 +79,11 @@ exact_test -p fednum-transport --lib \
     tcp::tests::tampered_or_missing_echoes_fail_closed
 exact_test -p fednum-transport --lib \
     tcp::tests::a_scalar_round_blocks_once_per_batch_not_per_event
+# RoundBuilder fails closed on `b_send > 1` (Corollary 3.2): no round
+# shape sends more than one bit per client, so the option must never be
+# dropped silently.
+exact_test -p fednum-transport --lib \
+    builder::tests::b_send_above_one_is_rejected_not_dropped
 
 step "cargo test (workspace)"
 # --include-ignored: the process-spawning suites (fleet_e2e, chaos_e2e) are
@@ -322,7 +327,7 @@ if [[ "${1:-}" != "quick" ]]; then
     # external crates and are not held to repo lint standards.
     cargo clippy --workspace \
         --exclude serde --exclude serde_derive --exclude serde_json \
-        --exclude rand --exclude proptest --exclude criterion \
+        --exclude rand --exclude proptest \
         --all-targets --offline -- -D warnings
 
     step "cargo fmt --check"

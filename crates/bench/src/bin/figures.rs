@@ -47,7 +47,6 @@ const PANELS: &[&str] = &[
     "ablate-gamma",
     "robust-quantile",
     "extend-streaming",
-    "extend-fedlearn",
     "extend-comms",
     "transport-scale",
     "transport-parity",
@@ -89,7 +88,6 @@ fn run_panel(id: &str, budget: Budget) -> Option<Output> {
         "ablate-gamma" => Output::Table(ablate::ablate_gamma(budget)),
         "robust-quantile" => Output::Table(ablate::robust_quantile(budget)),
         "extend-streaming" => Output::Text(extend::extend_streaming(budget)),
-        "extend-fedlearn" => Output::Text(extend::extend_fedlearn(budget)),
         "extend-comms" => Output::Text(extend::extend_comms(budget)),
         "transport-scale" => Output::Text(transport::transport_scale(budget)),
         "transport-parity" => Output::Table(transport::transport_parity(budget)),

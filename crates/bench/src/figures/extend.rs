@@ -1,14 +1,12 @@
 //! Panels for the extension surfaces beyond the paper's figures:
-//! asynchronous streaming convergence and federated learning with
-//! bit-pushed gradients.
+//! asynchronous streaming convergence and communication accounting.
 
 use fednum_core::encoding::FixedPointCodec;
-use fednum_core::privacy::RandomizedResponse;
 use fednum_core::sampling::BitSampling;
-use fednum_fedsim::{train_linear, FedLearnConfig, StreamingMean};
+use fednum_fedsim::StreamingMean;
 use fednum_metrics::experiment::derive_seed;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 
 use crate::figures::{normal_population, Budget};
 
@@ -49,65 +47,6 @@ pub fn extend_streaming(budget: Budget) -> String {
         ));
     }
     s.push_str("shape check: error tracks the live predicted std and falls as 1/sqrt(reports)\n");
-    s
-}
-
-/// Federated learning: loss curve of a linear model trained with one
-/// gradient bit per client per step, with and without ε-LDP.
-#[must_use]
-pub fn extend_fedlearn(budget: Budget) -> String {
-    let n = budget.n.max(10_000);
-    let mut rng = StdRng::seed_from_u64(budget.seed);
-    let mut xs = Vec::with_capacity(n);
-    let mut ys = Vec::with_capacity(n);
-    for _ in 0..n {
-        let x0: f64 = rng.random::<f64>() * 2.0 - 1.0;
-        let x1: f64 = rng.random::<f64>() * 2.0 - 1.0;
-        let noise = (rng.random::<f64>() - 0.5) * 0.1;
-        xs.push(vec![x0, x1]);
-        ys.push(2.0 * x0 - 1.5 * x1 + 0.5 + noise);
-    }
-    let steps = 40;
-    let plain = train_linear(
-        &xs,
-        &ys,
-        &FedLearnConfig::new()
-            .with_steps(steps)
-            .with_learning_rate(0.5),
-        &mut rng,
-    );
-    let private = train_linear(
-        &xs,
-        &ys,
-        &FedLearnConfig::new()
-            .with_steps(steps)
-            .with_learning_rate(0.5)
-            .with_privacy(RandomizedResponse::from_epsilon(4.0)),
-        &mut rng,
-    );
-    let mut s = String::new();
-    s.push_str(&format!(
-        "== Federated linear regression, n={n}, 1 gradient bit/client/step [extend-fedlearn] ==\n"
-    ));
-    s.push_str("step      mse (no privacy)      mse (eps=4 rr)\n");
-    s.push_str("----------------------------------------------\n");
-    for step in [0usize, 4, 9, 19, 29, 39] {
-        s.push_str(&format!(
-            "{:>4}   {:>18.4}   {:>17.4}\n",
-            step + 1,
-            plain.losses[step],
-            private.losses[step]
-        ));
-    }
-    s.push_str(&format!(
-        "final weights (true [2.0, -1.5], b 0.5): plain [{:.3}, {:.3}], b {:.3}; private [{:.3}, {:.3}], b {:.3}\n",
-        plain.model.weights[0],
-        plain.model.weights[1],
-        plain.model.bias,
-        private.model.weights[0],
-        private.model.weights[1],
-        private.model.bias,
-    ));
     s
 }
 
@@ -164,14 +103,5 @@ mod tests {
             .collect();
         assert!(rows.len() >= 4);
         assert!(rows.first().unwrap() > rows.last().unwrap());
-    }
-
-    #[test]
-    fn fedlearn_panel_converges() {
-        let mut b = Budget::quick();
-        b.n = 8000;
-        let text = extend_fedlearn(b);
-        assert!(text.contains("extend-fedlearn"));
-        assert!(text.contains("final weights"));
     }
 }

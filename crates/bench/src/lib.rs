@@ -1,5 +1,5 @@
 //! Experiment drivers reproducing the paper's evaluation (Figures 1–4 and
-//! the Section 4.3 deployment findings), plus Criterion micro-benchmarks.
+//! the Section 4.3 deployment findings).
 //!
 //! Every panel of every figure has a driver in [`figures`] that returns a
 //! `SeriesTable` (or prints a custom layout where the paper's plot is not a

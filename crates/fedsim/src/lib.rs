@@ -24,7 +24,6 @@ pub mod cohort;
 pub mod dropout;
 pub mod error;
 pub mod faults;
-pub mod fedlearn;
 pub mod latency;
 pub mod population;
 pub mod retry;
@@ -38,7 +37,6 @@ pub use cohort::{CohortError, CohortPolicy};
 pub use dropout::DropoutModel;
 pub use error::FedError;
 pub use faults::{FaultKind, FaultPlan, FaultRates, FaultSchedule};
-pub use fedlearn::{train_linear, FedLearnConfig, LinearModel, TrainingTrace};
 pub use latency::LatencyModel;
 pub use population::{Client, ElicitStrategy, Population};
 pub use retry::{RetryPolicy, SalvagePolicy};

@@ -77,13 +77,6 @@ impl HierSecConfig {
         })
     }
 
-    /// The Shamir threshold for a shard of `cohort` clients (see
-    /// [`SecAggSettings::threshold`]).
-    #[must_use]
-    pub fn shard_threshold(&self, cohort: usize) -> usize {
-        self.shard.threshold(cohort)
-    }
-
     /// Checks concrete shard cohort sizes against the hierarchy: exactly K
     /// of them, none empty (every per-shard threshold is within its cohort
     /// by [`SecAggSettings::threshold`]'s clamp).
@@ -197,10 +190,10 @@ mod tests {
     fn shard_thresholds_stay_within_cohorts() {
         let c = HierSecConfig::try_new(3, settings(), 2, 1).unwrap();
         for n in 1..200 {
-            let t = c.shard_threshold(n);
+            let t = c.shard.threshold(n);
             assert!(t >= 1 && t <= n, "n={n} t={t}");
         }
-        assert_eq!(c.shard_threshold(10), 5);
+        assert_eq!(c.shard.threshold(10), 5);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The two-tier protocol core: per-shard secagg instances plus the merge
-//! instance over shard aggregators.
+//! The merge tier: the second secagg instance whose parties are the K
+//! shard aggregators, plus the salvage merge over late-recovered shards.
 //!
 //! Failure semantics follow the hierarchy's trust boundaries. A shard whose
 //! own instance cannot meet its Shamir threshold is *degraded*: its clients
@@ -11,23 +11,11 @@
 //! would reveal which shards it covered.
 
 use fednum_fedsim::error::FedError;
-use fednum_secagg::{run_secure_aggregation, DropoutPlan, SecAggConfig, SecAggError};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use fednum_secagg::{run_secure_aggregation, DropoutPlan, SecAggConfig};
+use rand::Rng;
 use std::collections::BTreeSet;
 
 use crate::config::HierSecConfig;
-use crate::pool::run_indexed;
-
-/// One shard's tier-1 workload: its clients' field vectors and the dropout
-/// pattern its instance must survive.
-#[derive(Debug, Clone, Default)]
-pub struct ShardCohort {
-    /// Per-client input vectors (all `vector_len` long, entries < MODULUS).
-    pub inputs: Vec<Vec<u64>>,
-    /// Which of those clients drop before/after masking.
-    pub plan: DropoutPlan,
-}
 
 /// Result of the merge instance over per-shard sums.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,106 +28,6 @@ pub struct MergeOutcome {
     pub degraded_shards: Vec<usize>,
     /// Shard aggregators that survived the merge unmask round.
     pub survivors: usize,
-}
-
-/// Result of a full two-tier round.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TwoTierOutcome {
-    /// The merged sum over all included shards.
-    pub sum: Vec<u64>,
-    /// Shards whose cohort sums made it through both tiers.
-    pub included_shards: Vec<usize>,
-    /// Shards degraded at tier 1 (below their Shamir threshold).
-    pub degraded_shards: Vec<usize>,
-    /// Total clients contributing across the included shards.
-    pub contributors: usize,
-}
-
-fn shard_secagg_config(
-    config: &HierSecConfig,
-    s: usize,
-    n: usize,
-    vector_len: usize,
-) -> SecAggConfig {
-    let sa = SecAggConfig::new(
-        n,
-        config.shard_threshold(n),
-        vector_len,
-        config.shard_session(s),
-    );
-    match config.shard.neighbors {
-        // `None` keeps the original Bonawitz complete graph (per-client
-        // share threshold = the global threshold); `Some(k)` opts into the
-        // Bell et al. sparse graph with its majority-of-neighborhood rule.
-        None => sa,
-        Some(k) => sa.with_neighbors(k.clamp(1, n.max(2) - 1)),
-    }
-}
-
-/// Runs the K per-shard instances on a deterministic `workers`-thread pool,
-/// then merges the surviving shard sums through the second-tier instance.
-///
-/// Each shard draws protocol randomness from its own index-derived RNG, so
-/// the outcome is bit-identical for every worker count.
-///
-/// # Errors
-/// [`FedError::InvalidConfig`] for malformed cohorts; [`FedError::SecAgg`]
-/// when a shard instance fails for any reason *other* than
-/// `TooFewSurvivors` (which degrades the shard instead), or when the merge
-/// instance fails for any reason at all.
-pub fn run_two_tier(
-    config: &HierSecConfig,
-    vector_len: usize,
-    cohorts: &[ShardCohort],
-    workers: usize,
-    seed: u64,
-) -> Result<TwoTierOutcome, FedError> {
-    let sizes: Vec<usize> = cohorts.iter().map(|c| c.inputs.len()).collect();
-    config.validate_cohorts(&sizes)?;
-
-    // A shard either produces (masked-then-unmasked sum, contributor count),
-    // degrades to `None` on TooFewSurvivors, or fails the whole round.
-    type ShardResult = Result<Option<(Vec<u64>, usize)>, SecAggError>;
-    let shard_results: Vec<ShardResult> = run_indexed(workers, config.shards, |s| {
-        let cohort = &cohorts[s];
-        let n = cohort.inputs.len();
-        let sa = shard_secagg_config(config, s, n, vector_len);
-        let mut rng = StdRng::seed_from_u64(fednum_secagg::instance_seed(seed, 0x8001, s as u64));
-        match run_secure_aggregation(&sa, &cohort.inputs, &cohort.plan, &mut rng) {
-            Ok(out) => Ok(Some((out.sum, out.contributors.len()))),
-            Err(SecAggError::TooFewSurvivors { .. }) => Ok(None),
-            Err(e) => Err(e),
-        }
-    });
-
-    let mut shard_sums: Vec<Option<Vec<u64>>> = Vec::with_capacity(config.shards);
-    let mut shard_contributors: Vec<usize> = Vec::with_capacity(config.shards);
-    for r in shard_results {
-        match r? {
-            Some((sum, contributors)) => {
-                shard_sums.push(Some(sum));
-                shard_contributors.push(contributors);
-            }
-            None => {
-                shard_sums.push(None);
-                shard_contributors.push(0);
-            }
-        }
-    }
-
-    let mut rng = StdRng::seed_from_u64(fednum_secagg::instance_seed(seed, 0x8002, 0));
-    let merge = merge_shard_sums(config, &shard_sums, vector_len, &mut rng)?;
-    let contributors = merge
-        .included_shards
-        .iter()
-        .map(|&s| shard_contributors[s])
-        .sum();
-    Ok(TwoTierOutcome {
-        sum: merge.sum,
-        included_shards: merge.included_shards,
-        degraded_shards: merge.degraded_shards,
-        contributors,
-    })
 }
 
 /// Runs the merge instance: the K shard aggregators (one per shard) submit
@@ -253,7 +141,9 @@ pub fn merge_salvaged_shard_sums(
 mod tests {
     use super::*;
     use fednum_fedsim::round::SecAggSettings;
-    use rand::RngExt;
+    use fednum_secagg::SecAggError;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn settings() -> SecAggSettings {
         SecAggSettings {
@@ -262,90 +152,72 @@ mod tests {
         }
     }
 
-    fn cohorts_for(sizes: &[usize], vector_len: usize, seed: u64) -> Vec<ShardCohort> {
+    /// Per-shard sums of seeded client inputs in the `[values | count]`
+    /// layout the round merges: `values` entries, then the shard's client
+    /// count, so the merged last slot counts contributors.
+    fn shard_sums(sizes: &[usize], values: usize, seed: u64) -> Vec<Vec<u64>> {
         let mut rng = StdRng::seed_from_u64(seed);
         sizes
             .iter()
-            .map(|&n| ShardCohort {
-                inputs: (0..n)
-                    .map(|_| {
-                        (0..vector_len)
-                            .map(|_| rng.random_range(0..1000u64))
-                            .collect()
-                    })
-                    .collect(),
-                plan: DropoutPlan::none(),
+            .map(|&n| {
+                let mut sum = vec![0u64; values + 1];
+                for _ in 0..n {
+                    for acc in &mut sum[..values] {
+                        *acc += rng.random_range(0..1000u64);
+                    }
+                }
+                sum[values] = n as u64;
+                sum
             })
             .collect()
     }
 
-    fn plaintext_sum(cohorts: &[ShardCohort], vector_len: usize) -> Vec<u64> {
-        let mut sum = vec![0u64; vector_len];
-        for c in cohorts {
-            for input in &c.inputs {
-                for (acc, v) in sum.iter_mut().zip(input) {
-                    *acc += v;
-                }
+    fn plaintext_sum<'a>(sums: impl IntoIterator<Item = &'a Vec<u64>>, len: usize) -> Vec<u64> {
+        let mut total = vec![0u64; len];
+        for sum in sums {
+            for (acc, v) in total.iter_mut().zip(sum) {
+                *acc += v;
             }
         }
-        sum
+        total
     }
 
     #[test]
     fn two_tier_sum_matches_plaintext_without_dropouts() {
         let config = HierSecConfig::try_new(4, settings(), 3, 0xA11CE).unwrap();
-        let cohorts = cohorts_for(&[7, 5, 9, 6], 8, 42);
-        let out = run_two_tier(&config, 8, &cohorts, 1, 7).unwrap();
-        assert_eq!(out.sum, plaintext_sum(&cohorts, 8));
+        let sums = shard_sums(&[7, 5, 9, 6], 8, 42);
+        let live: Vec<Option<Vec<u64>>> = sums.iter().cloned().map(Some).collect();
+        let mut rng = StdRng::seed_from_u64(7);
+        let out = merge_shard_sums(&config, &live, 9, &mut rng).unwrap();
+        assert_eq!(out.sum, plaintext_sum(&sums, 9));
         assert_eq!(out.included_shards, vec![0, 1, 2, 3]);
         assert!(out.degraded_shards.is_empty());
-        assert_eq!(out.contributors, 27);
-    }
-
-    #[test]
-    fn pooled_execution_is_bit_identical_to_sequential() {
-        let config = HierSecConfig::try_new(6, settings(), 4, 0xBEE).unwrap();
-        let mut cohorts = cohorts_for(&[8, 6, 7, 9, 5, 8], 12, 99);
-        // Knock one shard below threshold and give another partial dropout.
-        cohorts[2].plan.before_masking = (0..6).collect();
-        cohorts[4].plan.after_masking = [1, 3].into_iter().collect();
-        let sequential = run_two_tier(&config, 12, &cohorts, 1, 13).unwrap();
-        for workers in [2, 3, 8] {
-            let pooled = run_two_tier(&config, 12, &cohorts, workers, 13).unwrap();
-            assert_eq!(pooled, sequential, "workers={workers}");
-        }
+        assert_eq!(out.sum[8], 27, "every client contributes");
     }
 
     #[test]
     fn below_threshold_shard_is_excluded_not_zero_filled() {
         let config = HierSecConfig::try_new(3, settings(), 2, 0xD00D).unwrap();
-        let cohorts = cohorts_for(&[6, 6, 6], 4, 5);
-        // Shard 1 loses 4 of 6 before masking: 2 survivors < threshold 3.
-        let mut broken = cohorts.clone();
-        broken[1].plan.before_masking = (0..4).collect();
-        let out = run_two_tier(&config, 4, &broken, 1, 3).unwrap();
+        let sums = shard_sums(&[6, 6, 6], 4, 5);
+        // Shard 1 degraded at tier 1: it enters the merge as `None`.
+        let merged = [Some(sums[0].clone()), None, Some(sums[2].clone())];
+        let mut rng = StdRng::seed_from_u64(3);
+        let out = merge_shard_sums(&config, &merged, 5, &mut rng).unwrap();
         assert_eq!(out.degraded_shards, vec![1]);
         assert_eq!(out.included_shards, vec![0, 2]);
-        let mut expected = vec![0u64; 4];
-        for s in [0usize, 2] {
-            for input in &cohorts[s].inputs {
-                for (acc, v) in expected.iter_mut().zip(input) {
-                    *acc += v;
-                }
-            }
-        }
-        assert_eq!(out.sum, expected);
-        assert_eq!(out.contributors, 12);
+        assert_eq!(out.survivors, 2, "the degraded shard is no merge party");
+        assert_eq!(out.sum, plaintext_sum([&sums[0], &sums[2]], 5));
+        assert_eq!(out.sum[4], 12, "no client of shard 1 is counted");
     }
 
     #[test]
     fn merge_below_threshold_aborts_the_round() {
         let config = HierSecConfig::try_new(4, settings(), 3, 0xFAB).unwrap();
-        let mut cohorts = cohorts_for(&[6, 6, 6, 6], 4, 8);
-        // Degrade two shards: only 2 survive < merge threshold 3.
-        cohorts[0].plan.before_masking = (0..5).collect();
-        cohorts[3].plan.before_masking = (0..5).collect();
-        let err = run_two_tier(&config, 4, &cohorts, 2, 11).unwrap_err();
+        let sums = shard_sums(&[6, 6, 6, 6], 4, 8);
+        // Two shards degraded: only 2 survive < merge threshold 3.
+        let merged = [None, Some(sums[1].clone()), Some(sums[2].clone()), None];
+        let mut rng = StdRng::seed_from_u64(11);
+        let err = merge_shard_sums(&config, &merged, 5, &mut rng).unwrap_err();
         assert!(matches!(
             err,
             FedError::SecAgg(SecAggError::TooFewSurvivors {
@@ -405,17 +277,9 @@ mod tests {
     #[test]
     fn single_client_shards_work() {
         let config = HierSecConfig::try_new(2, settings(), 2, 0x51).unwrap();
-        let cohorts = vec![
-            ShardCohort {
-                inputs: vec![vec![10, 20]],
-                plan: DropoutPlan::none(),
-            },
-            ShardCohort {
-                inputs: vec![vec![1, 2]],
-                plan: DropoutPlan::none(),
-            },
-        ];
-        let out = run_two_tier(&config, 2, &cohorts, 2, 1).unwrap();
+        let merged = [Some(vec![10, 20]), Some(vec![1, 2])];
+        let mut rng = StdRng::seed_from_u64(1);
+        let out = merge_shard_sums(&config, &merged, 2, &mut rng).unwrap();
         assert_eq!(out.sum, vec![11, 22]);
     }
 }

@@ -1,85 +1,94 @@
-//! Property tests for the two-tier hierarchy (ISSUE satellite: random shard
-//! counts and dropout patterns).
+//! Property tests for the hierarchy's merge tier: random shard counts,
+//! sizes and tier-1 dropout patterns.
 //!
 //! Invariants pinned here:
-//! * whenever both tiers meet their thresholds, the merged masked sum is
-//!   *exactly* the plaintext sum of the surviving contributors;
-//! * a shard below its own threshold is excluded from the merge — its
-//!   clients' values never appear in the sum and its placeholder is never
-//!   silently zero-filled into the contributor count;
+//! * whenever the merge tier meets its threshold, the merged masked sum is
+//!   *exactly* the plaintext sum of the included shards' contributors;
+//! * a shard below its own threshold enters the merge as `None` and is
+//!   excluded from it — its clients' values never appear in the sum and
+//!   its placeholder is never silently zero-filled into the contributor
+//!   count;
 //! * the merge tier below threshold aborts with a typed error rather than
 //!   publishing a partial sum.
 
 use fednum_fedsim::error::FedError;
 use fednum_fedsim::round::SecAggSettings;
-use fednum_hiersec::{run_two_tier, HierSecConfig, ShardCohort};
-use fednum_secagg::{DropoutPlan, SecAggError};
+use fednum_hiersec::{merge_shard_sums, HierSecConfig};
+use fednum_secagg::SecAggError;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::BTreeSet;
 
 const VECTOR_LEN: usize = 6;
 
-/// Builds K cohorts with deterministic pseudo-random inputs and per-shard
-/// before/after-masking dropouts drawn from the given fractions.
-fn build_cohorts(
+/// One shard's tier-1 result: its clients' inputs and how many of them
+/// dropped before (`before`) and after (`after`) masking.
+struct Shard {
+    inputs: Vec<Vec<u64>>,
+    before: usize,
+    after: usize,
+}
+
+impl Shard {
+    /// The shard's sum over its contributors — everyone except the
+    /// before-masking dropouts (a prefix of the cohort) — in the
+    /// `[values | count]` layout the round merges.
+    fn contributor_sum(&self) -> Vec<u64> {
+        let mut sum = vec![0u64; VECTOR_LEN + 1];
+        for input in &self.inputs[self.before..] {
+            for (acc, v) in sum.iter_mut().zip(input) {
+                *acc += v;
+            }
+        }
+        sum[VECTOR_LEN] = (self.inputs.len() - self.before) as u64;
+        sum
+    }
+}
+
+/// Builds K shards with deterministic pseudo-random inputs and per-shard
+/// before/after-masking dropout counts (disjoint, both capped at n).
+fn build_shards(
     sizes: &[usize],
     drop_before: &[usize],
     drop_after: &[usize],
     seed: u64,
-) -> Vec<ShardCohort> {
+) -> Vec<Shard> {
     let mut rng = StdRng::seed_from_u64(seed);
     sizes
         .iter()
         .zip(drop_before.iter().zip(drop_after))
         .map(|(&n, (&db, &da))| {
-            let inputs: Vec<Vec<u64>> = (0..n)
+            let inputs = (0..n)
                 .map(|_| {
                     (0..VECTOR_LEN)
                         .map(|_| rng.random_range(0..10_000u64))
                         .collect()
                 })
                 .collect();
-            // Dropouts target a prefix of clients: `db` drop before masking,
-            // the next `da` drop after (disjoint, both capped at n).
-            let db = db.min(n);
-            let da = da.min(n - db);
-            let before_masking: BTreeSet<usize> = (0..db).collect();
-            let after_masking: BTreeSet<usize> = (db..db + da).collect();
-            ShardCohort {
+            let before = db.min(n);
+            let after = da.min(n - before);
+            Shard {
                 inputs,
-                plan: DropoutPlan {
-                    before_masking,
-                    after_masking,
-                },
+                before,
+                after,
             }
         })
         .collect()
 }
 
-/// Plaintext sum over the clients that actually contribute: everyone except
-/// before-masking dropouts, in the given shards only.
-fn contributor_sum(cohorts: &[ShardCohort], shards: &[usize]) -> Vec<u64> {
-    let mut sum = vec![0u64; VECTOR_LEN];
-    for &s in shards {
-        let c = &cohorts[s];
-        for (i, input) in c.inputs.iter().enumerate() {
-            if c.plan.before_masking.contains(&i) {
-                continue;
-            }
-            for (acc, v) in sum.iter_mut().zip(input) {
-                *acc += v;
-            }
+/// Plaintext sum of the given shards' contributor sums.
+fn plaintext_sum(shards: &[Shard], included: &[usize]) -> Vec<u64> {
+    let mut sum = vec![0u64; VECTOR_LEN + 1];
+    for &s in included {
+        for (acc, v) in sum.iter_mut().zip(shards[s].contributor_sum()) {
+            *acc += v;
         }
     }
     sum
 }
 
 // Complete mask graphs make a shard's fate exactly predictable from its
-// round-4 survivor count (per-client share threshold == global threshold);
-// sparse graphs can additionally degrade when a dropped client's share
-// holders cluster, which the pinned-seed unit tests cover instead.
+// round-4 survivor count (per-client share threshold == global threshold).
 fn settings() -> SecAggSettings {
     SecAggSettings {
         threshold_fraction: 0.5,
@@ -99,17 +108,20 @@ proptest! {
         let k = sizes.len();
         let config = HierSecConfig::try_new(k, settings(), k.div_ceil(2), seed ^ 0xC0FFEE).unwrap();
         let zeros = vec![0usize; k];
-        let cohorts = build_cohorts(&sizes, &zeros, &zeros, seed);
-        let out = run_two_tier(&config, VECTOR_LEN, &cohorts, 2, seed).unwrap();
+        let shards = build_shards(&sizes, &zeros, &zeros, seed);
+        let sums: Vec<Option<Vec<u64>>> = shards.iter().map(|s| Some(s.contributor_sum())).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let out = merge_shard_sums(&config, &sums, VECTOR_LEN + 1, &mut rng).unwrap();
         let all: Vec<usize> = (0..k).collect();
-        prop_assert_eq!(&out.sum, &contributor_sum(&cohorts, &all));
+        prop_assert_eq!(&out.sum, &plaintext_sum(&shards, &all));
         prop_assert_eq!(out.included_shards, all);
-        prop_assert_eq!(out.contributors, sizes.iter().sum::<usize>());
+        prop_assert_eq!(out.sum[VECTOR_LEN], sizes.iter().sum::<usize>() as u64);
     }
 
-    /// Random dropout patterns: whenever both tiers stay at/above threshold
-    /// the merged sum equals the plaintext sum over surviving shards'
-    /// contributors, and below-threshold shards are excluded outright.
+    /// Random tier-1 dropout patterns: a shard below its threshold enters
+    /// the merge as `None`. Whenever the merge tier stays at/above its
+    /// threshold the merged sum equals the plaintext sum over surviving
+    /// shards' contributors, and degraded shards are excluded outright.
     #[test]
     fn dropouts_exclude_rather_than_zero_fill(
         sizes in prop::collection::vec(4usize..12, 3..6),
@@ -121,36 +133,39 @@ proptest! {
         let drops: Vec<usize> = (0..k).map(|i| drops[i % drops.len()]).collect();
         let after: Vec<usize> = (0..k).map(|i| after[i % after.len()]).collect();
         let config = HierSecConfig::try_new(k, settings(), k.div_ceil(2), seed ^ 0xFEED).unwrap();
-        let cohorts = build_cohorts(&sizes, &drops, &after, seed);
+        let shards = build_shards(&sizes, &drops, &after, seed);
 
-        // Predict each shard's fate from the protocol's survivor rule:
-        // round-3 survivors are everyone not dropped before/after masking,
-        // and the instance degrades when they fall below the threshold.
+        // Each shard's fate follows the protocol's survivor rule: round-3
+        // survivors are everyone not dropped before/after masking, and the
+        // instance degrades when they fall below the threshold.
         let mut live = Vec::new();
         let mut degraded = Vec::new();
-        for (s, c) in cohorts.iter().enumerate() {
-            let n = c.inputs.len();
-            let survivors = n - c.plan.before_masking.len() - c.plan.after_masking.len();
-            if survivors >= config.shard_threshold(n) {
+        let mut sums = Vec::new();
+        for (s, shard) in shards.iter().enumerate() {
+            let n = shard.inputs.len();
+            if n - shard.before - shard.after >= config.shard.threshold(n) {
                 live.push(s);
+                sums.push(Some(shard.contributor_sum()));
             } else {
                 degraded.push(s);
+                sums.push(None);
             }
         }
 
-        let result = run_two_tier(&config, VECTOR_LEN, &cohorts, 2, seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let result = merge_shard_sums(&config, &sums, VECTOR_LEN + 1, &mut rng);
         if live.len() >= config.merge_threshold {
             let out = result.unwrap();
             prop_assert_eq!(&out.included_shards, &live);
             prop_assert_eq!(&out.degraded_shards, &degraded);
-            prop_assert_eq!(&out.sum, &contributor_sum(&cohorts, &live));
+            prop_assert_eq!(&out.sum, &plaintext_sum(&shards, &live));
             // Degraded shards are excluded, not zero-filled: no client of a
             // degraded shard is counted as a contributor.
             let expected_contributors: usize = live
                 .iter()
-                .map(|&s| cohorts[s].inputs.len() - cohorts[s].plan.before_masking.len())
+                .map(|&s| shards[s].inputs.len() - shards[s].before)
                 .sum();
-            prop_assert_eq!(out.contributors, expected_contributors);
+            prop_assert_eq!(out.sum[VECTOR_LEN], expected_contributors as u64);
         } else {
             // Merge tier under threshold: typed abort, never a partial sum.
             let aborted = matches!(
@@ -202,24 +217,5 @@ proptest! {
         prop_assert_eq!(&out.sum, &expected);
         prop_assert_eq!(&out.included_shards, &ids);
         prop_assert!(out.degraded_shards.is_empty());
-    }
-
-    /// Worker-count invariance under random dropout patterns.
-    #[test]
-    fn pool_width_never_changes_the_outcome(
-        sizes in prop::collection::vec(3usize..9, 2..5),
-        drops in prop::collection::vec(0usize..4, 2..5),
-        seed in 0u64..500,
-    ) {
-        let k = sizes.len();
-        let drops: Vec<usize> = (0..k).map(|i| drops[i % drops.len()]).collect();
-        let zeros = vec![0usize; k];
-        let config = HierSecConfig::try_new(k, settings(), 1, seed ^ 0xABBA).unwrap();
-        let cohorts = build_cohorts(&sizes, &drops, &zeros, seed);
-        let sequential = run_two_tier(&config, VECTOR_LEN, &cohorts, 1, seed);
-        for workers in [2usize, 5] {
-            let pooled = run_two_tier(&config, VECTOR_LEN, &cohorts, workers, seed);
-            prop_assert_eq!(&pooled, &sequential);
-        }
     }
 }

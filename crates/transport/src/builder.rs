@@ -35,7 +35,7 @@
 //! | `new_adaptive(config)…`               | the same carriers, two rounds on one timeline      |
 //! | `new(config).shuffled(shuffle)`       | shuffled wire (over `.via`, else in-memory)        |
 //! | `new(config).sharded(k, seed)`        | K coordinators, one wire each (`config.faults` acted out) |
-//! | `new(config).hierarchical(hier, w)`   | K secure coordinators (`.shard_transports`) + merge |
+//! | `new(config).hierarchical(hier)`      | K secure coordinators (`.shard_transports`) + merge |
 //!
 //! Every path funnels into [`RoundOutcome`], which carries the
 //! shape-specific detail plus the wire totals when the round actually
@@ -76,7 +76,7 @@ enum Topology {
     /// K independent coordinator shards merged at publish.
     Sharded { shards: usize, seed: u64 },
     /// Two-tier secure aggregation: shard instances plus a merge tier.
-    Hierarchical { hier: HierSecConfig, workers: usize },
+    Hierarchical(HierSecConfig),
 }
 
 /// Fluent entry point for every round shape the crate can run.
@@ -310,12 +310,12 @@ impl<'a> RoundBuilder<'a> {
         self
     }
 
-    /// Runs two-tier secure aggregation over `hier`'s shard layout with
-    /// `workers` parallel shard threads. Seeded from
-    /// [`seed`](Self::seed), defaulting to `config.session_seed`.
+    /// Runs two-tier secure aggregation over `hier`'s shard layout.
+    /// Seeded from [`seed`](Self::seed), defaulting to
+    /// `config.session_seed`.
     #[must_use]
-    pub fn hierarchical(mut self, hier: HierSecConfig, workers: usize) -> Self {
-        self.topology = Topology::Hierarchical { hier, workers };
+    pub fn hierarchical(mut self, hier: HierSecConfig) -> Self {
+        self.topology = Topology::Hierarchical(hier);
         self
     }
 
@@ -368,20 +368,13 @@ impl<'a> RoundBuilder<'a> {
                     wire: None,
                 });
             }
-            (Mode::Flat(cfg), Topology::Hierarchical { hier, workers }) => {
-                return hierarchical_impl(
-                    values,
-                    &cfg,
-                    &hier,
-                    workers,
-                    seed,
-                    self.factory,
-                    batched,
-                )
-                .map(|(out, wire)| RoundOutcome {
-                    detail: RoundDetail::Hierarchical(out),
-                    wire,
-                });
+            (Mode::Flat(cfg), Topology::Hierarchical(hier)) => {
+                return hierarchical_impl(values, &cfg, &hier, seed, self.factory, batched).map(
+                    |(out, wire)| RoundOutcome {
+                        detail: RoundDetail::Hierarchical(out),
+                        wire,
+                    },
+                );
             }
             (Mode::Adaptive(_), _) => unreachable!("rejected by check_shape"),
         };
@@ -437,6 +430,15 @@ impl<'a> RoundBuilder<'a> {
 
     /// Rejects contradictory builder shapes before anything runs.
     fn check_shape(&self) -> Result<(), FedError> {
+        let b_send = self.config().protocol.b_send;
+        if b_send != 1 {
+            return Err(FedError::InvalidConfig(format!(
+                "`b_send = {b_send}` asks each client for {b_send} bits \
+                 (Corollary 3.2), but every round shape sends one bit per \
+                 client; use `BasicBitPushing`, which honours `b_send`, or \
+                 keep the default of 1"
+            )));
+        }
         let single = matches!(self.topology, Topology::Single);
         if matches!(self.mode, Mode::Adaptive(_)) && !single {
             return Err(FedError::InvalidConfig(
@@ -460,7 +462,7 @@ impl<'a> RoundBuilder<'a> {
                     .into(),
             ));
         }
-        if self.factory.is_some() && !matches!(self.topology, Topology::Hierarchical { .. }) {
+        if self.factory.is_some() && !matches!(self.topology, Topology::Hierarchical(_)) {
             return Err(FedError::InvalidConfig(
                 "`.shard_transports(..)` only applies to `.hierarchical(..)` rounds".into(),
             ));
@@ -611,9 +613,9 @@ mod tests {
         let vs = values(3_000, 40);
         let cfg = config(6).with_secagg(SecAggSettings::default());
         let hier = hier3();
-        let (direct, _) = hierarchical_impl(&vs, &cfg, &hier, 2, 5, None, None).unwrap();
+        let (direct, _) = hierarchical_impl(&vs, &cfg, &hier, 5, None, None).unwrap();
         let out = RoundBuilder::new(cfg)
-            .hierarchical(hier, 2)
+            .hierarchical(hier)
             .seed(5)
             .run(&vs)
             .unwrap();
@@ -660,14 +662,14 @@ mod tests {
         let make: ShardTransportFactory<'_> =
             &|tseed| Ok(Box::new(InMemoryTransport::new(tseed)) as Box<dyn Transport>);
         let out = RoundBuilder::new(cfg.clone())
-            .hierarchical(hier, 2)
+            .hierarchical(hier)
             .seed(5)
             .shard_transports(make)
             .run(&vs)
             .unwrap();
         // Default shard transports are the same seeded InMemoryTransport,
         // so the factory path must reproduce the default path exactly.
-        let (direct, _) = hierarchical_impl(&vs, &cfg, &hier, 2, 5, None, None).unwrap();
+        let (direct, _) = hierarchical_impl(&vs, &cfg, &hier, 5, None, None).unwrap();
         assert_eq!(
             out.estimate().to_bits(),
             direct.outcome.estimate.to_bits(),
@@ -708,6 +710,32 @@ mod tests {
             .run(&vs)
             .unwrap_err();
         assert!(matches!(err, FedError::InvalidConfig(_)));
+    }
+
+    #[test]
+    fn b_send_above_one_is_rejected_not_dropped() {
+        let vs = values(2_000, 64);
+        let cfg = config(6);
+        let multi = FederatedMeanConfig {
+            protocol: cfg.protocol.clone().with_b_send(4),
+            ..cfg
+        };
+        let rejected = |res: Result<RoundOutcome, FedError>| match res {
+            Err(FedError::InvalidConfig(msg)) => {
+                assert!(msg.contains("Corollary 3.2"), "{msg}");
+                assert!(msg.contains("BasicBitPushing"), "{msg}");
+            }
+            other => panic!("b_send = 4 must fail closed, got {other:?}"),
+        };
+        rejected(RoundBuilder::new(multi.clone()).seed(1).run(&vs));
+        rejected(RoundBuilder::new(multi.clone()).batched(64).run(&vs));
+        rejected(
+            RoundBuilder::new(multi.clone())
+                .secure(SecAggSettings::default())
+                .run(&vs),
+        );
+        let adaptive = FederatedAdaptiveConfig::new(multi);
+        rejected(RoundBuilder::new_adaptive(adaptive).seed(1).run(&vs));
     }
 
     #[test]
@@ -769,12 +797,12 @@ mod tests {
         let cfg = config(6).with_secagg(SecAggSettings::default());
         let hier = hier3();
         let scalar = RoundBuilder::new(cfg.clone())
-            .hierarchical(hier, 2)
+            .hierarchical(hier)
             .seed(5)
             .run(&vs)
             .unwrap();
         let batched = RoundBuilder::new(cfg)
-            .hierarchical(hier, 2)
+            .hierarchical(hier)
             .seed(5)
             .batched(64)
             .run(&vs)

@@ -5,11 +5,15 @@
 //! This module is the resolution: every shard runs its *own* independent
 //! Bonawitz-style instance over its cohort (own key graph, own Shamir
 //! threshold, its four message rounds framed through the shard's
-//! transport), and the K per-shard masked sums then combine through a
-//! *second* secagg instance whose parties are the K shard aggregators. The
-//! top-level coordinator therefore observes only masked per-shard frames
-//! and the merged total — never an individual shard's plaintext sum, and
-//! never an individual client's report.
+//! transport), and the K per-shard sums then combine through a *second*
+//! secagg instance whose parties are the K shard aggregators. The merge
+//! tier is genuinely masked: the top-level coordinator observes only
+//! masked per-shard frames and the merged total, never an individual
+//! shard's plaintext sum. The shard tier is not yet: under `.secure()`
+//! each shard's Collect still carries its clients' plaintext reports to
+//! that shard's coordinator, and the shard's secagg message rounds carry
+//! stand-in words that model the protocol's traffic (ROADMAP, the
+//! secure-on-the-wire item).
 //!
 //! Failure semantics per tier (see `fednum-hiersec`):
 //! * a shard whose instance cannot meet its threshold (after the standard
@@ -19,14 +23,12 @@
 //!   [`FedError`]; callers mapping errors into outcome telemetry use
 //!   [`DegradedMode::Aborted`].
 //!
-//! The K shard sessions execute on `fednum-hiersec`'s deterministic worker
-//! pool: every shard derives its RNG, transport scheduler, and secagg
-//! session seeds from its own index, and results merge in index order, so
-//! any `workers` count produces bit-identical outcomes (pinned by the
-//! parity suite).
+//! The K shard sessions run one after another: every shard derives its
+//! RNG, transport scheduler, and secagg session seeds from its own index,
+//! and results merge in index order.
 
 use fednum_core::protocol::basic::Outcome;
-use fednum_hiersec::{merge_salvaged_shard_sums, merge_shard_sums, run_indexed, HierSecConfig};
+use fednum_hiersec::{merge_salvaged_shard_sums, merge_shard_sums, HierSecConfig};
 use fednum_secagg::{add_assign, client_mask_ring, DropoutPlan, Fe, SecAggConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,8 +48,8 @@ use crate::shard::{contacted_reporters, partition, run_shard, ShardRuns};
 /// Per-shard transport factory for a hierarchical round: called once per
 /// shard with that shard's scheduler seed (`mix(seed ^ s ^ TRANSPORT_TAG)`,
 /// the same stream an in-process run would hand its per-shard
-/// [`InMemoryTransport`] / `SimNetTransport`), from the worker thread
-/// that runs the shard session. Lets
+/// [`InMemoryTransport`] / `SimNetTransport`), just before that shard's
+/// session runs. Lets
 /// [`RoundBuilder`](crate::builder::RoundBuilder) route every shard over
 /// its own [`TcpTransport`](crate::tcp::TcpTransport) connection while the
 /// merge tier stays in-process.
@@ -55,8 +57,7 @@ use crate::shard::{contacted_reporters, partition, run_shard, ShardRuns};
 /// # Errors
 /// A factory failure (e.g. a refused TCP connect) aborts the round with
 /// the returned [`FedError`].
-pub type ShardTransportFactory<'a> =
-    &'a (dyn Fn(u64) -> Result<Box<dyn Transport>, FedError> + Sync);
+pub type ShardTransportFactory<'a> = &'a dyn Fn(u64) -> Result<Box<dyn Transport>, FedError>;
 
 /// Scheduler-seed tag for the merge-tier transport and RNG.
 const MERGE_TAG: u64 = 0x1F83_D9AB_FB41_BD6B;
@@ -119,16 +120,15 @@ pub struct HierShardedOutcome {
 /// `hier.shards` coordinator shards, each shard's reports aggregated by
 /// its own secure-aggregation instance, and the per-shard sums merged
 /// through a second instance among the shard aggregators — the engine
-/// behind `RoundBuilder::new(config).hierarchical(hier, workers)`.
+/// behind `RoundBuilder::new(config).hierarchical(hier)`.
 ///
 /// `config.secagg` must be set (its settings configure the per-shard tier,
-/// mirrored by `hier.shard`); `workers` bounds the OS threads running
-/// shard sessions concurrently — any value yields bit-identical results;
-/// `seed` drives every stream, exactly as in a plain sharded round, with
-/// the secagg instances additionally keyed by `hier.session_seed` per tier
-/// and shard. `factory`, when given, supplies each shard's transport (see
-/// [`ShardTransportFactory`]); the second return value is the merged wire
-/// totals of the shard transports, `None` when none of them meter a wire.
+/// mirrored by `hier.shard`); `seed` drives every stream, exactly as in a
+/// plain sharded round, with the secagg instances additionally keyed by
+/// `hier.session_seed` per tier and shard. `factory`, when given, supplies
+/// each shard's transport (see [`ShardTransportFactory`]); the second
+/// return value is the merged wire totals of the shard transports, `None`
+/// when none of them meter a wire.
 /// `batched` switches every shard onto the chunked multi-client wire,
 /// bit-identical per seed to the per-client wire.
 ///
@@ -143,7 +143,6 @@ pub(crate) fn hierarchical_impl(
     values: &[f64],
     config: &FederatedMeanConfig,
     hier: &HierSecConfig,
-    workers: usize,
     seed: u64,
     factory: Option<ShardTransportFactory<'_>>,
     batched: Option<usize>,
@@ -170,15 +169,21 @@ pub(crate) fn hierarchical_impl(
     let (offsets, sizes): (Vec<usize>, Vec<usize>) = partition(codes.len(), k).unzip();
     hier.validate_cohorts(&sizes)?;
 
-    // Tier 1: K independent shard sessions on the deterministic pool, each
-    // under its own secagg instance.
-    let runs = run_indexed(workers, k, |s| {
-        let (offset, slice) = (offsets[s], &codes[offsets[s]..offsets[s] + sizes[s]]);
-        run_shard(slice, config, s, offset, seed, factory, batched, Some(hier))
-    });
+    // Tier 1: K independent shard sessions, each under its own secagg
+    // instance.
     let mut tier1 = ShardRuns::default();
-    for run in runs {
-        tier1.absorb(run?);
+    for s in 0..k {
+        let slice = &codes[offsets[s]..offsets[s] + sizes[s]];
+        tier1.absorb(run_shard(
+            slice,
+            config,
+            s,
+            offsets[s],
+            seed,
+            factory,
+            batched,
+            Some(hier),
+        )?);
     }
     let (shard_sums, late) = (tier1.sums, tier1.late);
     let mut completion_time = tier1.completion;
@@ -393,10 +398,9 @@ mod tests {
         values: &[f64],
         config: &FederatedMeanConfig,
         hier: &HierSecConfig,
-        workers: usize,
         seed: u64,
     ) -> Result<HierShardedOutcome, FedError> {
-        hierarchical_impl(values, config, hier, workers, seed, None, None).map(|(out, _)| out)
+        hierarchical_impl(values, config, hier, seed, None, None).map(|(out, _)| out)
     }
 
     fn settings() -> SecAggSettings {
@@ -429,8 +433,8 @@ mod tests {
 
     #[test]
     fn secagg_off_is_rejected_with_guidance() {
-        let err = run_hierarchical_mean(&values(100, 10), &plain_config(4), &hier(4, 3), 1, 1)
-            .unwrap_err();
+        let err =
+            run_hierarchical_mean(&values(100, 10), &plain_config(4), &hier(4, 3), 1).unwrap_err();
         let FedError::InvalidConfig(msg) = err else {
             panic!("expected InvalidConfig, got {err}");
         };
@@ -441,7 +445,7 @@ mod tests {
     #[test]
     fn clean_round_matches_the_plain_sharded_estimate() {
         let vs = values(1_200, 100);
-        let out = run_hierarchical_mean(&vs, &config(7), &hier(4, 3), 2, 11).unwrap();
+        let out = run_hierarchical_mean(&vs, &config(7), &hier(4, 3), 11).unwrap();
         // Same seed, same partition, secagg off: the collect phase draws the
         // same RNG stream, and secagg is exact arithmetic over the same
         // reports, so the estimates agree bit for bit.
@@ -455,27 +459,25 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_never_changes_the_outcome() {
+    fn same_seed_replays_bit_identically() {
         let vs = values(900, 64);
         let cfg = config(6).with_dropout(DropoutModel::bernoulli(0.2));
         let h = hier(6, 4);
-        let one = run_hierarchical_mean(&vs, &cfg, &h, 1, 9).unwrap();
-        for workers in [2, 4, 8] {
-            let w = run_hierarchical_mean(&vs, &cfg, &h, workers, 9).unwrap();
-            assert_eq!(w.outcome, one.outcome, "workers={workers}");
-            assert_eq!(w.reports, one.reports);
-            assert_eq!(w.traffic, one.traffic);
-            assert_eq!(w.included_shards, one.included_shards);
-            assert_eq!(w.degraded_shards, one.degraded_shards);
-            assert_eq!(w.merge_frames, one.merge_frames);
-            assert_eq!(w.secagg_retries, one.secagg_retries);
-        }
+        let one = run_hierarchical_mean(&vs, &cfg, &h, 9).unwrap();
+        let again = run_hierarchical_mean(&vs, &cfg, &h, 9).unwrap();
+        assert_eq!(again.outcome, one.outcome);
+        assert_eq!(again.reports, one.reports);
+        assert_eq!(again.traffic, one.traffic);
+        assert_eq!(again.included_shards, one.included_shards);
+        assert_eq!(again.degraded_shards, one.degraded_shards);
+        assert_eq!(again.merge_frames, one.merge_frames);
+        assert_eq!(again.secagg_retries, one.secagg_retries);
     }
 
     #[test]
     fn merge_frames_carry_only_masked_material() {
         let vs = values(800, 50);
-        let out = run_hierarchical_mean(&vs, &config(6), &hier(4, 3), 2, 3).unwrap();
+        let out = run_hierarchical_mean(&vs, &config(6), &hier(4, 3), 3).unwrap();
         let mut masked_inputs = 0usize;
         let mut key_adverts = 0usize;
         for frame in &out.merge_frames {
@@ -516,7 +518,7 @@ mod tests {
     fn degraded_shards_partition_cleanly_under_dropout() {
         let vs = values(1_200, 32);
         let cfg = config(5).with_dropout(DropoutModel::bernoulli(0.45));
-        let out = run_hierarchical_mean(&vs, &cfg, &hier(6, 2), 2, 21).unwrap();
+        let out = run_hierarchical_mean(&vs, &cfg, &hier(6, 2), 21).unwrap();
         let mut all: Vec<usize> = out
             .included_shards
             .iter()
@@ -529,7 +531,7 @@ mod tests {
             assert_eq!(out.degraded, DegradedMode::Partial);
         }
         assert!(out.outcome.estimate.is_finite());
-        let again = run_hierarchical_mean(&vs, &cfg, &hier(6, 2), 4, 21).unwrap();
+        let again = run_hierarchical_mean(&vs, &cfg, &hier(6, 2), 21).unwrap();
         assert_eq!(again.outcome.estimate, out.outcome.estimate);
         assert_eq!(again.degraded_shards, out.degraded_shards);
     }
@@ -537,7 +539,7 @@ mod tests {
     #[test]
     fn traffic_splits_into_tiers() {
         let vs = values(1_000, 16);
-        let out = run_hierarchical_mean(&vs, &config(4), &hier(4, 3), 1, 5).unwrap();
+        let out = run_hierarchical_mean(&vs, &config(4), &hier(4, 3), 5).unwrap();
         let merged_total = out.traffic.total_bytes();
         let shard_total = out.shard_traffic.total_bytes();
         let merge_total = out.merge_traffic.total_bytes();

@@ -14,7 +14,7 @@
 //! scheduled coordinator shards, scaling a round to a million simulated
 //! clients; [`hier`] layers two-tier secure aggregation on top of sharding
 //! (per-shard instances merged through a second instance over the shard
-//! aggregators, on a worker pool). [`builder::RoundBuilder`] is the one
+//! aggregators). [`builder::RoundBuilder`] is the one
 //! entry point to all of it.
 
 pub mod adaptive;

@@ -68,7 +68,7 @@ fn fleet_config() -> FleetConfig {
         .with_round_deadline_ms(60_000)
 }
 
-/// The chaos schedule of the acceptance criterion: ~45% of connections
+/// The chaos schedule this suite must survive: ~45% of connections
 /// reset mid-stream (well past the 20% floor), plus stalls, duplicate
 /// deliveries, 5% corrupted frames (as in `reference_schedule`), splits,
 /// and jitter. A corrupted uplink frame is a protocol error: the daemon

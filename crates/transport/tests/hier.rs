@@ -1,6 +1,6 @@
 //! End-to-end guarantees of the hierarchical secure-aggregation path.
 //!
-//! Three contracts are pinned here, each against realistic configurations
+//! Two contracts are pinned here, each against realistic configurations
 //! (sparse mask graphs, refill waves, injected faults):
 //!
 //! 1. **Privacy surface** — every uplink frame the top-level coordinator
@@ -8,9 +8,7 @@
 //!    *masked* per-shard sum; no plaintext shard aggregate ever appears on
 //!    that wire, while the published mean still matches the non-secagg
 //!    sharded estimate.
-//! 2. **Pool parity** — any worker count reproduces the sequential run bit
-//!    for bit, including under fault injection on both tiers.
-//! 3. **Config compression** — the broadcast-header + per-client-delta
+//! 2. **Config compression** — the broadcast-header + per-client-delta
 //!    downlink changes bytes only: estimates are bit-identical with the
 //!    uncompressed fallback codec and the savings land in the ledger.
 
@@ -54,11 +52,10 @@ fn run_hierarchical_mean(
     values: &[f64],
     config: &FederatedMeanConfig,
     hier: &HierSecConfig,
-    workers: usize,
     seed: u64,
 ) -> Result<HierShardedOutcome, FedError> {
     RoundBuilder::new(config.clone())
-        .hierarchical(*hier, workers)
+        .hierarchical(*hier)
         .seed(seed)
         .run(values)
         .map(|out| out.hierarchical().unwrap().clone())
@@ -121,7 +118,7 @@ fn coordinator_sees_only_masked_frames_while_estimate_survives() {
     let values = population(2_000);
     let truth = values.iter().sum::<f64>() / values.len() as f64;
     let hier = HierSecConfig::try_new(8, settings(), 6, 0xE2E).unwrap();
-    let out = run_hierarchical_mean(&values, &secure_config(), &hier, 4, 17).unwrap();
+    let out = run_hierarchical_mean(&values, &secure_config(), &hier, 17).unwrap();
 
     // Accuracy: against the non-secagg sharded path (same seed, same
     // partition — secagg is exact arithmetic over the same reports) and
@@ -158,41 +155,6 @@ fn coordinator_sees_only_masked_frames_while_estimate_survives() {
     assert_eq!(masked, 8, "one masked upload per live shard");
 }
 
-/// Pool parity under chaos: fault injection on the shard tier must not make
-/// the outcome depend on how many OS threads executed the shards.
-#[test]
-fn pooled_execution_is_bit_identical_under_faults() {
-    let values = population(1_200);
-    let cfg = secure_config()
-        .with_dropout(DropoutModel::bernoulli(0.15))
-        .with_faults(FaultPlan::new(FaultRates::uniform(0.03), 0xFA17).unwrap());
-    let hier = HierSecConfig::try_new(6, settings(), 4, 0x9A11).unwrap();
-    let sequential = run_hierarchical_mean(&values, &cfg, &hier, 1, 23).unwrap();
-    assert!(
-        sequential.faults_injected > 0,
-        "chaos case failed to exercise the fault layer"
-    );
-    for workers in [2, 3, 8] {
-        let pooled = run_hierarchical_mean(&values, &cfg, &hier, workers, 23).unwrap();
-        assert_eq!(
-            pooled.outcome.estimate.to_bits(),
-            sequential.outcome.estimate.to_bits(),
-            "workers={workers}: estimate bits diverge"
-        );
-        assert_eq!(pooled.reports, sequential.reports, "workers={workers}");
-        assert_eq!(pooled.traffic, sequential.traffic, "workers={workers}");
-        assert_eq!(
-            pooled.faults_injected, sequential.faults_injected,
-            "workers={workers}"
-        );
-        assert_eq!(
-            pooled.merge_frames, sequential.merge_frames,
-            "workers={workers}"
-        );
-        assert_eq!(pooled.degraded, sequential.degraded, "workers={workers}");
-    }
-}
-
 /// When more shards degrade than the merge threshold tolerates, the round
 /// aborts with the typed merge-tier error (telemetry maps it to
 /// [`DegradedMode::Aborted`]) instead of publishing a partial estimate.
@@ -215,7 +177,7 @@ fn merge_tier_failure_aborts_with_a_typed_error() {
             min_cohort: 5,
         });
     let hier = HierSecConfig::try_new(4, strict, 3, 0xAB0).unwrap();
-    let err = run_hierarchical_mean(&values, &cfg, &hier, 2, 31).unwrap_err();
+    let err = run_hierarchical_mean(&values, &cfg, &hier, 31).unwrap_err();
     match err {
         FedError::SecAgg(SecAggError::TooFewSurvivors {
             survivors,
@@ -275,8 +237,8 @@ fn config_compression_round_trips_and_books_savings() {
     let hier = HierSecConfig::try_new(4, settings(), 3, 0xC0).unwrap();
     let secure = secure_config().with_dropout(DropoutModel::bernoulli(0.1));
     let secure_compressed = secure.clone().with_config_compression();
-    let a = run_hierarchical_mean(&values, &secure, &hier, 2, 41).unwrap();
-    let b = run_hierarchical_mean(&values, &secure_compressed, &hier, 2, 41).unwrap();
+    let a = run_hierarchical_mean(&values, &secure, &hier, 41).unwrap();
+    let b = run_hierarchical_mean(&values, &secure_compressed, &hier, 41).unwrap();
     assert_eq!(a.outcome.estimate.to_bits(), b.outcome.estimate.to_bits());
     assert!(b.traffic.config_bytes_saved() > 0);
     assert_eq!(a.traffic.config_bytes_saved(), 0);
@@ -320,8 +282,8 @@ fn hier_salvage_readmits_late_shards_under_fresh_masks() {
     let salvage = discard.clone().with_salvage(SalvagePolicy::default());
     let hier = HierSecConfig::try_new(6, settings(), 4, 0x5A1F).unwrap();
 
-    let off = run_hierarchical_mean(&values, &discard, &hier, 2, 71).unwrap();
-    let on = run_hierarchical_mean(&values, &salvage, &hier, 2, 71).unwrap();
+    let off = run_hierarchical_mean(&values, &discard, &hier, 71).unwrap();
+    let on = run_hierarchical_mean(&values, &salvage, &hier, 71).unwrap();
 
     assert!(
         off.late_frames > 100,
@@ -409,54 +371,6 @@ fn hier_salvage_readmits_late_shards_under_fresh_masks() {
     }
 }
 
-/// Worker-pool parity holds with salvage in the loop: the re-admission
-/// sessions inherit the deterministic pool contract.
-#[test]
-fn hier_salvage_is_worker_invariant() {
-    use fednum_fedsim::SalvagePolicy;
-
-    let values = population(1_800);
-    let cfg = secure_config()
-        .with_dropout(DropoutModel::bernoulli(0.1))
-        .with_faults(
-            FaultPlan::new(
-                FaultRates {
-                    straggle: 0.15,
-                    drop_before_unmask: 0.03,
-                    ..FaultRates::none()
-                },
-                0x90B0,
-            )
-            .unwrap(),
-        )
-        .with_salvage(SalvagePolicy::default());
-    let hier = HierSecConfig::try_new(5, settings(), 3, 0x90B1).unwrap();
-    let sequential = run_hierarchical_mean(&values, &cfg, &hier, 1, 83).unwrap();
-    assert!(
-        sequential.salvage.is_some(),
-        "scenario must exercise the salvage path"
-    );
-    for workers in [2, 4, 8] {
-        let pooled = run_hierarchical_mean(&values, &cfg, &hier, workers, 83).unwrap();
-        assert_eq!(
-            pooled.outcome.estimate.to_bits(),
-            sequential.outcome.estimate.to_bits(),
-            "workers={workers}: salvaged estimate diverges"
-        );
-        assert_eq!(pooled.salvage, sequential.salvage, "workers={workers}");
-        assert_eq!(
-            pooled.salvaged_shards, sequential.salvaged_shards,
-            "workers={workers}"
-        );
-        assert_eq!(pooled.reports, sequential.reports, "workers={workers}");
-        assert_eq!(pooled.traffic, sequential.traffic, "workers={workers}");
-        assert_eq!(
-            pooled.merge_frames, sequential.merge_frames,
-            "workers={workers}"
-        );
-    }
-}
-
 /// A shard degraded at the base merge cut still gets its parked stragglers
 /// counted: across a hostile sweep some shard must land in *both*
 /// `degraded_shards` and `salvaged_shards`, with its late reports inside
@@ -497,7 +411,7 @@ fn degraded_shards_recover_their_stragglers_late() {
         };
         cfg.session_seed = 0xDE60 + seed;
         let hier = HierSecConfig::try_new(4, strict, 2, 0xDE61 ^ seed).unwrap();
-        let Ok(out) = run_hierarchical_mean(&values, &cfg, &hier, 2, seed) else {
+        let Ok(out) = run_hierarchical_mean(&values, &cfg, &hier, seed) else {
             continue;
         };
         let both: Vec<usize> = out

@@ -397,7 +397,7 @@ fn hierarchical_salvage_rounds_over_loopback_match_in_process() {
     let vals = values(1_200, cfg.session_seed);
 
     let reference: HierShardedOutcome = RoundBuilder::new(cfg.clone())
-        .hierarchical(hier, 2)
+        .hierarchical(hier)
         .seed(29)
         .run(&vals)
         .unwrap()
@@ -421,7 +421,7 @@ fn hierarchical_salvage_rounds_over_loopback_match_in_process() {
             })
     };
     let over_tcp = RoundBuilder::new(cfg.clone())
-        .hierarchical(hier, 2)
+        .hierarchical(hier)
         .seed(29)
         .shard_transports(make)
         .run(&vals)

@@ -16,7 +16,6 @@
 pub mod census;
 pub mod dataset;
 pub mod distributions;
-pub mod drifting;
 pub mod telemetry;
 
 pub use census::CensusAges;
@@ -24,5 +23,4 @@ pub use dataset::Dataset;
 pub use distributions::{
     Constant, Exponential, LogNormal, Mixture, Normal, Pareto, Sampler, Uniform, Workload, Zipf,
 };
-pub use drifting::{buggy_rollout, DriftingNormal, RegimeShift, RoundSampler};
 pub use telemetry::{ConstantMetric, MostlyBinaryWithOutliers, SpikeMixture};

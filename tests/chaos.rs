@@ -60,11 +60,10 @@ fn run_hierarchical_mean(
     values: &[f64],
     config: &FederatedMeanConfig,
     hier: &fednum::hiersec::HierSecConfig,
-    workers: usize,
     seed: u64,
 ) -> Result<fednum::transport::HierShardedOutcome, FedError> {
     RoundBuilder::new(config.clone())
-        .hierarchical(*hier, workers)
+        .hierarchical(*hier)
         .seed(seed)
         .run(values)
         .map(|out| out.hierarchical().unwrap().clone())
@@ -627,8 +626,8 @@ fn chaos_matrix_composes_with_hierarchical_secagg() {
     // shard-level secagg failures degrade shards into the merge tier
     // instead of killing the round. Contracts: no panics, every failure
     // typed (merge-tier aborts map to `DegradedMode::Aborted` in
-    // telemetry), shard bookkeeping partitions cleanly, and the worker
-    // pool never changes the outcome.
+    // telemetry), shard bookkeeping partitions cleanly, and a same-seed
+    // replay reproduces the outcome bit for bit.
     use fednum::hiersec::HierSecConfig;
 
     let grid: Vec<Scenario> = scenario_grid()
@@ -659,7 +658,7 @@ fn chaos_matrix_composes_with_hierarchical_secagg() {
         config = config.with_secagg(settings);
         let hier = HierSecConfig::try_new(4, settings, 3, 0x41E5 ^ scenario.id).unwrap();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_hierarchical_mean(&values, &config, &hier, 2, scenario.id ^ 0xC4A0)
+            run_hierarchical_mean(&values, &config, &hier, scenario.id ^ 0xC4A0)
         }))
         .unwrap_or_else(|_| panic!("hier scenario {} panicked", scenario.id));
         match outcome {
@@ -698,14 +697,14 @@ fn chaos_matrix_composes_with_hierarchical_secagg() {
                     scenario.id,
                     out.outcome.estimate
                 );
-                // Pool parity holds cell by cell, chaos included.
-                let replay =
-                    run_hierarchical_mean(&values, &config, &hier, 4, scenario.id ^ 0xC4A0)
-                        .expect("replay of a successful scenario must succeed");
+                // A same-seed replay is bit-identical cell by cell, chaos
+                // included.
+                let replay = run_hierarchical_mean(&values, &config, &hier, scenario.id ^ 0xC4A0)
+                    .expect("replay of a successful scenario must succeed");
                 assert_eq!(
                     replay.outcome.estimate.to_bits(),
                     out.outcome.estimate.to_bits(),
-                    "scenario {}: worker pool changed the estimate",
+                    "scenario {}: a same-seed replay changed the estimate",
                     scenario.id
                 );
             }
@@ -756,7 +755,7 @@ fn chaos_matrix_composes_with_hierarchical_secagg() {
         cfg.session_seed = 0x2000 + seed;
         let hier = HierSecConfig::try_new(4, strict, 2, 0x9057 ^ seed).unwrap();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_hierarchical_mean(&values, &cfg, &hier, 2, seed)
+            run_hierarchical_mean(&values, &cfg, &hier, seed)
         }))
         .unwrap_or_else(|_| panic!("hostile hier seed {seed} panicked"));
         match outcome {

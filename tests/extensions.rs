@@ -154,17 +154,27 @@ fn second_moment_and_geometric_mean_end_to_end() {
 #[test]
 fn streaming_with_decay_tracks_a_regime_shift() {
     use fednum::core::bounds::UpperBoundTracker;
-    use fednum::workloads::{buggy_rollout, RoundSampler};
+    use fednum::workloads::{Constant, Mixture, Workload};
 
-    let scenario = buggy_rollout(0.3, 250_000.0, 4);
+    // A buggy build ships at round 4: a mostly-binary metric (30 % ones)
+    // grows a 0.1 % tail of huge outliers.
+    let regime = |p_outlier: f64| {
+        let point = |value| Workload::Constant(Constant { value });
+        let mut parts = vec![(1.0 - 0.3 - p_outlier, point(0.0)), (0.3, point(1.0))];
+        if p_outlier > 0.0 {
+            parts.push((p_outlier, point(250_000.0)));
+        }
+        Workload::Mixture(Box::new(Mixture::new(parts)))
+    };
+    let (healthy, buggy) = (regime(0.0), regime(0.001));
     let codec = FixedPointCodec::integer(8); // clip the outliers hard
     let mut stream = StreamingMean::new(codec, BitSampling::geometric(8, 1.0), None);
     let mut tracker = UpperBoundTracker::new(4.0);
     let mut rng = StdRng::seed_from_u64(14);
     let mut flagged_round = None;
     for round in 0..8u64 {
-        let dist = scenario.at_round(round);
-        let ds = Dataset::draw(&dist, 10_000, 100 + round);
+        let dist = if round < 4 { &healthy } else { &buggy };
+        let ds = Dataset::draw(dist, 10_000, 100 + round);
         tracker.record_round(ds.max());
         if tracker.flagged() && flagged_round.is_none() {
             flagged_round = Some(round);

@@ -387,7 +387,7 @@ fn hierarchical_secure_rounds_are_frozen_on_both_wires() {
         let hier = HierSecConfig::try_new(3, SecAggSettings::default(), 2, 0x41E2 ^ seed).unwrap();
         for carrier in [Carrier::Mem, Carrier::MemBatched] {
             let mut builder = RoundBuilder::new(cfg.clone())
-                .hierarchical(hier, 2)
+                .hierarchical(hier)
                 .seed(seed << 8);
             if carrier == Carrier::MemBatched {
                 builder = builder.batched(512);
