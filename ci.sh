@@ -84,6 +84,11 @@ exact_test -p fednum-transport --lib \
 # dropped silently.
 exact_test -p fednum-transport --lib \
     builder::tests::b_send_above_one_is_rejected_not_dropped
+# Algorithm 2 sends one bit per client too: its driver returns
+# `InvalidConfig` for `b_send > 1` on every path, the `MeanMechanism` one
+# included.
+exact_test -p fednum-fedsim --lib \
+    adaptive_round::tests::b_send_above_one_is_rejected_not_dropped
 
 step "cargo test (workspace)"
 # --include-ignored: the process-spawning suites (fleet_e2e, chaos_e2e) are

@@ -3,10 +3,10 @@
 use fednum_core::bits::{bit, exact_bit_means};
 use fednum_core::encoding::FixedPointCodec;
 use fednum_core::privacy::{BernoulliNoise, RandomizedResponse, SampleThreshold};
-use fednum_core::protocol::adaptive::{AdaptiveBitPushing, AdaptiveConfig};
-use fednum_core::protocol::basic::{BasicBitPushing, BasicConfig};
+use fednum_core::protocol::basic::BasicConfig;
 use fednum_core::sampling::{AssignmentMode, BitSampling};
 use fednum_core::BitAccumulator;
+use fednum_fedsim::{FederatedAdaptiveConfig, FederatedMeanConfig};
 use fednum_ldp::{
     DuchiOneBit, GaussianMechanism, HybridMechanism, LaplaceMechanism, MeanMechanism,
     PiecewiseMechanism, ValueRange,
@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::figures::{census_population, normal_population, Budget};
-use crate::methods::weighted_dp;
+use crate::methods::{adaptive_config, weighted_dp};
 use crate::runner::{clipped_with_mean, sweep_mean};
 
 const BITS: u32 = 12;
@@ -57,9 +57,9 @@ pub fn ablate_sampling(budget: Budget) -> SeriesTable {
                 oracle,
             ];
             for (i, sampling) in samplings.into_iter().enumerate() {
-                let protocol = BasicBitPushing::new(BasicConfig::new(codec, sampling));
+                let protocol = FederatedMeanConfig::new(BasicConfig::new(codec, sampling));
                 let mut rng = StdRng::seed_from_u64(derive_seed(seed, i as u64 + 10));
-                collectors[i].push(protocol.run(&values, &mut rng).estimate, truth);
+                collectors[i].push(protocol.estimate_mean(&values, &mut rng), truth);
             }
         }
         for (s, c) in series.iter_mut().zip(&collectors) {
@@ -95,16 +95,11 @@ pub fn ablate_caching(budget: Budget) -> SeriesTable {
         },
         |_| {
             vec![
-                Box::new(AdaptiveBitPushing::new(
-                    AdaptiveConfig::new(FixedPointCodec::integer(8))
-                        .with_caching(true)
-                        .with_label("caching on"),
-                )) as Box<dyn MeanMechanism>,
-                Box::new(AdaptiveBitPushing::new(
-                    AdaptiveConfig::new(FixedPointCodec::integer(8))
-                        .with_caching(false)
-                        .with_label("caching off"),
-                )),
+                Box::new(adaptive_config(8, "caching on")) as Box<dyn MeanMechanism>,
+                Box::new(FederatedAdaptiveConfig {
+                    caching: false,
+                    ..adaptive_config(8, "caching off")
+                }),
             ]
         },
     )
@@ -131,13 +126,13 @@ pub fn ablate_bsend(budget: Budget) -> SeriesTable {
             clipped_with_mean(&raw, BITS)
         },
         |b_send| {
-            vec![Box::new(BasicBitPushing::new(
+            vec![Box::new(FederatedMeanConfig::new(
                 BasicConfig::new(
                     FixedPointCodec::integer(BITS),
                     BitSampling::geometric(BITS, 1.0),
                 )
                 .with_b_send(b_send as u32)
-                .with_label("weighted a=0.5"),
+                .with_label("weighted a=1.0"),
             )) as Box<dyn MeanMechanism>]
         },
     )
@@ -268,15 +263,18 @@ pub fn ablate_distributed(budget: Budget) -> SeriesTable {
             let raw = census_population(n, seed);
             let (values, truth) = clipped_with_mean(&raw, bits);
             // No privacy.
-            let plain = BasicBitPushing::new(BasicConfig::new(codec, sampling.clone()));
+            let plain = FederatedMeanConfig::new(BasicConfig::new(codec, sampling.clone()));
             let mut rng = StdRng::seed_from_u64(derive_seed(seed, 51));
-            let out = plain.run(&values, &mut rng);
+            let out = plain
+                .run_pooled(&values, &mut rng)
+                .expect("a census cohort reports");
             collectors[0].push(out.estimate, truth);
             // Local RR.
-            let local =
-                BasicBitPushing::new(BasicConfig::new(codec, sampling.clone()).with_privacy(rr));
+            let local = FederatedMeanConfig::new(
+                BasicConfig::new(codec, sampling.clone()).with_privacy(rr),
+            );
             let mut rng = StdRng::seed_from_u64(derive_seed(seed, 52));
-            collectors[1].push(local.run(&values, &mut rng).estimate, truth);
+            collectors[1].push(local.estimate_mean(&values, &mut rng), truth);
             // Distributed mechanisms post-process the raw histograms.
             let mut rng = StdRng::seed_from_u64(derive_seed(seed, 53));
             let sampled = st.apply(&out.accumulator, &mut rng);
@@ -322,11 +320,10 @@ pub fn ablate_delta(budget: Budget) -> SeriesTable {
             clipped_with_mean(&raw, 16)
         },
         |delta| {
-            vec![Box::new(AdaptiveBitPushing::new(
-                AdaptiveConfig::new(FixedPointCodec::integer(16))
-                    .with_delta(delta)
-                    .with_label("adaptive a=0.5"),
-            )) as Box<dyn MeanMechanism>]
+            vec![
+                Box::new(adaptive_config(16, "adaptive a=0.5").with_delta(delta))
+                    as Box<dyn MeanMechanism>,
+            ]
         },
     )
 }
@@ -353,11 +350,10 @@ pub fn ablate_gamma(budget: Budget) -> SeriesTable {
             clipped_with_mean(&raw, 16)
         },
         |gamma| {
-            vec![Box::new(AdaptiveBitPushing::new(
-                AdaptiveConfig::new(FixedPointCodec::integer(16))
-                    .with_gamma(gamma)
-                    .with_label("adaptive a=0.5"),
-            )) as Box<dyn MeanMechanism>]
+            vec![Box::new(FederatedAdaptiveConfig {
+                gamma,
+                ..adaptive_config(16, "adaptive a=0.5")
+            }) as Box<dyn MeanMechanism>]
         },
     )
 }
@@ -390,12 +386,12 @@ pub fn robust_quantile(budget: Budget) -> SeriesTable {
             let mut rng = StdRng::seed_from_u64(derive_seed(seed, 61));
             col_median.push(est.run(ds.values(), &mut rng).estimate, true_median);
             // Mean estimation drifts with the tail even when clipped wide.
-            let mean_est = BasicBitPushing::new(BasicConfig::new(
+            let mean_est = FederatedMeanConfig::new(BasicConfig::new(
                 FixedPointCodec::integer(16),
                 BitSampling::geometric(16, 1.0),
             ));
             let mut rng = StdRng::seed_from_u64(derive_seed(seed, 62));
-            col_mean.push(mean_est.run(ds.values(), &mut rng).estimate, true_median);
+            col_mean.push(mean_est.estimate_mean(ds.values(), &mut rng), true_median);
         }
         median_series.push(tf, col_median.summary());
         mean_series.push(tf, col_mean.summary());

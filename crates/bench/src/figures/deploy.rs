@@ -9,6 +9,7 @@ use fednum_core::sampling::BitSampling;
 use fednum_fedsim::round::{FederatedMeanConfig, FederatedOutcome, SecAggSettings};
 use fednum_fedsim::FedError;
 use fednum_fedsim::{DropoutModel, LatencyModel};
+use fednum_ldp::MeanMechanism;
 use fednum_metrics::experiment::derive_seed;
 use fednum_metrics::table::{Metric, Series, SeriesTable};
 use fednum_metrics::{ErrorCollector, Repetitions};
@@ -269,10 +270,9 @@ pub fn deploy_clipping(budget: Budget) -> SeriesTable {
             let seed = reps.seed_for(t);
             let ds = Dataset::draw(&dist, budget.n, seed);
             let hi = ((1u64 << bits) - 1) as f64;
-            let protocol =
-                fednum_core::protocol::basic::BasicBitPushing::new(weighted_config(bits));
+            let protocol = FederatedMeanConfig::new(weighted_config(bits));
             let mut rng = StdRng::seed_from_u64(derive_seed(seed, 2));
-            let est = protocol.run(ds.values(), &mut rng).estimate;
+            let est = protocol.estimate_mean(ds.values(), &mut rng);
             col_w.push(est, ds.clipped_mean(hi));
             col_r.push(est, ds.mean());
         }

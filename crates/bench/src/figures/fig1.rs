@@ -19,7 +19,7 @@ use crate::methods::{adaptive, dithering, plain_methods, weighted};
 use crate::runner::{
     clipped_with_mean, clipped_with_variance, sweep_mean, sweep_variance, VarianceEstimate,
 };
-use fednum_core::variance::VarianceViaSquares;
+use fednum_fedsim::variance::VarianceViaSquares;
 
 const SIGMA: f64 = 100.0;
 /// Bit depth covering the largest μ in the sweep plus 3σ.

@@ -10,11 +10,11 @@
 //!   approach flat while every other method grows with the (noisy) domain
 //!   magnitude.
 
-use fednum_core::accumulator::BitAccumulator;
 use fednum_core::encoding::FixedPointCodec;
 use fednum_core::privacy::{BitSquash, RandomizedResponse};
-use fednum_core::protocol::basic::{BasicBitPushing, BasicConfig};
+use fednum_core::protocol::basic::BasicConfig;
 use fednum_core::sampling::BitSampling;
+use fednum_fedsim::FederatedMeanConfig;
 use fednum_ldp::{DitheringLdp, MeanMechanism, PiecewiseMechanism, ValueRange};
 use fednum_metrics::table::{Metric, SeriesTable};
 use fednum_metrics::Repetitions;
@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::figures::{normal_population, Budget};
-use crate::methods::{adaptive_dp, weighted_dp};
+use crate::methods::{adaptive_config, adaptive_dp, weighted_dp};
 use crate::runner::{clipped_with_mean, sweep_mean};
 
 const EPSILON: f64 = 2.0;
@@ -54,28 +54,21 @@ pub fn fig4a(budget: Budget) -> SeriesTable {
             let squash = (mult > 0.0).then_some(BitSquash::NoiseMultiple(mult));
             vec![
                 Box::new({
-                    let mut cfg = fednum_core::protocol::adaptive::AdaptiveConfig::new(
-                        FixedPointCodec::integer(BITS),
-                    )
-                    .with_privacy(RandomizedResponse::from_epsilon(EPSILON))
-                    .with_label("adaptive rr+squash");
-                    if let Some(sq) = squash {
-                        cfg = cfg.with_squash(sq);
-                    }
-                    fednum_core::protocol::adaptive::AdaptiveBitPushing::new(cfg)
+                    let mut cfg = adaptive_config(BITS, "adaptive rr+squash");
+                    cfg.environment.protocol.privacy =
+                        Some(RandomizedResponse::from_epsilon(EPSILON));
+                    cfg.environment.protocol.squash = squash;
+                    cfg
                 }) as Box<dyn MeanMechanism>,
-                Box::new({
-                    let mut cfg = BasicConfig::new(
+                Box::new(FederatedMeanConfig::new(BasicConfig {
+                    privacy: Some(RandomizedResponse::from_epsilon(EPSILON)),
+                    squash,
+                    ..BasicConfig::new(
                         FixedPointCodec::integer(BITS),
                         BitSampling::geometric(BITS, 1.0),
                     )
-                    .with_privacy(RandomizedResponse::from_epsilon(EPSILON))
-                    .with_label("weighted a=1.0 rr+squash");
-                    if let Some(sq) = squash {
-                        cfg = cfg.with_squash(sq);
-                    }
-                    BasicBitPushing::new(cfg)
-                }),
+                    .with_label("weighted a=1.0 rr+squash")
+                })),
             ]
         },
     )
@@ -87,15 +80,7 @@ pub fn fig4a(budget: Budget) -> SeriesTable {
 pub fn fig4b(budget: Budget) -> String {
     let raw = normal_population(MU, SIGMA, budget.n, budget.seed);
     let (values, _) = clipped_with_mean(&raw, BITS);
-    let protocol = BasicBitPushing::new(
-        BasicConfig::new(
-            FixedPointCodec::integer(BITS),
-            BitSampling::uniform(BITS), // equal reports per bit, as a histogram
-        )
-        .with_privacy(RandomizedResponse::from_epsilon(EPSILON)),
-    );
-    let mut rng = StdRng::seed_from_u64(budget.seed);
-    let out = protocol.run(&values, &mut rng);
+    let raw_means = noisy_bit_means(budget);
     let codes: Vec<u64> = values
         .iter()
         .map(|&v| FixedPointCodec::integer(BITS).encode(v))
@@ -109,7 +94,6 @@ pub fn fig4b(budget: Budget) -> String {
     ));
     s.push_str("bit   estimated-mean   exact-mean   squashed@0.05\n");
     s.push_str("------------------------------------------------\n");
-    let raw_means = out.accumulator.bit_means();
     for (j, (&est, &truth)) in raw_means.iter().zip(&exact).enumerate() {
         s.push_str(&format!(
             "{j:>3}   {est:>14.4}   {truth:>10.4}   {}\n",
@@ -165,19 +149,21 @@ pub fn fig4c(budget: Budget) -> SeriesTable {
     )
 }
 
-/// Exposes the accumulator shape for tests.
+/// The raw (unsquashed) per-bit means of one ε = 2 round with uniform
+/// sampling — equal reports per bit, as a histogram.
 #[must_use]
 pub fn noisy_bit_means(budget: Budget) -> Vec<f64> {
     let raw = normal_population(MU, SIGMA, budget.n, budget.seed);
     let (values, _) = clipped_with_mean(&raw, BITS);
-    let protocol = BasicBitPushing::new(
+    let protocol = FederatedMeanConfig::new(
         BasicConfig::new(FixedPointCodec::integer(BITS), BitSampling::uniform(BITS))
             .with_privacy(RandomizedResponse::from_epsilon(EPSILON)),
     );
     let mut rng = StdRng::seed_from_u64(budget.seed);
-    let out = protocol.run(&values, &mut rng);
-    let acc: &BitAccumulator = &out.accumulator;
-    acc.bit_means()
+    let out = protocol
+        .run_pooled(&values, &mut rng)
+        .expect("a non-empty cohort reports");
+    out.accumulator.bit_means()
 }
 
 #[cfg(test)]

@@ -7,21 +7,21 @@
 //! randomized response, whose variance is independent of the bit means),
 //! and `weighted a=0.5` is the flatter `p_j ∝ 2^{j/2}` that the noise-free
 //! Figure 1 experiments favour because it wastes fewer samples on
-//! low-variance high-order bits.
+//! low-variance high-order bits. Both run the federated round driver.
 
 use fednum_core::encoding::FixedPointCodec;
 use fednum_core::privacy::{BitSquash, RandomizedResponse};
-use fednum_core::protocol::adaptive::{AdaptiveBitPushing, AdaptiveConfig};
-use fednum_core::protocol::basic::{BasicBitPushing, BasicConfig};
+use fednum_core::protocol::basic::BasicConfig;
 use fednum_core::sampling::BitSampling;
+use fednum_fedsim::{FederatedAdaptiveConfig, FederatedMeanConfig};
 use fednum_ldp::{
     DitheringLdp, MeanMechanism, PiecewiseMechanism, SubtractiveDithering, ValueRange,
 };
 
 /// Single-round weighted bit-pushing with the paper's exponent convention.
 #[must_use]
-pub fn weighted(bits: u32, alpha: f64) -> BasicBitPushing {
-    BasicBitPushing::new(
+pub fn weighted(bits: u32, alpha: f64) -> FederatedMeanConfig {
+    FederatedMeanConfig::new(
         BasicConfig::new(
             FixedPointCodec::integer(bits),
             BitSampling::geometric(bits, alpha),
@@ -30,14 +30,23 @@ pub fn weighted(bits: u32, alpha: f64) -> BasicBitPushing {
     )
 }
 
+/// Two-round adaptive bit-pushing with paper defaults (γ = 0.5, δ = 1/3,
+/// caching on), labelled `label`; the rounds sample with γ, then α.
+#[must_use]
+pub fn adaptive_config(bits: u32, label: &str) -> FederatedAdaptiveConfig {
+    FederatedAdaptiveConfig::new(FederatedMeanConfig::new(
+        BasicConfig::new(
+            FixedPointCodec::integer(bits),
+            BitSampling::geometric(bits, 0.5),
+        )
+        .with_label(label),
+    ))
+}
+
 /// Two-round adaptive bit-pushing with paper defaults (γ = 0.5, δ = 1/3).
 #[must_use]
-pub fn adaptive(bits: u32, alpha: f64) -> AdaptiveBitPushing {
-    AdaptiveBitPushing::new(
-        AdaptiveConfig::new(FixedPointCodec::integer(bits))
-            .with_alpha(alpha)
-            .with_label(format!("adaptive a={alpha:.1}")),
-    )
+pub fn adaptive(bits: u32, alpha: f64) -> FederatedAdaptiveConfig {
+    adaptive_config(bits, &format!("adaptive a={alpha:.1}")).with_alpha(alpha)
 }
 
 /// Subtractive dithering over the `[0, 2^bits)` bound.
@@ -60,8 +69,8 @@ pub fn plain_methods(bits: u32) -> Vec<Box<dyn MeanMechanism>> {
 
 /// Single-round weighted bit-pushing under ε-LDP randomized response.
 #[must_use]
-pub fn weighted_dp(bits: u32, alpha: f64, epsilon: f64) -> BasicBitPushing {
-    BasicBitPushing::new(
+pub fn weighted_dp(bits: u32, alpha: f64, epsilon: f64) -> FederatedMeanConfig {
+    FederatedMeanConfig::new(
         BasicConfig::new(
             FixedPointCodec::integer(bits),
             BitSampling::geometric(bits, alpha),
@@ -73,18 +82,16 @@ pub fn weighted_dp(bits: u32, alpha: f64, epsilon: f64) -> BasicBitPushing {
 
 /// Adaptive bit-pushing under ε-LDP, optionally with bit squashing.
 #[must_use]
-pub fn adaptive_dp(bits: u32, epsilon: f64, squash: Option<BitSquash>) -> AdaptiveBitPushing {
-    let mut cfg = AdaptiveConfig::new(FixedPointCodec::integer(bits))
-        .with_privacy(RandomizedResponse::from_epsilon(epsilon))
-        .with_label(if squash.is_some() {
-            "adaptive rr+squash"
-        } else {
-            "adaptive rr"
-        });
-    if let Some(sq) = squash {
-        cfg = cfg.with_squash(sq);
-    }
-    AdaptiveBitPushing::new(cfg)
+pub fn adaptive_dp(bits: u32, epsilon: f64, squash: Option<BitSquash>) -> FederatedAdaptiveConfig {
+    let label = if squash.is_some() {
+        "adaptive rr+squash"
+    } else {
+        "adaptive rr"
+    };
+    let mut cfg = adaptive_config(bits, label);
+    cfg.environment.protocol.privacy = Some(RandomizedResponse::from_epsilon(epsilon));
+    cfg.environment.protocol.squash = squash;
+    cfg
 }
 
 /// The LDP method set of Figure 3 (no squashing).
@@ -125,10 +132,10 @@ mod tests {
     fn weighted_exponent_convention() {
         // a=0.5 → p ∝ 2^{j/2}; a=1.0 → p ∝ 2^j (the DP optimum).
         let half = weighted(4, 0.5);
-        let probs = half.config().sampling.probs();
+        let probs = half.protocol.sampling.probs();
         assert!((probs[1] / probs[0] - 2.0f64.sqrt()).abs() < 1e-9);
         let one = weighted(4, 1.0);
-        let probs = one.config().sampling.probs();
+        let probs = one.protocol.sampling.probs();
         assert!((probs[1] / probs[0] - 2.0).abs() < 1e-9);
     }
 

@@ -64,7 +64,7 @@ pub trait VarianceEstimate {
 }
 
 impl<M: MeanMechanism, S: MeanMechanism> VarianceEstimate
-    for fednum_core::variance::VarianceViaSquares<M, S>
+    for fednum_fedsim::variance::VarianceViaSquares<M, S>
 {
     fn estimate(&self, values: &[f64], rng: &mut dyn Rng) -> f64 {
         self.estimate_variance(values, rng)
@@ -72,7 +72,7 @@ impl<M: MeanMechanism, S: MeanMechanism> VarianceEstimate
 }
 
 impl<M: MeanMechanism, D: MeanMechanism> VarianceEstimate
-    for fednum_core::variance::VarianceViaCentered<M, D>
+    for fednum_fedsim::variance::VarianceViaCentered<M, D>
 {
     fn estimate(&self, values: &[f64], rng: &mut dyn Rng) -> f64 {
         self.estimate_variance(values, rng)

@@ -5,13 +5,15 @@
 //! (optionally randomized-response-protected) bit values, computes per-bit
 //! means and reconstructs `r = Σ_j 2^j m_j` — an unbiased estimate of the
 //! population mean with the variance of Lemma 3.1.
+//!
+//! This module holds the round's configuration and its estimator tail; the
+//! round itself runs on the federated driver (`fednum-fedsim`).
 
-use fednum_ldp::{MeanMechanism, RandomizedResponse};
-use rand::Rng;
+use fednum_ldp::RandomizedResponse;
 use serde::{Deserialize, Serialize};
 
 use crate::accumulator::BitAccumulator;
-use crate::bits::{bit_f64, weight};
+use crate::bits::weight;
 use crate::encoding::FixedPointCodec;
 use crate::privacy::squash::BitSquash;
 use crate::sampling::{AssignmentMode, BitSampling};
@@ -32,7 +34,7 @@ pub struct BasicConfig {
     pub privacy: Option<RandomizedResponse>,
     /// Optional bit squashing applied to the final bit means.
     pub squash: Option<BitSquash>,
-    /// Label used by [`MeanMechanism::name`].
+    /// Label used by the mechanism's `name`.
     pub label: Option<String>,
 }
 
@@ -122,27 +124,26 @@ pub struct Outcome {
     pub predicted_std: f64,
 }
 
-/// The basic bit-pushing protocol (Algorithm 1).
+/// The estimator tail of Algorithm 1: turns a per-bit histogram into an
+/// [`Outcome`].
 ///
 /// # Examples
 ///
 /// ```
+/// use fednum_core::accumulator::BitAccumulator;
 /// use fednum_core::encoding::FixedPointCodec;
 /// use fednum_core::protocol::basic::{BasicBitPushing, BasicConfig};
 /// use fednum_core::sampling::BitSampling;
-/// use rand::{rngs::StdRng, SeedableRng};
-///
-/// let values: Vec<f64> = (0..10_000).map(|i| (i % 200) as f64).collect();
-/// let truth = values.iter().sum::<f64>() / values.len() as f64;
 ///
 /// let protocol = BasicBitPushing::new(BasicConfig::new(
-///     FixedPointCodec::integer(8),
-///     BitSampling::geometric(8, 1.0), // p_j ∝ 2^j
+///     FixedPointCodec::integer(2),
+///     BitSampling::geometric(2, 1.0), // p_j ∝ 2^j
 /// ));
-/// let outcome = protocol.run(&values, &mut StdRng::seed_from_u64(7));
-/// assert!((outcome.estimate - truth).abs() / truth < 0.05);
-/// // Exactly one bit was disclosed per client.
-/// assert_eq!(outcome.accumulator.total_reports(), 10_000);
+/// // Bit 0 reported by 4 clients (3 ones), bit 1 by 8 clients (2 ones).
+/// let acc = BitAccumulator::from_parts(vec![3.0, 2.0], vec![4, 8]);
+/// let outcome = protocol.finish(acc, 0.0);
+/// assert!((outcome.estimate - (0.75 + 2.0 * 0.25)).abs() < 1e-12);
+/// assert_eq!(outcome.accumulator.total_reports(), 12);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BasicBitPushing {
@@ -160,40 +161,6 @@ impl BasicBitPushing {
     #[must_use]
     pub fn config(&self) -> &BasicConfig {
         &self.config
-    }
-
-    /// Runs the protocol over raw client values.
-    ///
-    /// # Panics
-    /// Panics if `values` is empty.
-    pub fn run(&self, values: &[f64], rng: &mut dyn Rng) -> Outcome {
-        assert!(!values.is_empty(), "need at least one client");
-        let (codes, clip_fraction) = self.config.codec.encode_all(values);
-        self.run_encoded(&codes, clip_fraction, rng)
-    }
-
-    /// Runs the protocol over pre-encoded values (used by the adaptive
-    /// protocol, which encodes once for both rounds).
-    ///
-    /// # Panics
-    /// Panics if `codes` is empty.
-    pub fn run_encoded(&self, codes: &[u64], clip_fraction: f64, rng: &mut dyn Rng) -> Outcome {
-        assert!(!codes.is_empty(), "need at least one client");
-        let n = codes.len();
-        let bits = self.config.codec.bits();
-        let mut acc = BitAccumulator::new(bits);
-        for _ in 0..self.config.b_send {
-            let assignment = self.config.sampling.assign(self.config.assignment, n, rng);
-            for (i, &j) in assignment.iter().enumerate() {
-                let raw_bit = crate::bits::bit(codes[i], j);
-                let value = match &self.config.privacy {
-                    Some(rr) => rr.debias(rr.flip(raw_bit, rng)),
-                    None => bit_f64(codes[i], j),
-                };
-                acc.record(j, value);
-            }
-        }
-        self.finish(acc, clip_fraction)
     }
 
     /// Turns an accumulator (possibly produced by secure aggregation or a
@@ -248,283 +215,13 @@ impl BasicBitPushing {
     }
 }
 
-impl MeanMechanism for BasicBitPushing {
-    fn name(&self) -> String {
-        self.config
-            .label
-            .clone()
-            .unwrap_or_else(|| "bitpush-basic".to_string())
-    }
-
-    fn estimate_mean(&self, values: &[f64], rng: &mut dyn Rng) -> f64 {
-        self.run(values, rng).estimate
-    }
-
-    fn epsilon(&self) -> Option<f64> {
-        // Composition over the bits each client sends.
-        self.config
-            .privacy
-            .as_ref()
-            .map(|rr| rr.epsilon() * f64::from(self.config.b_send))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn protocol(bits: u32, gamma: f64) -> BasicBitPushing {
-        BasicBitPushing::new(BasicConfig::new(
-            FixedPointCodec::integer(bits),
-            BitSampling::geometric(bits, gamma),
-        ))
-    }
-
-    fn uniform_values(n: usize, hi: u64) -> Vec<f64> {
-        (0..n).map(|i| (i as u64 % hi) as f64).collect()
-    }
-
-    #[test]
-    fn estimates_mean_within_tolerance() {
-        let p = protocol(8, 1.0);
-        let values = uniform_values(20_000, 200);
-        let truth = values.iter().sum::<f64>() / values.len() as f64;
-        let mut rng = StdRng::seed_from_u64(1);
-        let out = p.run(&values, &mut rng);
-        assert!(
-            (out.estimate - truth).abs() / truth < 0.05,
-            "est {} truth {truth}",
-            out.estimate
-        );
-        assert_eq!(out.clip_fraction, 0.0);
-    }
-
-    #[test]
-    fn estimator_is_unbiased_across_trials() {
-        let p = protocol(6, 1.0);
-        let values = uniform_values(2_000, 50);
-        let truth = values.iter().sum::<f64>() / values.len() as f64;
-        let trials = 300;
-        let mean_est: f64 = (0..trials)
-            .map(|s| {
-                let mut rng = StdRng::seed_from_u64(s);
-                p.run(&values, &mut rng).estimate
-            })
-            .sum::<f64>()
-            / f64::from(trials as u32);
-        assert!(
-            (mean_est - truth).abs() < 0.4,
-            "mean of estimates {mean_est} vs truth {truth}"
-        );
-    }
-
-    #[test]
-    fn exact_when_every_bit_deterministic() {
-        // All clients hold the same value: every bit mean is 0 or 1, so the
-        // estimate is exact regardless of sampling.
-        let p = protocol(8, 0.5);
-        let values = vec![137.0; 500];
-        let mut rng = StdRng::seed_from_u64(2);
-        let out = p.run(&values, &mut rng);
-        assert!((out.estimate - 137.0).abs() < 1e-9);
-        assert_eq!(out.predicted_std, 0.0);
-    }
-
-    #[test]
-    fn variance_shrinks_with_n() {
-        let p = protocol(8, 1.0);
-        let rmse = |n: usize| {
-            let values = uniform_values(n, 200);
-            let truth = values.iter().sum::<f64>() / values.len() as f64;
-            let mut sq = 0.0;
-            for s in 0..60u64 {
-                let mut rng = StdRng::seed_from_u64(s);
-                let e = p.run(&values, &mut rng).estimate;
-                sq += (e - truth) * (e - truth);
-            }
-            (sq / 60.0).sqrt()
-        };
-        let small = rmse(1_000);
-        let large = rmse(16_000);
-        // Error ∝ 1/√n: 16x clients → ~4x smaller error (allow slack).
-        assert!(large < small / 2.0, "rmse small-n {small}, large-n {large}");
-    }
-
-    #[test]
-    fn predicted_std_tracks_observed_rmse() {
-        let p = protocol(8, 1.0);
-        let values = uniform_values(5_000, 200);
-        let truth = values.iter().sum::<f64>() / values.len() as f64;
-        let mut errs = Vec::new();
-        let mut preds = Vec::new();
-        for s in 0..100u64 {
-            let mut rng = StdRng::seed_from_u64(s);
-            let out = p.run(&values, &mut rng);
-            errs.push((out.estimate - truth).powi(2));
-            preds.push(out.predicted_std);
-        }
-        let rmse = (errs.iter().sum::<f64>() / errs.len() as f64).sqrt();
-        let pred = preds.iter().sum::<f64>() / preds.len() as f64;
-        assert!(
-            (rmse / pred - 1.0).abs() < 0.35,
-            "rmse {rmse} vs predicted {pred}"
-        );
-    }
-
-    #[test]
-    fn b_send_reduces_error() {
-        let values = uniform_values(2_000, 200);
-        let truth = values.iter().sum::<f64>() / values.len() as f64;
-        let rmse = |b_send: u32| {
-            let p = BasicBitPushing::new(
-                BasicConfig::new(FixedPointCodec::integer(8), BitSampling::geometric(8, 1.0))
-                    .with_b_send(b_send),
-            );
-            let mut sq = 0.0;
-            for s in 0..60u64 {
-                let mut rng = StdRng::seed_from_u64(s);
-                let e = p.run(&values, &mut rng).estimate;
-                sq += (e - truth) * (e - truth);
-            }
-            (sq / 60.0).sqrt()
-        };
-        let one = rmse(1);
-        let four = rmse(4);
-        // Corollary 3.2: variance ∝ 1/b_send, so RMSE halves at b_send=4.
-        assert!(
-            (one / four - 2.0).abs() < 0.7,
-            "rmse b_send=1 {one}, b_send=4 {four}"
-        );
-    }
-
-    #[test]
-    fn privacy_keeps_estimate_unbiased() {
-        let p = BasicBitPushing::new(
-            BasicConfig::new(FixedPointCodec::integer(8), BitSampling::geometric(8, 1.0))
-                .with_privacy(RandomizedResponse::from_epsilon(2.0)),
-        );
-        let values = uniform_values(50_000, 200);
-        let truth = values.iter().sum::<f64>() / values.len() as f64;
-        let trials = 50;
-        let mean_est: f64 = (0..trials)
-            .map(|s| {
-                let mut rng = StdRng::seed_from_u64(s);
-                p.run(&values, &mut rng).estimate
-            })
-            .sum::<f64>()
-            / f64::from(trials as u32);
-        assert!(
-            (mean_est - truth).abs() / truth < 0.05,
-            "mean est {mean_est} truth {truth}"
-        );
-        assert!(p.epsilon().is_some());
-    }
-
-    #[test]
-    fn privacy_increases_predicted_std() {
-        let codec = FixedPointCodec::integer(8);
-        let sampling = BitSampling::geometric(8, 1.0);
-        let plain = BasicBitPushing::new(BasicConfig::new(codec, sampling.clone()));
-        let private = BasicBitPushing::new(
-            BasicConfig::new(codec, sampling).with_privacy(RandomizedResponse::from_epsilon(1.0)),
-        );
-        let values = uniform_values(10_000, 200);
-        let a = plain.run(&values, &mut StdRng::seed_from_u64(3));
-        let b = private.run(&values, &mut StdRng::seed_from_u64(3));
-        assert!(b.predicted_std > 2.0 * a.predicted_std);
-    }
-
-    #[test]
-    fn squash_drops_noise_bits_and_reduces_error() {
-        let rr = RandomizedResponse::from_epsilon(2.0);
-        let base = BasicConfig::new(
-            FixedPointCodec::integer(16),
-            BitSampling::geometric(16, 1.0),
-        )
-        .with_privacy(rr);
-        let plain = BasicBitPushing::new(base.clone());
-        let squashed = BasicBitPushing::new(base.with_squash(BitSquash::Absolute(0.05)));
-        // Data uses only the low 6 bits; bits 6..16 are pure DP noise, which
-        // the weighted sampling massively over-weights.
-        let values = uniform_values(60_000, 60);
-        let truth = values.iter().sum::<f64>() / values.len() as f64;
-        let mae = |p: &BasicBitPushing| {
-            (0..20u64)
-                .map(|s| {
-                    let mut rng = StdRng::seed_from_u64(s);
-                    (p.run(&values, &mut rng).estimate - truth).abs()
-                })
-                .sum::<f64>()
-                / 20.0
-        };
-        let e_plain = mae(&plain);
-        let e_squash = mae(&squashed);
-        assert!(
-            e_squash < e_plain / 2.0,
-            "squash {e_squash} should far beat plain {e_plain}"
-        );
-        // High bits squashed to exactly 0 in a representative run.
-        let out = squashed.run(&values, &mut StdRng::seed_from_u64(4));
-        assert_eq!(out.bit_means[15], 0.0);
-        assert_eq!(out.bit_means[12], 0.0);
-    }
-
-    #[test]
-    fn clip_fraction_reported() {
-        let p = protocol(4, 1.0); // max 15
-        let values = vec![1.0, 2.0, 100.0, 200.0];
-        let mut rng = StdRng::seed_from_u64(5);
-        let out = p.run(&values, &mut rng);
-        assert!((out.clip_fraction - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn local_assignment_also_works() {
-        let p = BasicBitPushing::new(
-            BasicConfig::new(FixedPointCodec::integer(8), BitSampling::geometric(8, 1.0))
-                .with_assignment(AssignmentMode::Local),
-        );
-        let values = uniform_values(30_000, 200);
-        let truth = values.iter().sum::<f64>() / values.len() as f64;
-        let mut rng = StdRng::seed_from_u64(6);
-        let out = p.run(&values, &mut rng);
-        assert!((out.estimate - truth).abs() / truth < 0.06);
-    }
-
-    #[test]
-    fn spanning_codec_handles_signed_data() {
-        let codec = FixedPointCodec::spanning(10, -50.0, 50.0);
-        let p = BasicBitPushing::new(BasicConfig::new(codec, BitSampling::geometric(10, 1.0)));
-        let values: Vec<f64> = (0..20_000).map(|i| -30.0 + (i % 60) as f64).collect();
-        let truth = values.iter().sum::<f64>() / values.len() as f64;
-        let mut rng = StdRng::seed_from_u64(7);
-        let out = p.run(&values, &mut rng);
-        assert!((out.estimate - truth).abs() < 1.5, "est {}", out.estimate);
-    }
-
-    #[test]
-    fn mean_mechanism_label() {
-        let p = BasicBitPushing::new(
-            BasicConfig::new(FixedPointCodec::integer(4), BitSampling::uniform(4))
-                .with_label("weighted a=1.0"),
-        );
-        assert_eq!(p.name(), "weighted a=1.0");
-        assert_eq!(protocol(4, 1.0).name(), "bitpush-basic");
-    }
 
     #[test]
     #[should_panic(expected = "sampling distribution must cover")]
     fn config_rejects_bit_mismatch() {
         let _ = BasicConfig::new(FixedPointCodec::integer(8), BitSampling::uniform(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one client")]
-    fn run_rejects_empty() {
-        let p = protocol(4, 1.0);
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = p.run(&[], &mut rng);
     }
 }

@@ -1,17 +1,17 @@
-//! The bit-pushing protocols.
+//! The bit-pushing estimator.
 //!
-//! * [`basic`] — Algorithm 1: one round with a fixed bit-sampling
-//!   distribution (the paper's "weighted" method when used with geometric
-//!   weights).
-//! * [`adaptive`] — Algorithm 2: a first round learns the bit means, a
-//!   second round samples with the re-optimized weights, optionally pooling
-//!   both rounds ("caching"). The paper's "adaptive" method.
+//! * [`basic`] — Algorithm 1's configuration ([`BasicConfig`]) and its
+//!   estimator tail ([`BasicBitPushing::finish`]): squashing,
+//!   reconstruction, decoding and the predicted error of a per-bit
+//!   histogram.
 //!
-//! Both implement [`fednum_ldp::MeanMechanism`], so they can be swept
-//! alongside the baseline mechanisms by the figure drivers.
+//! The rounds that fill the histogram — Algorithm 1, with Corollary 3.2's
+//! `b_send`, and the two-round Algorithm 2 — run once, on the federated
+//! round driver in `fednum-fedsim`, whose configurations implement
+//! [`MeanMechanism`] so the figure drivers sweep them alongside the
+//! baseline mechanisms.
 
-pub mod adaptive;
 pub mod basic;
 
-pub use adaptive::{AdaptiveBitPushing, AdaptiveConfig, AdaptiveOutcome};
 pub use basic::{BasicBitPushing, BasicConfig, Outcome};
+pub use fednum_ldp::MeanMechanism;

@@ -1,11 +1,9 @@
-//! Property tests on the bit-pushing protocols and supporting machinery.
+//! Property tests on the machinery around the bit-pushing rounds (the
+//! rounds' own properties live with the round driver in `fednum-fedsim`).
 
 use fednum_core::encoding::FixedPointCodec;
 use fednum_core::privacy::RandomizedResponse;
-use fednum_core::protocol::adaptive::{AdaptiveBitPushing, AdaptiveConfig};
-use fednum_core::protocol::basic::{BasicBitPushing, BasicConfig};
 use fednum_core::quantile::{QuantileConfig, QuantileEstimator};
-use fednum_core::sampling::BitSampling;
 use fednum_core::wire::ReportMessage;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -13,57 +11,6 @@ use rand::SeedableRng;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
-
-    /// The one-bit invariant: report count equals client count, for any
-    /// population, sampling exponent, and assignment mode.
-    #[test]
-    fn one_report_per_client(
-        n in 1usize..2000,
-        gamma in 0.0f64..2.0,
-        seed in any::<u64>(),
-        local in any::<bool>(),
-    ) {
-        use fednum_core::sampling::AssignmentMode;
-        let mode = if local { AssignmentMode::Local } else { AssignmentMode::CentralQmc };
-        let protocol = BasicBitPushing::new(
-            BasicConfig::new(FixedPointCodec::integer(10), BitSampling::geometric(10, gamma))
-                .with_assignment(mode),
-        );
-        let values: Vec<f64> = (0..n).map(|i| (i % 700) as f64).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let out = protocol.run(&values, &mut rng);
-        prop_assert_eq!(out.accumulator.total_reports(), n as u64);
-    }
-
-    /// The estimate is always within the decodable range (no amplification
-    /// beyond the domain), privacy off.
-    #[test]
-    fn estimate_within_domain(n in 2usize..800, seed in any::<u64>(), hi in 1u64..4000) {
-        let protocol = BasicBitPushing::new(BasicConfig::new(
-            FixedPointCodec::integer(12),
-            BitSampling::uniform(12),
-        ));
-        let values: Vec<f64> = (0..n).map(|i| (i as u64 % hi.max(1)) as f64).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let out = protocol.run(&values, &mut rng);
-        prop_assert!(out.estimate >= 0.0);
-        prop_assert!(out.estimate <= 4095.0 + 1e-9);
-    }
-
-    /// Adaptive never sends more total reports than clients, and pools
-    /// exactly the two rounds.
-    #[test]
-    fn adaptive_report_budget(n in 8usize..1500, delta in 0.1f64..0.9, seed in any::<u64>()) {
-        let protocol = AdaptiveBitPushing::new(
-            AdaptiveConfig::new(FixedPointCodec::integer(8)).with_delta(delta),
-        );
-        let values: Vec<f64> = (0..n).map(|i| (i % 200) as f64).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let out = protocol.run(&values, &mut rng);
-        let total = out.round1.accumulator.total_reports()
-            + out.round2.accumulator.total_reports();
-        prop_assert_eq!(total, n as u64);
-    }
 
     /// Quantile bracket always contains a value whose empirical rank is
     /// near q, and the bracket never inverts.
@@ -109,20 +56,5 @@ proptest! {
     ) {
         let msg = ReportMessage { task_id, reports };
         prop_assert_eq!(ReportMessage::decode(&msg.encode()).unwrap(), msg);
-    }
-
-    /// Codec + protocol: clipping never produces an estimate above the
-    /// clip bound even for wildly out-of-range inputs.
-    #[test]
-    fn clipping_is_a_hard_ceiling(seed in any::<u64>(), scale in 1.0f64..1e9) {
-        let protocol = BasicBitPushing::new(BasicConfig::new(
-            FixedPointCodec::integer(8),
-            BitSampling::uniform(8),
-        ));
-        let values: Vec<f64> = (0..500).map(|i| i as f64 * scale).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let out = protocol.run(&values, &mut rng);
-        prop_assert!(out.estimate <= 255.0 + 1e-9);
-        prop_assert!(out.clip_fraction > 0.0 || scale < 1.0);
     }
 }

@@ -1,15 +1,17 @@
-//! Two-round adaptive bit-pushing through the federated environment.
+//! Algorithm 2: two-round adaptive bit-pushing through the federated
+//! environment.
 //!
-//! The deployment runs Algorithm 2 over real fleets: round 1 on a δ cohort
-//! (with dropout and transport), re-optimized weights, round 2 on the rest,
-//! pooled estimation. This module wires `fednum-core`'s adaptive logic
-//! through the same environment model as [`crate::round`], so the Section
-//! 4.3 observations ("when many high-order bits do not contain information
-//! of value, the adaptive approach reduces the observed error by significant
-//! factors") hold under dropout and secure aggregation too.
+//! Round 1 on a δ cohort samples bits with `p_j ∝ (2^j)^γ` and publishes the
+//! bit means; round 2 on the rest samples with the re-optimized weights
+//! `p_j ∝ (4^j m_j (1 - m_j))^α` (Lemma 3.3 at `α = 1/2`), which stop
+//! sampling vacuous high-order bits; the estimate pools both rounds
+//! ("caching", on by default). Both are rounds of [`crate::round`], so the
+//! Section 4.3 observations ("when many high-order bits do not contain
+//! information of value, the adaptive approach reduces the observed error
+//! by significant factors") hold under dropout and secure aggregation too.
 
 use fednum_core::accumulator::BitAccumulator;
-use fednum_core::protocol::basic::{BasicBitPushing, BasicConfig};
+use fednum_core::protocol::basic::BasicConfig;
 use fednum_core::sampling::BitSampling;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -29,6 +31,10 @@ pub struct FederatedAdaptiveConfig {
     pub alpha: f64,
     /// Round-1 cohort fraction δ (default 1/3).
     pub delta: f64,
+    /// Pool both rounds' reports in the final estimate (Section 3.2
+    /// "Caching"; default true). Without it the estimate uses round 2's
+    /// reports alone.
+    pub caching: bool,
 }
 
 impl FederatedAdaptiveConfig {
@@ -40,6 +46,7 @@ impl FederatedAdaptiveConfig {
             gamma: 0.5,
             alpha: 0.5,
             delta: 1.0 / 3.0,
+            caching: true,
         }
     }
 
@@ -91,6 +98,8 @@ pub struct FederatedAdaptiveOutcome {
 /// shuffle, then round 1's draws, then round 2's.
 ///
 /// # Errors
+/// [`RoundError::InvalidConfig`] unless `environment.protocol.b_send` is 1
+/// (each client reports one bit, in one round);
 /// [`RoundError::PopulationTooSmall`] unless there are at least two clients;
 /// otherwise propagates the error of either round.
 #[doc(hidden)]
@@ -105,6 +114,13 @@ pub fn run_adaptive(
         bool,
     ) -> Result<(FederatedOutcome, Vec<f64>), RoundError>,
 ) -> Result<FederatedAdaptiveOutcome, RoundError> {
+    let b_send = config.environment.protocol.b_send;
+    if b_send != 1 {
+        return Err(RoundError::InvalidConfig(format!(
+            "`b_send = {b_send}` asks each client for {b_send} bits, but \
+             Algorithm 2 sends one bit per client; keep the default of 1"
+        )));
+    }
     if values.len() < 2 {
         return Err(RoundError::PopulationTooSmall {
             got: values.len(),
@@ -121,10 +137,12 @@ pub fn run_adaptive(
     let cohort1: Vec<f64> = order[..n1].iter().map(|&i| values[i]).collect();
     let cohort2: Vec<f64> = order[n1..].iter().map(|&i| values[i]).collect();
 
-    let make_env = |sampling: BitSampling| {
-        let mut env = config.environment.clone();
-        env.protocol = rebuild(base, sampling);
-        env
+    let make_env = |sampling: BitSampling| FederatedMeanConfig {
+        protocol: BasicConfig {
+            sampling,
+            ..base.clone()
+        },
+        ..config.environment.clone()
     };
 
     // Round 1: geometric(γ).
@@ -141,10 +159,16 @@ pub fn run_adaptive(
     // Round 2 on the remaining clients.
     let (round2, _) = run_round(&cohort2, &make_env(sampling2.clone()), rng, false)?;
 
-    // Pool both rounds' histograms ("caching"), using round-1 means as the
-    // prior for bits round 2 deliberately stopped sampling.
-    let mut pooled = round1.outcome.accumulator.clone();
-    pooled.merge(&round2.outcome.accumulator);
+    // Pool both rounds' histograms ("caching") or keep round 2's alone,
+    // using round-1 means as the prior for bits round 2 deliberately
+    // stopped sampling.
+    let pooled = if config.caching {
+        let mut pooled = round1.outcome.accumulator.clone();
+        pooled.merge(&round2.outcome.accumulator);
+        pooled
+    } else {
+        round2.outcome.accumulator.clone()
+    };
     let means = pooled.bit_means_with_prior(&round1.outcome.bit_means);
     let means = match &base.squash {
         Some(sq) => sq.apply(&means, pooled.counts(), base.privacy.as_ref()),
@@ -164,9 +188,10 @@ pub fn run_adaptive(
     })
 }
 
-/// The synchronous two-round protocol behind the `RoundBuilder` facade.
-/// Not part of the public API surface — call it through
-/// `fednum::transport::RoundBuilder::new_adaptive(config)`.
+/// The synchronous two-round protocol behind the `RoundBuilder` facade and
+/// the config's `MeanMechanism` impl. Not part of the public API surface —
+/// call it through `fednum::transport::RoundBuilder::new_adaptive(config)`
+/// or `estimate_mean`.
 ///
 /// # Errors
 /// See [`run_adaptive`].
@@ -179,22 +204,6 @@ pub fn run_adaptive_impl(
     run_adaptive(values, config, rng, |cohort, env, rng, with_feedback| {
         run_round(cohort, env, None, &mut Direct, rng, with_feedback)
     })
-}
-
-/// Rebuilds a protocol config with a different sampling distribution,
-/// preserving codec / privacy / squash / assignment.
-fn rebuild(base: &BasicConfig, sampling: BitSampling) -> BasicConfig {
-    let mut cfg = BasicConfig::new(base.codec, sampling).with_assignment(base.assignment);
-    if let Some(rr) = &base.privacy {
-        cfg = cfg.with_privacy(*rr);
-    }
-    if let Some(sq) = &base.squash {
-        cfg = cfg.with_squash(*sq);
-    }
-    // The basic protocol's one-bit default is kept: b_send stays 1 in the
-    // federated path (each client participates in exactly one round).
-    let _ = BasicBitPushing::new(cfg.clone()); // validates the combination
-    cfg
 }
 
 #[cfg(test)]
@@ -316,6 +325,21 @@ mod tests {
         let out = run_adaptive_impl(&vs, &cfg, &mut rng).unwrap();
         assert_eq!(out.round1.contacted, 250);
         assert_eq!(out.round2.contacted, 750);
+    }
+
+    #[test]
+    fn b_send_above_one_is_rejected_not_dropped() {
+        let vs = values(2_000, 64);
+        let base = env(6);
+        let cfg = FederatedAdaptiveConfig::new(FederatedMeanConfig {
+            protocol: base.protocol.clone().with_b_send(4),
+            ..base
+        });
+        let mut rng = StdRng::seed_from_u64(0);
+        match run_adaptive_impl(&vs, &cfg, &mut rng) {
+            Err(RoundError::InvalidConfig(msg)) => assert!(msg.contains("b_send = 4"), "{msg}"),
+            other => panic!("b_send = 4 must fail closed, got {other:?}"),
+        }
     }
 
     #[test]

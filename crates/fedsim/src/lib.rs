@@ -17,7 +17,11 @@
 //!   auto-adjust bit sampling to refill starved bits ("the bit sampling
 //!   probabilities were auto-adjusted based on the dropout rate"), deliver
 //!   reports directly or through the `fednum-secagg` protocol, and hand the
-//!   per-bit histograms to `fednum-core` for estimation.
+//!   per-bit histograms to `fednum-core` for estimation;
+//! * [`adaptive_round`] — Algorithm 2's two rounds on that driver, and
+//!   [`protocol`], both algorithms as `MeanMechanism`s;
+//! * [`variance`], [`moments`], [`normalize`], [`multifeature`] — aggregates
+//!   reduced to mean estimations of locally derived values.
 
 pub mod adaptive_round;
 pub mod cohort;
@@ -25,12 +29,17 @@ pub mod dropout;
 pub mod error;
 pub mod faults;
 pub mod latency;
+pub mod moments;
+pub mod multifeature;
+pub mod normalize;
 pub mod population;
+pub mod protocol;
 pub mod retry;
 pub mod round;
 pub mod streaming;
 pub mod traffic;
 pub mod validation;
+pub mod variance;
 
 pub use adaptive_round::{FederatedAdaptiveConfig, FederatedAdaptiveOutcome};
 pub use cohort::{CohortError, CohortPolicy};

@@ -435,8 +435,9 @@ impl<'a> RoundBuilder<'a> {
             return Err(FedError::InvalidConfig(format!(
                 "`b_send = {b_send}` asks each client for {b_send} bits \
                  (Corollary 3.2), but every round shape sends one bit per \
-                 client; use `BasicBitPushing`, which honours `b_send`, or \
-                 keep the default of 1"
+                 client; estimate through the `FederatedMeanConfig` mechanism \
+                 (`estimate_mean`), which pools `b_send` rounds, or keep the \
+                 default of 1"
             )));
         }
         let single = matches!(self.topology, Topology::Single);
@@ -723,7 +724,7 @@ mod tests {
         let rejected = |res: Result<RoundOutcome, FedError>| match res {
             Err(FedError::InvalidConfig(msg)) => {
                 assert!(msg.contains("Corollary 3.2"), "{msg}");
-                assert!(msg.contains("BasicBitPushing"), "{msg}");
+                assert!(msg.contains("FederatedMeanConfig"), "{msg}");
             }
             other => panic!("b_send = 4 must fail closed, got {other:?}"),
         };

@@ -27,7 +27,7 @@
 //! Aggregation reuses the paper's machinery end to end: each participant
 //! reports one bit of its encoded value; the engine folds the bits into a
 //! [`BitAccumulator`] and finishes through
-//! [`BasicBitPushing`] (Algorithm 1), so fleet rounds publish the same
+//! [`BasicBitPushing::finish`] (Algorithm 1's estimator tail), so fleet rounds publish the same
 //! `estimate`/`predicted_std` surface as the simulated paths.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};

@@ -10,10 +10,10 @@
 
 use fednum::core::encoding::FixedPointCodec;
 use fednum::core::privacy::{BitSquash, RandomizedResponse};
-use fednum::core::protocol::adaptive::{AdaptiveBitPushing, AdaptiveConfig};
-use fednum::core::protocol::basic::{BasicBitPushing, BasicConfig};
+use fednum::core::protocol::basic::BasicConfig;
 use fednum::core::sampling::BitSampling;
-use fednum::core::variance::VarianceViaCentered;
+use fednum::fedsim::variance::VarianceViaCentered;
+use fednum::fedsim::{FederatedAdaptiveConfig, FederatedMeanConfig};
 use fednum::workloads::{CensusAges, Dataset};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,7 +32,7 @@ fn main() {
     let epsilon = 1.0;
     let rr = RandomizedResponse::from_epsilon(epsilon);
     let bits = 8; // ages < 128; one vacuous bit on top, as deployed configs do
-    let dp_mean = BasicBitPushing::new(
+    let dp_mean = FederatedMeanConfig::new(
         BasicConfig::new(
             FixedPointCodec::integer(bits),
             BitSampling::geometric(bits, 2.0), // weighted a=1.0, best under DP (Fig 3)
@@ -41,7 +41,9 @@ fn main() {
         .with_squash(BitSquash::Absolute(0.05)),
     );
     let mut rng = StdRng::seed_from_u64(3);
-    let outcome = dp_mean.run(population.values(), &mut rng);
+    let outcome = dp_mean
+        .run_pooled(population.values(), &mut rng)
+        .expect("a non-empty cohort reports");
     println!(
         "mean age under eps={epsilon} LDP: {:.2} (error {:.2}, every client disclosed exactly 1 randomized bit)",
         outcome.estimate,
@@ -49,9 +51,16 @@ fn main() {
     );
 
     // --- Variance without privacy noise (Lemma 3.5, centered form) -------
-    let mean_est = AdaptiveBitPushing::new(AdaptiveConfig::new(FixedPointCodec::integer(bits)));
+    // Algorithm 2 with paper defaults (the rounds sample with γ, then α).
+    let adaptive = |bits: u32| {
+        FederatedAdaptiveConfig::new(FederatedMeanConfig::new(BasicConfig::new(
+            FixedPointCodec::integer(bits),
+            BitSampling::uniform(bits),
+        )))
+    };
+    let mean_est = adaptive(bits);
     // Squared deviations from the mean are below ~90² < 2^13.
-    let dev_est = AdaptiveBitPushing::new(AdaptiveConfig::new(FixedPointCodec::integer(13)));
+    let dev_est = adaptive(13);
     let var_est = VarianceViaCentered::new(mean_est, dev_est);
     let var = var_est.estimate_variance(population.values(), &mut rng);
     println!(

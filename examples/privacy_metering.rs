@@ -11,8 +11,10 @@
 
 use fednum::core::encoding::FixedPointCodec;
 use fednum::core::privacy::{PrivacyBudget, PrivacyLedger, RandomizedResponse};
-use fednum::core::protocol::basic::{BasicBitPushing, BasicConfig};
+use fednum::core::protocol::basic::BasicConfig;
+use fednum::core::protocol::MeanMechanism;
 use fednum::core::sampling::BitSampling;
+use fednum::fedsim::FederatedMeanConfig;
 use fednum::workloads::{Dataset, LogNormal, Normal, Uniform};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,7 +38,7 @@ fn main() {
     let rr = RandomizedResponse::from_epsilon(epsilon_per_bit);
 
     let protocol = |bits: u32| {
-        BasicBitPushing::new(
+        FederatedMeanConfig::new(
             BasicConfig::new(
                 FixedPointCodec::integer(bits),
                 BitSampling::geometric(bits, 2.0),
@@ -68,7 +70,7 @@ fn main() {
             );
             continue;
         }
-        let est = protocol(10).run(&eligible, &mut rng).estimate;
+        let est = protocol(10).estimate_mean(&eligible, &mut rng);
         let truth = eligible.iter().sum::<f64>() / eligible.len() as f64;
         println!(
             "task {task} ({name}): {} participants, estimate {est:.1} (truth {truth:.1})",

@@ -6,9 +6,10 @@
 //! ```
 
 use fednum::core::encoding::FixedPointCodec;
-use fednum::core::protocol::adaptive::{AdaptiveBitPushing, AdaptiveConfig};
-use fednum::core::protocol::basic::{BasicBitPushing, BasicConfig};
+use fednum::core::protocol::basic::BasicConfig;
 use fednum::core::sampling::BitSampling;
+use fednum::fedsim::adaptive_round::run_adaptive_impl;
+use fednum::fedsim::{FederatedAdaptiveConfig, FederatedMeanConfig};
 use fednum::workloads::{Dataset, Normal};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,13 +24,16 @@ fn main() {
     );
 
     // Single-round weighted bit-pushing: 12-bit clipping codec, sampling
-    // bit j with probability proportional to 2^j.
-    let protocol = BasicBitPushing::new(BasicConfig::new(
+    // bit j with probability proportional to 2^j. One synchronous round of
+    // the federated driver.
+    let protocol = FederatedMeanConfig::new(BasicConfig::new(
         FixedPointCodec::integer(12),
         BitSampling::geometric(12, 1.0),
     ));
     let mut rng = StdRng::seed_from_u64(42);
-    let outcome = protocol.run(population.values(), &mut rng);
+    let outcome = protocol
+        .run_pooled(population.values(), &mut rng)
+        .expect("a non-empty population reports");
     println!(
         "weighted bit-pushing:  estimate = {:.2}  (predicted std {:.2}, {} reports, 1 bit each)",
         outcome.estimate,
@@ -39,8 +43,10 @@ fn main() {
 
     // Two-round adaptive bit-pushing: round 1 learns the bit means, round 2
     // re-optimizes the sampling weights (Lemma 3.3) and pools both rounds.
-    let adaptive = AdaptiveBitPushing::new(AdaptiveConfig::new(FixedPointCodec::integer(12)));
-    let outcome = adaptive.run(population.values(), &mut rng);
+    // The environment's own sampling is unused: the rounds sample with γ, α.
+    let adaptive = FederatedAdaptiveConfig::new(protocol);
+    let outcome = run_adaptive_impl(population.values(), &adaptive, &mut rng)
+        .expect("two or more clients report");
     println!(
         "adaptive bit-pushing:  estimate = {:.2}  (round-2 probabilities drop {} vacuous bits)",
         outcome.estimate,

@@ -10,8 +10,10 @@
 //!
 //! ```
 //! use fednum::core::encoding::FixedPointCodec;
-//! use fednum::core::protocol::basic::{BasicBitPushing, BasicConfig};
+//! use fednum::core::protocol::basic::BasicConfig;
+//! use fednum::core::protocol::MeanMechanism;
 //! use fednum::core::sampling::BitSampling;
+//! use fednum::fedsim::FederatedMeanConfig;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! // 10k clients each hold a private value in [0, 255].
@@ -20,11 +22,12 @@
 //!
 //! let codec = FixedPointCodec::integer(8);           // 8-bit clipping codec
 //! let sampling = BitSampling::geometric(8, 0.5);     // p_j ∝ 2^{0.5 j}
-//! let protocol = BasicBitPushing::new(BasicConfig::new(codec, sampling));
+//! // Algorithm 1 as one synchronous round of the federated driver.
+//! let protocol = FederatedMeanConfig::new(BasicConfig::new(codec, sampling));
 //!
 //! let mut rng = StdRng::seed_from_u64(7);
-//! let outcome = protocol.run(&values, &mut rng);
-//! assert!((outcome.estimate - truth).abs() / truth < 0.05);
+//! let estimate = protocol.estimate_mean(&values, &mut rng);
+//! assert!((estimate - truth).abs() / truth < 0.05);
 //! ```
 //!
 //! See `DESIGN.md` for the full system inventory and `EXPERIMENTS.md` for the

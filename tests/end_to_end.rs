@@ -3,16 +3,34 @@
 
 use fednum::core::encoding::FixedPointCodec;
 use fednum::core::privacy::{BitSquash, RandomizedResponse};
-use fednum::core::protocol::adaptive::{AdaptiveBitPushing, AdaptiveConfig};
-use fednum::core::protocol::basic::{BasicBitPushing, BasicConfig};
+use fednum::core::protocol::basic::BasicConfig;
+use fednum::core::protocol::MeanMechanism;
 use fednum::core::sampling::BitSampling;
 use fednum::fedsim::round::{FederatedMeanConfig, SecAggSettings};
-use fednum::fedsim::{DropoutModel, ElicitStrategy, LatencyModel, Population};
+use fednum::fedsim::{
+    DropoutModel, ElicitStrategy, FederatedAdaptiveConfig, LatencyModel, Population,
+};
 use fednum::metrics::{run_repetitions, Repetitions};
 use fednum::workloads::{CensusAges, Dataset, Exponential, Normal, Sampler, Uniform};
 use fednum::RoundBuilder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Algorithm 2 with paper defaults over a `bits`-bit integer codec.
+fn adaptive(bits: u32) -> FederatedAdaptiveConfig {
+    FederatedAdaptiveConfig::new(FederatedMeanConfig::new(BasicConfig::new(
+        FixedPointCodec::integer(bits),
+        BitSampling::geometric(bits, 0.5),
+    )))
+}
+
+/// Algorithm 1, weighted `p_j ∝ 2^{γj}`, over a `bits`-bit integer codec.
+fn weighted(bits: u32, gamma: f64) -> FederatedMeanConfig {
+    FederatedMeanConfig::new(BasicConfig::new(
+        FixedPointCodec::integer(bits),
+        BitSampling::geometric(bits, gamma),
+    ))
+}
 
 #[test]
 fn headline_claim_three_percent_nrmse_at_a_few_thousand_clients() {
@@ -24,10 +42,8 @@ fn headline_claim_three_percent_nrmse_at_a_few_thousand_clients() {
     let nrmse_at = |n: usize| {
         let summary = run_repetitions(Repetitions::new(60, 0xC1A1), |seed| {
             let ds = Dataset::draw(&dist, n, seed);
-            let adaptive =
-                AdaptiveBitPushing::new(AdaptiveConfig::new(FixedPointCodec::integer(10)));
             let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
-            (adaptive.run(ds.values(), &mut rng).estimate, ds.mean())
+            (adaptive(10).estimate_mean(ds.values(), &mut rng), ds.mean())
         });
         summary.nrmse
     };
@@ -90,11 +106,7 @@ fn multi_value_clients_sampling_semantics() {
         .collect();
     let population = Population::new(clients);
     let elicited = population.elicit(ElicitStrategy::Sample, &mut rng);
-    let protocol = BasicBitPushing::new(BasicConfig::new(
-        FixedPointCodec::integer(9),
-        BitSampling::geometric(9, 1.0),
-    ));
-    let est = protocol.run(&elicited, &mut rng).estimate;
+    let est = weighted(9, 1.0).estimate_mean(&elicited, &mut rng);
     let truth = population.per_client_mean();
     assert!(
         (est - truth).abs() / truth < 0.05,
@@ -107,7 +119,7 @@ fn adaptive_oblivious_to_bit_depth_weighted_is_not() {
     // Figures 1c/2c end-to-end: increase the declared depth from 10 to 18
     // with data fixed below 2^9.
     let dist = Exponential::new(1.0 / 150.0);
-    let err_of = |bits: u32, adaptive: bool| {
+    let err_of = |bits: u32, is_adaptive: bool| {
         run_repetitions(Repetitions::new(40, 0xF1C), |seed| {
             let ds = Dataset::draw(&dist, 8_000, seed);
             let clipped: Vec<f64> = ds
@@ -117,17 +129,10 @@ fn adaptive_oblivious_to_bit_depth_weighted_is_not() {
                 .collect();
             let truth = clipped.iter().sum::<f64>() / clipped.len() as f64;
             let mut rng = StdRng::seed_from_u64(seed ^ 0x77);
-            let est = if adaptive {
-                AdaptiveBitPushing::new(AdaptiveConfig::new(FixedPointCodec::integer(bits)))
-                    .run(&clipped, &mut rng)
-                    .estimate
+            let est = if is_adaptive {
+                adaptive(bits).estimate_mean(&clipped, &mut rng)
             } else {
-                BasicBitPushing::new(BasicConfig::new(
-                    FixedPointCodec::integer(bits),
-                    BitSampling::geometric(bits, 2.0),
-                ))
-                .run(&clipped, &mut rng)
-                .estimate
+                weighted(bits, 2.0).estimate_mean(&clipped, &mut rng)
             };
             (est, truth)
         })
@@ -144,10 +149,10 @@ fn adaptive_oblivious_to_bit_depth_weighted_is_not() {
 #[test]
 fn estimates_are_reproducible_across_identical_runs() {
     let ds = Dataset::draw(&Normal::new(300.0, 50.0), 5000, 1);
-    let protocol = AdaptiveBitPushing::new(AdaptiveConfig::new(FixedPointCodec::integer(10)));
+    let protocol = adaptive(10);
     let run = || {
         let mut rng = StdRng::seed_from_u64(55);
-        protocol.run(ds.values(), &mut rng).estimate
+        protocol.estimate_mean(ds.values(), &mut rng)
     };
     assert_eq!(run(), run());
 }
@@ -157,12 +162,8 @@ fn one_bit_per_client_invariant_holds() {
     // The paper's headline worst-case guarantee: with b_send = 1, exactly
     // one bit report per responding client.
     let ds = Dataset::draw(&Uniform::new(0.0, 500.0), 7_000, 2);
-    let protocol = BasicBitPushing::new(BasicConfig::new(
-        FixedPointCodec::integer(9),
-        BitSampling::geometric(9, 1.0),
-    ));
     let mut rng = StdRng::seed_from_u64(5);
-    let out = protocol.run(ds.values(), &mut rng);
+    let out = weighted(9, 1.0).run_pooled(ds.values(), &mut rng).unwrap();
     assert_eq!(out.accumulator.total_reports(), 7_000);
 }
 

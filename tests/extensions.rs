@@ -3,13 +3,14 @@
 //! nonlinear aggregates of Section 3.4.
 
 use fednum::core::encoding::FixedPointCodec;
-use fednum::core::moments::{geometric_mean, raw_moment};
-use fednum::core::multifeature::{standard_feature_config, MultiFeatureBitPushing};
 use fednum::core::privacy::RandomizedResponse;
-use fednum::core::protocol::basic::{BasicBitPushing, BasicConfig};
+use fednum::core::protocol::basic::BasicConfig;
+use fednum::core::protocol::MeanMechanism;
 use fednum::core::quantile::{QuantileConfig, QuantileEstimator};
 use fednum::core::sampling::BitSampling;
-use fednum::fedsim::StreamingMean;
+use fednum::fedsim::moments::{geometric_mean, raw_moment};
+use fednum::fedsim::multifeature::{standard_feature_config, MultiFeatureBitPushing};
+use fednum::fedsim::{FederatedMeanConfig, StreamingMean};
 use fednum::workloads::{CensusAges, Dataset, LogNormal, Sampler, Uniform};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -94,8 +95,8 @@ fn streaming_matches_batch_protocol() {
     }
     let streamed = stream.estimate().unwrap();
 
-    let batch = BasicBitPushing::new(BasicConfig::new(codec, sampling));
-    let batched = batch.run(ds.values(), &mut rng).estimate;
+    let batch = FederatedMeanConfig::new(BasicConfig::new(codec, sampling));
+    let batched = batch.estimate_mean(ds.values(), &mut rng);
 
     assert!((streamed - truth).abs() / truth < 0.05, "stream {streamed}");
     assert!((batched - truth).abs() / truth < 0.05, "batch {batched}");
@@ -127,7 +128,7 @@ fn second_moment_and_geometric_mean_end_to_end() {
     let mut rng = StdRng::seed_from_u64(11);
 
     // E[X²] via bit-pushing on squares (values < 100² → 14 bits).
-    let m2_mech = BasicBitPushing::new(BasicConfig::new(
+    let m2_mech = FederatedMeanConfig::new(BasicConfig::new(
         FixedPointCodec::integer(14),
         BitSampling::geometric(14, 1.0),
     ));
@@ -139,7 +140,7 @@ fn second_moment_and_geometric_mean_end_to_end() {
     );
 
     // Geometric mean via log-domain bit-pushing (ln x ∈ [0, ln 100]).
-    let gm_mech = BasicBitPushing::new(BasicConfig::new(
+    let gm_mech = FederatedMeanConfig::new(BasicConfig::new(
         FixedPointCodec::spanning(12, 0.0, 100.0f64.ln()),
         BitSampling::geometric(12, 1.0),
     ));

@@ -4,8 +4,9 @@
 
 use fednum::core::encoding::FixedPointCodec;
 use fednum::core::privacy::{PrivacyBudget, PrivacyLedger, RandomizedResponse};
-use fednum::core::protocol::basic::{BasicBitPushing, BasicConfig};
+use fednum::core::protocol::basic::BasicConfig;
 use fednum::core::sampling::BitSampling;
+use fednum::fedsim::FederatedMeanConfig;
 use fednum::ldp::{
     DuchiOneBit, LaplaceMechanism, MeanMechanism, PiecewiseMechanism, SubtractiveDithering,
     ValueRange,
@@ -50,7 +51,7 @@ fn all_mechanisms_unbiased_on_shared_inputs() {
         Box::new(PiecewiseMechanism::new(range, 2.0)),
         Box::new(LaplaceMechanism::new(range, 2.0)),
         Box::new(fednum::ldp::DitheringLdp::new(range, 2.0)),
-        Box::new(BasicBitPushing::new(
+        Box::new(FederatedMeanConfig::new(
             BasicConfig::new(FixedPointCodec::integer(8), BitSampling::geometric(8, 1.0))
                 .with_privacy(RandomizedResponse::from_epsilon(2.0)),
         )),
@@ -79,7 +80,7 @@ fn error_is_monotone_in_epsilon() {
     let ds = Dataset::draw(&Uniform::new(0.0, 200.0), 20_000, 3);
     let truth = ds.mean();
     let rmse_at = |eps: f64| {
-        let protocol = BasicBitPushing::new(
+        let protocol = FederatedMeanConfig::new(
             BasicConfig::new(FixedPointCodec::integer(8), BitSampling::geometric(8, 2.0))
                 .with_privacy(RandomizedResponse::from_epsilon(eps)),
         );
@@ -87,7 +88,7 @@ fn error_is_monotone_in_epsilon() {
         let mut sq = 0.0;
         for s in 0..trials {
             let mut rng = StdRng::seed_from_u64(s);
-            let e = protocol.run(ds.values(), &mut rng).estimate;
+            let e = protocol.estimate_mean(ds.values(), &mut rng);
             sq += (e - truth) * (e - truth);
         }
         (sq / f64::from(trials as u32)).sqrt()
@@ -128,7 +129,7 @@ fn metering_budget_enforced_across_tasks() {
 fn strict_epsilon_remains_unbiased() {
     let ds = Dataset::draw(&Uniform::new(50.0, 150.0), 50_000, 5);
     let truth = ds.mean();
-    let protocol = BasicBitPushing::new(
+    let protocol = FederatedMeanConfig::new(
         BasicConfig::new(FixedPointCodec::integer(8), BitSampling::geometric(8, 2.0))
             .with_privacy(RandomizedResponse::from_epsilon(0.2)),
     );
@@ -136,7 +137,7 @@ fn strict_epsilon_remains_unbiased() {
     let mean_est: f64 = (0..trials)
         .map(|s| {
             let mut rng = StdRng::seed_from_u64(s);
-            protocol.run(ds.values(), &mut rng).estimate
+            protocol.estimate_mean(ds.values(), &mut rng)
         })
         .sum::<f64>()
         / f64::from(trials as u32);

@@ -5,6 +5,7 @@ use fednum::core::bits::{bit_f64, exact_bit_means, reconstruct};
 use fednum::core::encoding::FixedPointCodec;
 use fednum::core::privacy::RandomizedResponse;
 use fednum::core::sampling::BitSampling;
+use fednum::fedsim::FederatedMeanConfig;
 use fednum::ldp::ValueRange;
 use fednum::secagg::field::{Fe, MODULUS};
 use fednum::secagg::shamir::{reconstruct as shamir_reconstruct, share};
@@ -243,14 +244,14 @@ proptest! {
     /// distributions need either enough clients or an adaptive first round.)
     #[test]
     fn constant_population_exact(v in 0u64..4096, seed in any::<u64>(), n in 24usize..500) {
-        use fednum::core::protocol::basic::{BasicBitPushing, BasicConfig};
-        let protocol = BasicBitPushing::new(BasicConfig::new(
+        use fednum::core::protocol::basic::BasicConfig;
+        let protocol = FederatedMeanConfig::new(BasicConfig::new(
             FixedPointCodec::integer(12),
             BitSampling::uniform(12),
         ));
         let values = vec![v as f64; n];
         let mut rng = StdRng::seed_from_u64(seed);
-        let out = protocol.run(&values, &mut rng);
+        let out = protocol.run_pooled(&values, &mut rng).unwrap();
         prop_assert!((out.estimate - v as f64).abs() < 1e-9);
     }
 
@@ -263,14 +264,14 @@ proptest! {
         seed in any::<u64>(),
         n in 2usize..200,
     ) {
-        use fednum::core::protocol::basic::{BasicBitPushing, BasicConfig};
-        let protocol = BasicBitPushing::new(BasicConfig::new(
+        use fednum::core::protocol::basic::BasicConfig;
+        let protocol = FederatedMeanConfig::new(BasicConfig::new(
             FixedPointCodec::integer(12),
             BitSampling::geometric(12, 1.0),
         ));
         let values = vec![v as f64; n];
         let mut rng = StdRng::seed_from_u64(seed);
-        let out = protocol.run(&values, &mut rng);
+        let out = protocol.run_pooled(&values, &mut rng).unwrap();
         prop_assert!(out.estimate <= v as f64 + 1e-9);
         let missing: f64 = out
             .accumulator
@@ -290,15 +291,15 @@ proptest! {
 /// environments where the proptest runner or its seed file is unavailable.
 #[test]
 fn regression_constant_population_v945_seed0_n2() {
-    use fednum::core::protocol::basic::{BasicBitPushing, BasicConfig};
+    use fednum::core::protocol::basic::BasicConfig;
     let (v, seed, n) = (945u64, 0u64, 2usize);
-    let protocol = BasicBitPushing::new(BasicConfig::new(
+    let protocol = FederatedMeanConfig::new(BasicConfig::new(
         FixedPointCodec::integer(12),
         BitSampling::geometric(12, 1.0),
     ));
     let values = vec![v as f64; n];
     let mut rng = StdRng::seed_from_u64(seed);
-    let out = protocol.run(&values, &mut rng);
+    let out = protocol.run_pooled(&values, &mut rng).unwrap();
     assert!(out.estimate <= v as f64 + 1e-9);
     let missing: f64 = out
         .accumulator

@@ -313,6 +313,48 @@ fn adaptive_secure_rounds_are_frozen_and_agree_across_carriers() {
     }
 }
 
+/// The figure methods are the round: `estimate_mean` on a weighted and on an
+/// adaptive config returns the synchronous front door's estimate, bit for
+/// bit, from the same RNG.
+#[test]
+fn mean_mechanisms_are_the_synchronous_round() {
+    use fednum::core::privacy::BitSquash;
+    use fednum::core::protocol::MeanMechanism;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let vs = values(4_000, 900);
+    for seed in SEEDS {
+        let mut weighted = config(10, seed).with_dropout(DropoutModel::bernoulli(0.1));
+        weighted.protocol = weighted
+            .protocol
+            .with_privacy(RandomizedResponse::from_epsilon(2.0))
+            .with_squash(BitSquash::Absolute(0.05));
+        let adaptive = FederatedAdaptiveConfig::new(config(12, seed));
+
+        let mech = weighted.estimate_mean(&vs, &mut StdRng::seed_from_u64(seed));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let built = RoundBuilder::new(weighted).rng(&mut rng).run(&vs).unwrap();
+        assert_eq!(
+            mech.to_bits(),
+            built.estimate().to_bits(),
+            "weighted s{seed}"
+        );
+
+        let mech = adaptive.estimate_mean(&vs, &mut StdRng::seed_from_u64(seed));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let built = RoundBuilder::new_adaptive(adaptive)
+            .rng(&mut rng)
+            .run(&vs)
+            .unwrap();
+        assert_eq!(
+            mech.to_bits(),
+            built.estimate().to_bits(),
+            "adaptive s{seed}"
+        );
+    }
+}
+
 /// What a multi-coordinator round pins: the flat columns that exist there,
 /// plus which shards stand behind the estimate.
 #[allow(clippy::too_many_arguments)]
