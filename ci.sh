@@ -79,6 +79,14 @@ exact_test -p fednum-transport --lib \
     tcp::tests::tampered_or_missing_echoes_fail_closed
 exact_test -p fednum-transport --lib \
     tcp::tests::a_scalar_round_blocks_once_per_batch_not_per_event
+# A fleet round's downlink is its cohort's: one CohortAssign per draftee,
+# nothing to standbys, a CohortWait only for a mid-round (re)registration.
+# And a peer that never reads its replies still hits the outgoing bound
+# now that the reactor scans only the connections it read.
+exact_test -p fednum-transport --lib \
+    fleet::tests::round_start_sends_one_frame_per_draftee_and_none_to_standbys
+exact_test -p fednum-transport --lib \
+    daemon::tests::a_peer_that_never_reads_its_replies_is_dropped_at_the_outgoing_bound
 # RoundBuilder fails closed on `b_send > 1` (Corollary 3.2): no round
 # shape sends more than one bit per client, so the option must never be
 # dropped silently.

@@ -72,29 +72,6 @@ pub fn beta_weights(bit_means: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// The estimator variance of Lemma 3.1 for `n` clients and sampling
-/// probabilities `p`: `(1/n) Σ_j β_j / p_j`. Bits with `β_j = 0` contribute
-/// nothing even when `p_j = 0`.
-///
-/// # Panics
-/// Panics if the slices' lengths differ, if `n == 0`, or if some bit has
-/// positive β but zero sampling probability (infinite variance).
-#[must_use]
-pub fn estimator_variance(bit_means: &[f64], probs: &[f64], n: usize) -> f64 {
-    assert_eq!(bit_means.len(), probs.len(), "length mismatch");
-    assert!(n > 0, "need at least one client");
-    let betas = beta_weights(bit_means);
-    let mut total = 0.0;
-    for (j, (&b, &p)) in betas.iter().zip(probs).enumerate() {
-        if b == 0.0 {
-            continue;
-        }
-        assert!(p > 0.0, "bit {j} has positive variance but p = 0");
-        total += b / p;
-    }
-    total / n as f64
-}
-
 /// Packed per-bit-position bitmap planes over a window of client slots.
 ///
 /// Plane `j` holds two bitmaps along the client-slot axis: an *occupancy*
@@ -451,34 +428,6 @@ mod tests {
     fn beta_weights_clamp_out_of_range_means() {
         let betas = beta_weights(&[-0.2, 1.4]);
         assert_eq!(betas, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn variance_matches_lemma_3_1_by_hand() {
-        // Two bits, means 0.5 each, p = [0.25, 0.75], n = 100:
-        // V = (1/100) (1*0.25/0.25 + 4*0.25/0.75) = (1 + 4/3)/100.
-        let v = estimator_variance(&[0.5, 0.5], &[0.25, 0.75], 100);
-        assert!((v - (1.0 + 4.0 / 3.0) / 100.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn variance_ignores_zero_beta_zero_prob_bits() {
-        // Vacuous high bit with p = 0 is fine.
-        let v = estimator_variance(&[0.5, 0.0], &[1.0, 0.0], 10);
-        assert!((v - 0.025).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "p = 0")]
-    fn variance_rejects_unsampled_informative_bit() {
-        let _ = estimator_variance(&[0.5, 0.5], &[1.0, 0.0], 10);
-    }
-
-    #[test]
-    fn variance_scales_inversely_with_n() {
-        let v1 = estimator_variance(&[0.5], &[1.0], 100);
-        let v2 = estimator_variance(&[0.5], &[1.0], 400);
-        assert!((v1 / v2 - 4.0).abs() < 1e-12);
     }
 
     /// Deterministic pseudo-random reports for the plane tests.

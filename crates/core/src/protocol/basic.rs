@@ -109,8 +109,6 @@ impl BasicConfig {
 pub struct Outcome {
     /// Mean estimate in the value domain.
     pub estimate: f64,
-    /// Mean estimate in encoded units (`Σ 2^j m_j`).
-    pub encoded_estimate: f64,
     /// Final (post-squash) per-bit means used for the estimate.
     pub bit_means: Vec<f64>,
     /// Raw per-bit sums/counts (pre-squash), as secure aggregation would
@@ -180,7 +178,6 @@ impl BasicBitPushing {
         let scale = self.config.codec.decode_float(1.0) - self.config.codec.decode_float(0.0);
         Outcome {
             estimate,
-            encoded_estimate,
             bit_means,
             accumulator: acc,
             clip_fraction,

@@ -198,24 +198,6 @@ impl BitSampling {
             AssignmentMode::Local => self.assign_local(n, rng),
         }
     }
-
-    /// Drops the sampling weight of the given bits to zero (e.g. bits a
-    /// first round found vacuous) and renormalizes. Returns `None` if that
-    /// would zero out everything.
-    #[must_use]
-    pub fn without_bits(&self, drop: &[u32]) -> Option<Self> {
-        let mut w = self.probs.clone();
-        for &j in drop {
-            if (j as usize) < w.len() {
-                w[j as usize] = 0.0;
-            }
-        }
-        if w.iter().all(|&x| x == 0.0) {
-            None
-        } else {
-            Some(Self::custom(w))
-        }
-    }
 }
 
 fn usize_bits(bits: u32) -> usize {
@@ -381,14 +363,6 @@ mod tests {
         };
         assert_eq!(spread(AssignmentMode::CentralQmc), 0.0);
         assert!(spread(AssignmentMode::Local) > 5.0);
-    }
-
-    #[test]
-    fn without_bits_zeroes_and_renormalizes() {
-        let s = BitSampling::uniform(4);
-        let t = s.without_bits(&[2, 3]).unwrap();
-        assert_eq!(t.probs(), &[0.5, 0.5, 0.0, 0.0]);
-        assert!(s.without_bits(&[0, 1, 2, 3]).is_none());
     }
 
     #[test]

@@ -593,9 +593,11 @@ impl CampaignMessage {
 /// A participant opens a connection, sends [`FleetMessage::Rendezvous`],
 /// and receives a session token plus the heartbeat cadence in the ack.
 /// From then on it answers with [`FleetMessage::Heartbeat`] on schedule and
-/// waits for the coordinator to either draft it into a round
+/// waits for the coordinator to draft it into a round
 /// ([`FleetMessage::CohortAssign`]: which bit to sample, at what width,
-/// under what deadline) or tell it to stand by ([`FleetMessage::CohortWait`]).
+/// under what deadline). Only a client that registers or resumes while a
+/// round is running, holding no slot in it, is told to stand by
+/// ([`FleetMessage::CohortWait`]); a round's start sends standbys nothing.
 /// Drafted clients answer with one [`FleetMessage::Report`] — the paper's
 /// single private bit. [`FleetMessage::Done`] ends the engagement.
 ///
@@ -631,8 +633,9 @@ pub enum FleetMessage {
         value_seed: u64,
         deadline_ms: u64,
     },
-    /// Daemon → client: not drafted for `round` (or arrived mid-round);
-    /// stand by and expect the next assignment in roughly `retry_ms`.
+    /// Daemon → client: the answer to a `Rendezvous` or `Resume` that
+    /// lands while `round` is running and holds no slot in it; stand by
+    /// and expect the next assignment in roughly `retry_ms`.
     CohortWait { round: u64, retry_ms: u64 },
     /// Client → daemon: the one-bit response for `round`.
     Report {

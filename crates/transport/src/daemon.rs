@@ -643,6 +643,11 @@ fn reactor_loop(listener: &TcpListener, shared: &Shared, cfg: &DaemonConfig) {
     let mut next_conn_id = 0u64;
     let mut buf = [0u8; 16 * 1024];
     let mut draining_since: Option<Instant> = None;
+    // Per-pass scratch, reused so a pass allocates nothing for the
+    // population it merely polls.
+    let mut fds: Vec<PollFd> = Vec::new();
+    let mut order: Vec<u64> = Vec::new();
+    let mut read_ids: Vec<u64> = Vec::new();
 
     loop {
         let shutting = shared.shutdown.load(Ordering::SeqCst);
@@ -656,8 +661,8 @@ fn reactor_loop(listener: &TcpListener, shared: &Shared, cfg: &DaemonConfig) {
 
         // Readiness. Index 0 is the listener (skipped once shutting);
         // the rest map one-to-one onto `order`.
-        let mut fds = Vec::with_capacity(conns.len() + 1);
-        let mut order = Vec::with_capacity(conns.len());
+        fds.clear();
+        order.clear();
         if !shutting {
             fds.push(PollFd::new(raw_fd(listener), INTEREST_READ));
         }
@@ -737,7 +742,10 @@ fn reactor_loop(listener: &TcpListener, shared: &Shared, cfg: &DaemonConfig) {
             }
         }
 
-        // Read-drain the ready connections.
+        // Read-drain the ready connections: one `read` each, another only
+        // while a read fills the buffer. `poll(2)` is level-triggered, so
+        // bytes that land after a short read wake the next pass.
+        read_ids.clear();
         for (i, &id) in order.iter().enumerate() {
             if !fds[base + i].readable() {
                 continue;
@@ -746,6 +754,7 @@ fn reactor_loop(listener: &TcpListener, shared: &Shared, cfg: &DaemonConfig) {
             if conn.end.is_some() {
                 continue;
             }
+            read_ids.push(id);
             loop {
                 match conn.stream.read(&mut buf) {
                     Ok(0) => {
@@ -759,6 +768,9 @@ fn reactor_loop(listener: &TcpListener, shared: &Shared, cfg: &DaemonConfig) {
                             conn.end = Some(ConnEnd::Overflow);
                             break;
                         }
+                        if n < buf.len() {
+                            break;
+                        }
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -770,13 +782,14 @@ fn reactor_loop(listener: &TcpListener, shared: &Shared, cfg: &DaemonConfig) {
             }
         }
 
-        // Process buffered frames, in per-connection arrival order. Fleet
-        // actions may target other connections, so they collect here and
-        // apply after the borrow ends.
+        // Process buffered frames, in per-connection arrival order. Every
+        // frame is drained in the pass that reads it, so only the
+        // connections read above can hold a new one. Fleet actions may
+        // target other connections, so they collect here and apply after
+        // the borrow ends.
         let mut fleet_actions: Vec<FleetAction> = Vec::new();
-        let ids: Vec<u64> = conns.keys().copied().collect();
-        for id in ids {
-            let conn = conns.get_mut(&id).expect("keyed iteration");
+        for &id in &read_ids {
+            let conn = conns.get_mut(&id).expect("read this pass");
             while conn.end.is_none() {
                 let frame = match conn.decoder.next_frame() {
                     Ok(Some(frame)) => frame,
@@ -792,11 +805,6 @@ fn reactor_loop(listener: &TcpListener, shared: &Shared, cfg: &DaemonConfig) {
                     Ok(ctrl) => handle_frame(conn, id, ctrl, shared, now_ms, &mut fleet_actions),
                     Err(_) => conn.end = Some(ConnEnd::Protocol),
                 }
-            }
-            if conn.end.is_none() && conn.out.len() - conn.written > cfg.max_conn_buffer {
-                // A peer that never drains its replies cannot hold
-                // unbounded daemon memory hostage.
-                conn.end = Some(ConnEnd::Overflow);
             }
             // Read-progress clock: ticking iff a partial frame is
             // buffered. Every completed frame above realigned the buffer,
@@ -845,6 +853,12 @@ fn reactor_loop(listener: &TcpListener, shared: &Shared, cfg: &DaemonConfig) {
                         break;
                     }
                 }
+            }
+            if conn.end.is_none() && conn.out.len() - conn.written > cfg.max_conn_buffer {
+                // A peer that never drains its replies — or the engine
+                // output sent to it — cannot hold unbounded daemon memory
+                // hostage.
+                conn.end = Some(ConnEnd::Overflow);
             }
         }
 
@@ -1179,5 +1193,205 @@ fn campaign_err(e: &DurableError) -> Ctrl {
     Ctrl::CampaignErr {
         code,
         detail: e.to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fleet::client::push_fleet_frame;
+    use crate::net::{Envelope, COORDINATOR};
+
+    /// A fleet that never starts a round (the population floor is out of
+    /// reach), so a raw socket can rendezvous and beat undisturbed.
+    fn idle_fleet() -> FleetConfig {
+        FleetConfig::try_new(4, 64, 1, 8, 500, 10_000)
+            .expect("valid fleet config")
+            .with_seed(1)
+    }
+
+    fn connect(addr: SocketAddr) -> TcpStream {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+    }
+
+    /// Reads one control frame, or `None` on EOF.
+    fn read_ctrl(stream: &mut TcpStream, decoder: &mut FrameDecoder) -> Option<Ctrl> {
+        let mut buf = [0u8; 4096];
+        loop {
+            if let Some(frame) = decoder.next_frame().expect("well-formed daemon frame") {
+                return Some(Ctrl::decode(&frame).expect("a control frame"));
+            }
+            match stream.read(&mut buf) {
+                Ok(0) => return None,
+                Ok(n) => decoder.feed(&buf[..n]),
+                Err(e) => panic!("read: {e}"),
+            }
+        }
+    }
+
+    fn push_ctrl(out: &mut Vec<u8>, ctrl: &Ctrl) {
+        wire::write_frame(out, &ctrl.encode()).unwrap();
+    }
+
+    /// Rendezvouses `client_id` and returns its session token.
+    fn rendezvous(stream: &mut TcpStream, decoder: &mut FrameDecoder, client_id: u64) -> u64 {
+        let mut out = Vec::new();
+        push_fleet_frame(
+            &mut out,
+            FleetMessage::Rendezvous {
+                client_id,
+                capabilities: 0,
+            },
+        );
+        stream.write_all(&out).unwrap();
+        match read_ctrl(stream, decoder) {
+            Some(Ctrl::Fleet(FleetMessage::RendezvousAck { session_token, .. })) => session_token,
+            other => panic!("expected RendezvousAck, got {other:?}"),
+        }
+    }
+
+    /// `count` heartbeats with ten-byte sequence numbers, `first..`.
+    fn heartbeats(session_token: u64, first: u64, count: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        for seq in first..first + count {
+            push_fleet_frame(
+                &mut out,
+                FleetMessage::Heartbeat {
+                    session_token,
+                    seq: u64::MAX - seq,
+                },
+            );
+        }
+        out
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_read_buffer_arrives_whole_from_one_write() {
+        let handle = spawn(DaemonConfig::default()).expect("bind daemon");
+        let mut stream = connect(handle.addr());
+        let env = Envelope {
+            from: 7,
+            to: COORDINATOR,
+            sent_at: 0.5,
+            payload: (0..40_000u32).map(|i| (i % 251) as u8).collect(),
+        };
+        let mut out = Vec::new();
+        push_ctrl(
+            &mut out,
+            &Ctrl::Hello(SessionHello {
+                version: PROTOCOL_VERSION,
+                seed: 3,
+                round_id: 0,
+                validate: false,
+                faults: None,
+            }),
+        );
+        push_ctrl(&mut out, &Ctrl::Env(env.clone()));
+        push_ctrl(&mut out, &Ctrl::Close);
+        assert!(out.len() > 2 * 16 * 1024, "spans several read buffers");
+        stream.write_all(&out).unwrap();
+
+        let mut decoder = FrameDecoder::new();
+        assert!(matches!(
+            read_ctrl(&mut stream, &mut decoder),
+            Some(Ctrl::HelloAck { .. })
+        ));
+        match read_ctrl(&mut stream, &mut decoder) {
+            Some(Ctrl::Deliveries(items)) => {
+                assert_eq!(items.len(), 1, "one fault-free delivery");
+                assert_eq!(items[0].1, env, "echoed byte for byte");
+            }
+            other => panic!("expected Deliveries, got {other:?}"),
+        }
+        match read_ctrl(&mut stream, &mut decoder) {
+            Some(Ctrl::Stats(stats)) => assert_eq!(stats.frames_in, 3),
+            other => panic!("expected Stats, got {other:?}"),
+        }
+        assert!(
+            read_ctrl(&mut stream, &mut decoder).is_none(),
+            "clean close"
+        );
+        let snapshot = handle.shutdown().expect("daemon threads joined");
+        assert_eq!(snapshot.protocol_errors, 0);
+        assert_eq!(snapshot.overflow_drops, 0);
+    }
+
+    #[test]
+    fn a_thousand_fleet_frames_in_one_write_are_all_answered_in_order() {
+        let handle = spawn(DaemonConfig {
+            fleet: Some(idle_fleet()),
+            ..DaemonConfig::default()
+        })
+        .expect("bind daemon");
+        let mut stream = connect(handle.addr());
+        let mut decoder = FrameDecoder::new();
+        let token = rendezvous(&mut stream, &mut decoder, 1);
+        let burst = heartbeats(token, 0, 1000);
+        assert!(burst.len() > 16 * 1024, "more than one read buffer");
+        stream.write_all(&burst).unwrap();
+        for seq in 0..1000 {
+            match read_ctrl(&mut stream, &mut decoder) {
+                Some(Ctrl::Fleet(FleetMessage::HeartbeatAck { seq: got })) => {
+                    assert_eq!(got, u64::MAX - seq, "acks in arrival order");
+                }
+                other => panic!("beat {seq}: expected HeartbeatAck, got {other:?}"),
+            }
+        }
+        let ledger = handle.fleet_ledger().expect("fleet daemon has a ledger");
+        assert_eq!((ledger.heartbeats, ledger.heartbeat_acks), (1000, 1000));
+        drop(stream);
+        let snapshot = handle.shutdown().expect("daemon threads joined");
+        assert_eq!(snapshot.protocol_errors, 0);
+        assert_eq!(snapshot.overflow_drops, 0);
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_its_replies_is_dropped_at_the_outgoing_bound() {
+        const BOUND: usize = 64 * 1024;
+        const BATCH: u64 = 1000;
+        let handle = spawn(DaemonConfig {
+            fleet: Some(idle_fleet()),
+            max_conn_buffer: BOUND,
+            ..DaemonConfig::default()
+        })
+        .expect("bind daemon");
+        let mut stream = connect(handle.addr());
+        let token = rendezvous(&mut stream, &mut FrameDecoder::new(), 1);
+        // Beats go out one batch at a time, and the next batch waits
+        // until the daemon has handled the last, so the decode buffer
+        // never holds more than one batch: only the replies, which this
+        // peer never reads, can grow past the bound.
+        let mut sent = 0u64;
+        let ledger = loop {
+            let batch = heartbeats(token, sent, BATCH);
+            assert!(batch.len() < BOUND / 2);
+            if stream.write_all(&batch).is_err() {
+                break handle.fleet_ledger().unwrap();
+            }
+            sent += BATCH;
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let ledger = loop {
+                let ledger = handle.fleet_ledger().unwrap();
+                if ledger.heartbeats == sent || ledger.overflow_drops > 0 {
+                    break ledger;
+                }
+                assert!(Instant::now() < deadline, "daemon stalled: {ledger:?}");
+                std::thread::sleep(Duration::from_micros(200));
+            };
+            if ledger.overflow_drops > 0 {
+                break ledger;
+            }
+            assert!(sent < 2_000_000, "replies never hit the outgoing bound");
+        };
+        assert_eq!(ledger.overflow_drops, 1, "{ledger:?}");
+        assert_eq!(ledger.heartbeat_acks, ledger.heartbeats);
+        let snapshot = handle.shutdown().expect("daemon threads joined");
+        assert_eq!(snapshot.overflow_drops, 1);
+        assert_eq!(snapshot.protocol_errors, 0);
     }
 }

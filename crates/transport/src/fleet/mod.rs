@@ -329,7 +329,9 @@ pub struct FleetLedger {
     pub heartbeat_acks: u64,
     /// Cohort assignments sent (initial drafts + salvage refills).
     pub cohort_assigns: u64,
-    /// Stand-by notices sent.
+    /// Stand-by notices sent. Only a mid-round (re)registration gets one:
+    /// a late `Rendezvous`, or a resume of a client that holds no slot.
+    /// Round start sends standbys nothing.
     pub cohort_waits: u64,
     /// Reports accepted.
     pub reports: u64,
@@ -1000,18 +1002,8 @@ impl FleetEngine {
                 None => self.ledger.cohort_assigns += 1,
             }
         }
-        for &client in &standby {
-            if let Some(conn) = self.registry[&client].conn {
-                self.send(
-                    out,
-                    conn,
-                    FleetMessage::CohortWait {
-                        round,
-                        retry_ms: self.cfg.round_deadline_ms,
-                    },
-                );
-            }
-        }
+        // Standbys hear nothing: an idle registered client already waits
+        // for an assignment, and a salvage refill drafts it directly.
         let pending = slots.len();
         self.round = Some(ActiveRound {
             round,
@@ -1238,12 +1230,134 @@ mod tests {
         rendezvous_all_more(&mut engine, 5, 1, 10);
         let actions = engine.tick(20);
         assert_eq!(assigns(&actions).len(), 4, "cohort drafted at the floor");
-        // The rest were told to stand by.
-        let waits = actions
-            .iter()
-            .filter(|a| matches!(a, FleetAction::Send(_, FleetMessage::CohortWait { .. })))
-            .count();
-        assert_eq!(waits, 2);
+        // The two standbys hear nothing: the draftees' assignments are
+        // the round start's only frames.
+        assert_eq!(actions.len(), 4, "a frame beyond the cohort: {actions:?}");
+        assert_eq!(engine.ledger().cohort_waits, 0);
+    }
+
+    #[test]
+    fn round_start_sends_one_frame_per_draftee_and_none_to_standbys() {
+        let cfg = FleetConfig::try_new(4, 6, 3, 8, 100, 500)
+            .unwrap()
+            .with_seed(7)
+            .with_value_seed(11)
+            .with_round_deadline_ms(10_000);
+        let mut engine = FleetEngine::new(cfg);
+        // conn → (client id, token) for every registration so far.
+        let mut members: HashMap<u64, (u64, u64)> = rendezvous_all(&mut engine, 8, 0)
+            .into_iter()
+            .map(|(conn, token)| (conn, (1000 + conn, token)))
+            .collect();
+        let waits_of = |actions: &[FleetAction], conn: u64| {
+            actions
+                .iter()
+                .filter(|a| {
+                    matches!(a, FleetAction::Send(c, FleetMessage::CohortWait { .. }) if *c == conn)
+                })
+                .count()
+        };
+        let mut registrations = 0;
+        let mut now = 10;
+        for round in 0..3u64 {
+            let actions = engine.tick(now);
+            let drafted = assigns(&actions);
+            assert_eq!(drafted.len(), 4, "round {round}: a full cohort");
+            for &(conn, r, _) in &drafted {
+                assert_eq!(r, round);
+                assert!(members.contains_key(&conn), "drafted a registered client");
+                assert_eq!(
+                    drafted.iter().filter(|&&(c, ..)| c == conn).count(),
+                    1,
+                    "round {round}: one assignment per draftee"
+                );
+            }
+            // One frame per draftee, so no standby got anything.
+            assert_eq!(actions.len(), drafted.len(), "round {round}: {actions:?}");
+            assert!(members.len() > drafted.len(), "round {round} had standbys");
+
+            // A late registration mid-round is told to stand by, once.
+            now += 1;
+            let late = 100 + round;
+            let said = engine
+                .on_message(
+                    late,
+                    &FleetMessage::Rendezvous {
+                        client_id: 1000 + late,
+                        capabilities: 0,
+                    },
+                    now,
+                )
+                .unwrap();
+            assert_eq!(waits_of(&said, late), 1, "round {round}: late rendezvous");
+            let token = said
+                .iter()
+                .find_map(|a| match a {
+                    FleetAction::Send(_, FleetMessage::RendezvousAck { session_token, .. }) => {
+                        Some(*session_token)
+                    }
+                    _ => None,
+                })
+                .expect("late arrival acked");
+            members.insert(late, (1000 + late, token));
+            registrations += 1;
+
+            // So is a standby that resumes mid-round on a new connection.
+            let standby = *members
+                .keys()
+                .filter(|c| !drafted.iter().any(|&(d, ..)| d == **c) && **c != late)
+                .min()
+                .expect("a standby");
+            let (client_id, token) = members.remove(&standby).unwrap();
+            engine.on_disconnect(standby, now);
+            let resumed = 200 + round;
+            let said = engine
+                .on_message(
+                    resumed,
+                    &FleetMessage::Resume {
+                        client_id,
+                        session_token: token,
+                        report_nonce: 0,
+                    },
+                    now,
+                )
+                .unwrap();
+            assert_eq!(waits_of(&said, resumed), 1, "round {round}: resume");
+            assert!(
+                assigns(&said).is_empty(),
+                "a standby resumes without a slot"
+            );
+            members.insert(resumed, (client_id, token));
+            registrations += 1;
+
+            // The cohort reports; the round completes.
+            for &(conn, r, bit_index) in &drafted {
+                let (client_id, token) = members[&conn];
+                let bit = (client_value(11, client_id, 8) >> bit_index) & 1 == 1;
+                let said = engine
+                    .on_message(
+                        conn,
+                        &FleetMessage::Report {
+                            session_token: token,
+                            round: r,
+                            bit_index,
+                            bit,
+                        },
+                        now,
+                    )
+                    .unwrap();
+                assert_eq!(waits_of(&said, conn), 0);
+            }
+            assert_eq!(engine.reports().len() as u64, round + 1);
+            now += 10;
+        }
+        let ledger = engine.ledger();
+        assert_eq!(ledger.cohort_assigns, 12, "three cohorts of 4, no refills");
+        assert_eq!(
+            ledger.cohort_waits, registrations,
+            "one stand-by notice per mid-round (re)registration"
+        );
+        assert_eq!(registrations, 6);
     }
 
     fn rendezvous_all_more(engine: &mut FleetEngine, start_conn: u64, n: u64, now: u64) {
