@@ -97,6 +97,20 @@ exact_test -p fednum-transport --lib \
 # included.
 exact_test -p fednum-fedsim --lib \
     adaptive_round::tests::b_send_above_one_is_rejected_not_dropped
+# Pooled `b_send` rounds each run under their own session seed (round 0
+# under the configured one): distinct fault plans, masks and ledger rounds.
+exact_test -p fednum-fedsim --lib \
+    protocol::basic::tests::pooled_rounds_each_run_under_their_own_session_seed
+# The mask graph's neighborhood is window arithmetic: it matches a
+# ring-distance reference, the plane tally matches the share-level
+# protocol on every small dropout plan and degree, and the framer sends
+# one key share per ring neighbor.
+exact_test -p fednum-secagg --lib \
+    masking::tests::ring_neighbors_match_a_ring_distance_reference
+exact_test -p fednum-secagg --lib \
+    protocol::tests::plane_path_matches_share_path_on_every_small_plan
+exact_test -p fednum-transport --lib \
+    coordinator::tests::key_shares_follow_the_ring_mask_graph
 
 step "cargo test (workspace)"
 # --include-ignored: the process-spawning suites (fleet_e2e, chaos_e2e) are

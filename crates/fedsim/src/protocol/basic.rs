@@ -6,20 +6,36 @@ use fednum_core::protocol::{BasicBitPushing, MeanMechanism, Outcome};
 use rand::Rng;
 
 use crate::error::FedError;
+use crate::faults::mix;
 use crate::round::{run_round_impl, FederatedMeanConfig};
+
+/// The session seed of pooled round `r`. Round 0 keeps `session_seed`, so a
+/// one-round pool is the plain round; every later round hashes
+/// `(session_seed, r)`, so it draws its own fault plan and secure-aggregation
+/// masks and bills its own ledger round.
+fn pooled_session_seed(session_seed: u64, r: u32) -> u64 {
+    if r == 0 {
+        session_seed
+    } else {
+        mix(session_seed ^ mix(u64::from(r)))
+    }
+}
 
 impl FederatedMeanConfig {
     /// Runs Algorithm 1 on the synchronous carrier: `protocol.b_send`
     /// independent rounds (one by default), their histograms merged and
-    /// finished once through [`BasicBitPushing::finish`].
+    /// finished once through [`BasicBitPushing::finish`]. Round `r` runs
+    /// under its own session seed (round 0 under `session_seed` itself).
     ///
     /// # Errors
     /// The first round error; see [`FedError`].
     pub fn run_pooled(&self, values: &[f64], rng: &mut dyn Rng) -> Result<Outcome, FedError> {
         let mut acc = BitAccumulator::new(self.protocol.codec.bits());
         let mut clip_fraction = 0.0;
-        for _ in 0..self.protocol.b_send {
-            let round = run_round_impl(values, self, None, rng)?.outcome;
+        let mut round_config = self.clone();
+        for r in 0..self.protocol.b_send {
+            round_config.session_seed = pooled_session_seed(self.session_seed, r);
+            let round = run_round_impl(values, &round_config, None, rng)?.outcome;
             acc.merge(&round.accumulator);
             clip_fraction = round.clip_fraction;
         }
@@ -182,6 +198,38 @@ mod tests {
             (one / four - 2.0).abs() < 0.7,
             "rmse b_send=1 {one}, b_send=4 {four}"
         );
+    }
+
+    #[test]
+    fn pooled_rounds_each_run_under_their_own_session_seed() {
+        use crate::faults::{FaultPlan, FaultRates};
+        let values = uniform_values(3_000, 200);
+        let mut p =
+            protocol(8, 1.0).with_faults(FaultPlan::new(FaultRates::uniform(0.05), 5).unwrap());
+        p.protocol = p.protocol.with_b_send(2);
+        p.session_seed = 77;
+        let pooled = run(&p, &values, 9);
+
+        // The same two rounds by hand: round 0 at the configured seed, round
+        // 1 at its derived seed, one rng threaded through both.
+        let seeds = [77, pooled_session_seed(77, 1)];
+        assert_ne!(seeds[0], seeds[1]);
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut acc = BitAccumulator::new(8);
+        let mut clip_fraction = 0.0;
+        for session_seed in seeds {
+            let round_config = FederatedMeanConfig {
+                session_seed,
+                ..p.clone()
+            };
+            let round = run_round_impl(&values, &round_config, None, &mut rng)
+                .unwrap()
+                .outcome;
+            acc.merge(&round.accumulator);
+            clip_fraction = round.clip_fraction;
+        }
+        let by_hand = BasicBitPushing::new(p.protocol.clone()).finish(acc, clip_fraction);
+        assert_eq!(pooled, by_hand);
     }
 
     #[test]

@@ -31,7 +31,9 @@ pub mod shamir;
 
 pub use enclave::{EnclaveAggregator, SanitizedAggregate, Sanitizer};
 pub use field::Fe;
-pub use masking::{accumulate_mask, add_assign, client_mask_ring, mask_from_seed, ring_neighbors};
+pub use masking::{
+    accumulate_mask, add_assign, client_mask_ring, mask_from_seed, ring_neighbors, RingWindow,
+};
 pub use prg::{instance_seed, MaskStream};
 pub use protocol::{
     run_secure_aggregation, run_secure_aggregation_planes, DropoutPlan, SecAggConfig, SecAggError,

@@ -11,6 +11,8 @@
 //! every *surviving* pair cancel exactly; self masks and orphaned pairwise
 //! terms are later removed with seeds reconstructed from Shamir shares.
 
+use std::ops::Range;
+
 use crate::field::Fe;
 use crate::prg::{pairwise_seed, self_seed, MaskStream};
 
@@ -65,45 +67,99 @@ pub fn client_mask(session: u64, i: u64, participants: &[u64], len: usize) -> Ve
     mask
 }
 
-/// The ring-neighbor set of client `i`: the `k/2` participants on each side
-/// of `i` in the id-sorted ring (Bell et al., CCS 2020 — pairwise masking
-/// over a sparse graph makes the protocol `O(n·k)` instead of `O(n²)`).
+/// Position `pos`'s closed neighborhood on the ring mask graph over `n`
+/// id-sorted participants (Bell et al., CCS 2020 — pairwise masking over a
+/// sparse graph makes the protocol `O(n·k)` instead of `O(n²)`): `pos`
+/// itself plus the `max(k/2, 1)` positions on each side, or all `n`
+/// positions once that window would reach round the ring (`k >= n − 1`,
+/// the complete graph).
 ///
-/// The relation is symmetric (`j ∈ N(i) ⇔ i ∈ N(j)`) because distances on
-/// the ring are symmetric and every client uses the same `k`. When
-/// `k >= participants.len() - 1` this degenerates to the complete graph.
+/// The window is at most two contiguous ranges of positions, both in
+/// ascending order and the first below the second, so it is computed by
+/// arithmetic in O(1), iterating it allocates nothing, and a bitmap over
+/// the cohort's slots answers "how many of them are set" with `⌈k/64⌉ + 2`
+/// popcounts. The relation is symmetric (`j ∈ N(i) ⇔ i ∈ N(j)`) because
+/// distances on the ring are symmetric and every client uses the same `k`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RingWindow {
+    pos: usize,
+    ranges: [(usize, usize); 2],
+}
+
+impl RingWindow {
+    /// The window of degree `k` around position `pos` on a ring of `n`.
+    ///
+    /// # Panics
+    /// Panics if `pos >= n`.
+    #[must_use]
+    pub fn new(pos: usize, n: usize, k: usize) -> Self {
+        assert!(pos < n, "position {pos} is outside a ring of {n}");
+        let half = (k / 2).max(1);
+        let ranges = if k + 1 >= n || 2 * half + 1 >= n {
+            [(0, n), (n, n)]
+        } else if pos < half {
+            // Wraps below position 0 onto the top of the ring.
+            [(0, pos + half + 1), (n + pos - half, n)]
+        } else if pos + half >= n {
+            // Wraps past position n − 1 onto the bottom of the ring.
+            [(0, pos + half + 1 - n), (pos - half, n)]
+        } else {
+            [(pos - half, pos + half + 1), (n, n)]
+        };
+        Self { pos, ranges }
+    }
+
+    /// The window's positions as two disjoint ascending ranges (the second
+    /// may be empty), `pos` included.
+    #[must_use]
+    pub fn ranges(&self) -> [Range<usize>; 2] {
+        self.ranges.map(|(start, end)| start..end)
+    }
+
+    /// Number of positions in the window, `pos` included: `2·max(k/2, 1) + 1`
+    /// on the sparse ring, `n` on the complete graph.
+    #[must_use]
+    pub fn size(&self) -> usize {
+        self.ranges.iter().map(|(start, end)| end - start).sum()
+    }
+
+    /// Every position in the window, `pos` included, ascending.
+    pub fn holders(&self) -> impl Iterator<Item = usize> {
+        let [first, second] = self.ranges();
+        first.chain(second)
+    }
+
+    /// The window's positions other than `pos`, ascending: `pos`'s ring
+    /// neighbors.
+    pub fn neighbors(&self) -> impl Iterator<Item = usize> {
+        let pos = self.pos;
+        self.holders().filter(move |&p| p != pos)
+    }
+}
+
+/// The ring-neighbor ids of client `i` among `participants` (sorted,
+/// distinct, not necessarily contiguous), ascending: [`RingWindow`]'s
+/// neighbors mapped through `participants`. `O(log n + k)`, and the one
+/// allocation is the returned vector. When `k >= participants.len() - 1`
+/// this is the complete graph.
 ///
 /// # Panics
 /// Panics if `i` is not in `participants` or `participants` is not sorted.
 #[must_use]
 pub fn ring_neighbors(i: u64, participants: &[u64], k: usize) -> Vec<u64> {
     // Sortedness is the caller's contract; checking it here would make
-    // every call O(n) and the per-cohort total quadratic (this sits on the
-    // per-client hot path of share setup and round 3).
+    // every call O(n) and the per-cohort total quadratic.
     debug_assert!(
         participants.windows(2).all(|w| w[0] < w[1]),
         "participants must be sorted and distinct"
     );
-    let n = participants.len();
     let pos = participants
         .binary_search(&i)
         .unwrap_or_else(|_| panic!("client {i} must be a participant"));
-    if n <= 1 {
-        return Vec::new();
-    }
-    let half = (k / 2).max(1);
-    if k >= n - 1 {
-        return participants.iter().copied().filter(|&j| j != i).collect();
-    }
-    let mut out = Vec::with_capacity(2 * half);
-    for d in 1..=half {
-        out.push(participants[(pos + d) % n]);
-        out.push(participants[(pos + n - d) % n]);
-    }
-    out.sort_unstable();
-    out.dedup();
-    out.retain(|&j| j != i);
-    out
+    RingWindow::new(pos, participants.len(), k)
+        .neighbors()
+        .map(|p| participants[p])
+        .collect()
 }
 
 /// The full mask of client `i` restricted to its ring neighbors:
@@ -270,6 +326,32 @@ mod tests {
         let a = client_mask_ring(5, 3, &participants, 100, 6);
         let b = client_mask(5, 3, &participants, 6);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn ring_neighbors_match_a_ring_distance_reference() {
+        // Every cohort size up to 40, every degree up to 45, every member,
+        // over sorted but non-contiguous ids: the window arithmetic must
+        // pick exactly the members within ring distance max(k/2, 1) (all
+        // of them once k >= n − 1), ascending.
+        for n in 1..=40usize {
+            let ids: Vec<u64> = (0..n as u64).map(|p| 5 * p + p * p % 3 + 11).collect();
+            for k in 0..=45usize {
+                let half = (k / 2).max(1);
+                for (pos, &i) in ids.iter().enumerate() {
+                    let want: Vec<u64> = (0..n)
+                        .filter(|&q| q != pos)
+                        .filter(|&q| {
+                            let gap = pos.abs_diff(q);
+                            k + 1 >= n || gap.min(n - gap) <= half
+                        })
+                        .map(|q| ids[q])
+                        .collect();
+                    assert_eq!(ring_neighbors(i, &ids, k), want, "n={n} k={k} pos={pos}");
+                    assert_eq!(RingWindow::new(pos, n, k).size(), want.len() + 1);
+                }
+            }
+        }
     }
 
     #[test]

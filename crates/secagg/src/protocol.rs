@@ -22,12 +22,13 @@
 //! Section 3.3 builds on.
 
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 use fednum_core::bits::BitPlanes;
 use rand::Rng;
 
 use crate::field::{Fe, MODULUS};
-use crate::masking::{accumulate_mask, add_assign, ring_neighbors};
+use crate::masking::{accumulate_mask, add_assign, RingWindow};
 use crate::prg::{pairwise_seed, self_seed};
 use crate::shamir::{share, Share, WeightCache};
 
@@ -86,6 +87,29 @@ impl SecAggConfig {
     /// The effective mask-graph degree (complete graph when unset).
     fn degree(&self) -> usize {
         self.neighbors.unwrap_or(self.n.saturating_sub(1)).max(1)
+    }
+
+    /// Client `i`'s share holders — its mask-graph neighbors plus itself, as
+    /// the ascending [`RingWindow`] of the configured degree — and its
+    /// per-client reconstruction threshold: the global threshold on the
+    /// complete graph, a majority of the neighborhood on the sparse graph.
+    ///
+    /// Both the share-level protocol and the plane-level fast path derive
+    /// their recovery feasibility from this one function, so the two can
+    /// never disagree about which dropout patterns are recoverable. It is
+    /// O(1) and allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if `i >= n`.
+    #[must_use]
+    pub fn mask_holders(&self, i: usize) -> (RingWindow, usize) {
+        let window = RingWindow::new(i, self.n, self.degree());
+        let k = if self.neighbors.is_none() {
+            self.threshold.min(window.size())
+        } else {
+            window.size().div_ceil(2)
+        };
+        (window, k)
     }
 }
 
@@ -194,11 +218,11 @@ pub struct SecAggOutcome {
 
 /// Secret material one client Shamir-shares — the self-mask seed and the
 /// key seed, each split into two ≤32-bit field elements so a full u64
-/// survives the 61-bit field. Shares go to `holders` (the client itself plus
-/// its mask-graph neighbors; the whole cohort on the complete graph), with
-/// per-client threshold `k`.
+/// survives the 61-bit field. Shares go to the `window`'s holders in
+/// ascending order (the client itself plus its mask-graph neighbors; the
+/// whole cohort on the complete graph), with per-client threshold `k`.
 struct SharedSecrets {
-    holders: Vec<usize>,
+    window: RingWindow,
     k: usize,
     b_lo: Vec<Share>,
     b_hi: Vec<Share>,
@@ -212,45 +236,16 @@ fn share_u64(v: u64, k: usize, n: usize, rng: &mut dyn Rng) -> (Vec<Share>, Vec<
     (share(lo, k, n, rng), share(hi, k, n, rng))
 }
 
-/// Client `i`'s share holders (its mask-graph neighbors plus itself, sorted)
-/// and its per-client reconstruction threshold: the global threshold on the
-/// complete graph, a majority of the neighborhood on the sparse graph.
-///
-/// Both the share-level protocol and the plane-level fast path derive their
-/// recovery feasibility from this one function, so the two can never
-/// disagree about which dropout patterns are recoverable.
-fn mask_holders(
-    config: &SecAggConfig,
-    i: usize,
-    all: &[u64],
-    degree: usize,
-) -> (Vec<usize>, usize) {
-    let mut holders: Vec<usize> = ring_neighbors(i as u64, all, degree)
-        .into_iter()
-        .map(|j| j as usize)
-        .collect();
-    holders.push(i);
-    holders.sort_unstable();
-    let k = if config.neighbors.is_none() {
-        config.threshold.min(holders.len())
-    } else {
-        holders.len().div_ceil(2)
-    };
-    (holders, k)
-}
-
 impl SharedSecrets {
-    /// Picks `self.k` shares of the given field (by index into `holders`)
-    /// whose holders survive per the `alive` mask, or reports how many were
-    /// available. The mask is indexed by client id: this test runs for
-    /// every holder of every contributor, so it must stay O(1) per lookup.
-    fn surviving<'a>(&'a self, shares: &'a [Share], alive: &[bool]) -> Result<Vec<Share>, usize> {
-        let picked: Vec<Share> = self
-            .holders
-            .iter()
-            .enumerate()
-            .filter(|(_, &h)| alive[h])
-            .map(|(idx, _)| shares[idx])
+    /// Picks `self.k` shares of the given field (share `idx` belongs to the
+    /// window's `idx`-th holder) whose holders survive per the `alive` mask,
+    /// or reports how many were available. The mask is indexed by client
+    /// id: this test runs for every holder of every contributor, so it must
+    /// stay O(1) per lookup.
+    fn surviving(&self, shares: &[Share], alive: &[bool]) -> Result<Vec<Share>, usize> {
+        let picked: Vec<Share> = (self.window.holders().zip(shares))
+            .filter(|&(h, _)| alive[h])
+            .map(|(_, &share)| share)
             .take(self.k)
             .collect();
         if picked.len() < self.k {
@@ -300,7 +295,6 @@ pub fn run_secure_aggregation(
     }
 
     let session = config.session_seed;
-    let all: Vec<u64> = (0..config.n as u64).collect();
 
     // Rounds 1–2: every client draws secret material and Shamir-shares it
     // among itself plus its mask-graph neighbors (the whole cohort on the
@@ -308,16 +302,15 @@ pub fn run_secure_aggregation(
     // variant is Bell et al.'s O(n·k) refinement). In this simulation the
     // self seeds follow the deterministic derivation used by
     // `client_mask_ring`; the key seed gates pairwise-mask recovery.
-    let degree = config.degree();
     let secrets: Vec<SharedSecrets> = (0..config.n)
         .map(|i| {
-            let (holders, k) = mask_holders(config, i, &all, degree);
+            let (window, k) = config.mask_holders(i);
             let b = self_seed(session, i as u64);
             let key = key_seed(session, i as u64);
-            let (b_lo, b_hi) = share_u64(b, k, holders.len(), rng);
-            let (key_lo, key_hi) = share_u64(key, k, holders.len(), rng);
+            let (b_lo, b_hi) = share_u64(b, k, window.size(), rng);
+            let (key_lo, key_hi) = share_u64(key, k, window.size(), rng);
             SharedSecrets {
-                holders,
+                window,
                 k,
                 b_lo,
                 b_hi,
@@ -341,8 +334,8 @@ pub fn run_secure_aggregation(
         // identical math to `client_mask_ring`, minus the per-client
         // allocations (this loop runs once per client per round).
         accumulate_mask(&mut y, self_seed(session, i as u64), false);
-        for j in ring_neighbors(i as u64, &all, degree) {
-            accumulate_mask(&mut y, pairwise_seed(session, i as u64, j), i as u64 > j);
+        for j in secrets[i].window.neighbors() {
+            accumulate_mask(&mut y, pairwise_seed(session, i as u64, j as u64), i > j);
         }
         add_assign(&mut total, &y, false);
     }
@@ -407,15 +400,13 @@ pub fn run_secure_aggregation(
         let key = reconstruct_secret(&mut cache, s, &s.key_lo, &s.key_hi)?;
         // The reconstructed key authorizes recomputing d's pairwise seeds.
         debug_assert_eq!(key, key_seed(session, d as u64));
-        for j in ring_neighbors(d as u64, &all, degree) {
-            let i = j as usize;
+        for i in s.window.neighbors() {
             if !contributed[i] {
                 continue; // that neighbor never sent a mask either
             }
-            let s = pairwise_seed(session, i as u64, d as u64);
+            let seed = pairwise_seed(session, i as u64, d as u64);
             // Contributor i added +PRG if i < d, −PRG if i > d; subtract it.
-            let i_added_positive = (i as u64) < (d as u64);
-            accumulate_mask(&mut total, s, i_added_positive);
+            accumulate_mask(&mut total, seed, i < d);
         }
         pairwise_masks += 1;
     }
@@ -442,10 +433,17 @@ pub fn run_secure_aggregation(
 /// What cannot be skipped is the protocol's failure surface: this entry
 /// point replicates [`run_secure_aggregation`]'s validation order, its
 /// survivor threshold, and the per-secret share-holder feasibility test
-/// (via the shared `mask_holders` derivation), so a dropout pattern fails
-/// with the identical [`SecAggError`] on both paths. No RNG is taken: the
-/// share polynomials it never materializes are the only randomness the
+/// (via the shared [`SecAggConfig::mask_holders`]), so a dropout pattern
+/// fails with the identical [`SecAggError`] on both paths. No RNG is taken:
+/// the share polynomials it never materializes are the only randomness the
 /// share-level protocol consumes.
+///
+/// Cost: U2 and U3 are slot bitmaps in the planes' word layout, and each
+/// feasibility test popcounts the survivors bitmap over the client's
+/// [`RingWindow`] (at most two ranges, `⌈k/64⌉ + 2` words), so the whole
+/// check is `O(n·⌈k/64⌉)` word operations with no per-client allocation.
+/// Beyond the outcome's contributor list, the only memory taken is the two
+/// bitmaps.
 ///
 /// # Errors
 /// See [`SecAggError`]; errors match the share-level path case for case.
@@ -474,19 +472,23 @@ pub fn run_secure_aggregation_planes(
         });
     }
 
-    let all: Vec<u64> = (0..config.n as u64).collect();
-    let degree = config.degree();
-    let u2: Vec<usize> = (0..config.n)
-        .filter(|i| !plan.before_masking.contains(i))
-        .collect();
-    let mut alive = vec![false; config.n];
-    let mut u3_len = 0;
-    for &i in &u2 {
-        if !plan.after_masking.contains(&i) {
-            alive[i] = true;
-            u3_len += 1;
-        }
+    // U2 (`keep`: every slot but the pre-masking dropouts) and U3 (`alive`:
+    // U2 minus the post-masking dropouts) as slot bitmaps. Dropouts outside
+    // the cohort are ignored here, as the share-level path's filters do.
+    let n = config.n;
+    let mut keep = vec![!0u64; n.div_ceil(64)];
+    if let Some(last) = keep.last_mut() {
+        *last >>= 64 * n.div_ceil(64) - n;
     }
+    let clear = |words: &mut [u64], slots: &BTreeSet<usize>| {
+        for &i in slots.iter().filter(|&&i| i < n) {
+            words[i / 64] &= !(1 << (i % 64));
+        }
+    };
+    clear(&mut keep, &plan.before_masking);
+    let mut alive = keep.clone();
+    clear(&mut alive, &plan.after_masking);
+    let u3_len = count_ones_in(&alive, 0..n);
     if u3_len < config.threshold {
         return Err(SecAggError::TooFewSurvivors {
             survivors: u3_len,
@@ -496,11 +498,13 @@ pub fn run_secure_aggregation_planes(
 
     // The share-level path reconstructs b_i for every contributor and key
     // material for every pre-masking dropout; each fails when fewer than k
-    // of that client's share holders survive. Same derivation, same
-    // iteration order, same error values — without touching a share.
+    // of that client's share holders survive. Same holders, same iteration
+    // order, same error values — without touching a share.
     let feasible = |i: usize| -> Result<(), SecAggError> {
-        let (holders, k) = mask_holders(config, i, &all, degree);
-        let survivors = holders.iter().filter(|&&h| alive[h]).take(k).count();
+        let (window, k) = config.mask_holders(i);
+        let survivors = (window.ranges().into_iter())
+            .map(|r| count_ones_in(&alive, r))
+            .sum();
         if survivors < k {
             return Err(SecAggError::TooFewSurvivors {
                 survivors,
@@ -509,6 +513,9 @@ pub fn run_secure_aggregation_planes(
         }
         Ok(())
     };
+    let u2: Vec<usize> = (0..n)
+        .filter(|&i| (keep[i / 64] >> (i % 64)) & 1 == 1)
+        .collect();
     for &i in &u2 {
         feasible(i)?;
     }
@@ -516,10 +523,6 @@ pub fn run_secure_aggregation_planes(
         feasible(d)?;
     }
 
-    let mut keep = vec![0u64; planes.words_per_plane()];
-    for &i in &u2 {
-        keep[i / 64] |= 1 << (i % 64);
-    }
     let mut sum = planes.ones_masked(&keep);
     sum.extend(planes.counts_masked(&keep));
     Ok(SecAggOutcome {
@@ -528,6 +531,22 @@ pub fn run_secure_aggregation_planes(
         pairwise_masks_reconstructed: plan.before_masking.len(),
         contributors: u2,
     })
+}
+
+/// Number of set bits at positions `r` of a slot bitmap (bit `i % 64` of
+/// word `i / 64`, the [`BitPlanes`] layout).
+fn count_ones_in(words: &[u64], r: Range<usize>) -> usize {
+    if r.is_empty() {
+        return 0;
+    }
+    let (first, last) = (r.start / 64, (r.end - 1) / 64);
+    let head = !0u64 << (r.start % 64);
+    let tail = !0u64 >> (63 - (r.end - 1) % 64);
+    if first == last {
+        return (words[first] & head & tail).count_ones() as usize;
+    }
+    let inner: u32 = words[first + 1..last].iter().map(|w| w.count_ones()).sum();
+    ((words[first] & head).count_ones() + inner + (words[last] & tail).count_ones()) as usize
 }
 
 /// The key-material seed a client Shamir-shares for dropout recovery
@@ -857,6 +876,42 @@ mod tests {
             let shares = run_secure_aggregation(&config, &ins, &plan, &mut rng).unwrap();
             let planes_out = run_secure_aggregation_planes(&config, &planes, &plan).unwrap();
             assert_eq!(planes_out, shares, "plan {plan:?} neighbors {neighbors:?}");
+        }
+    }
+
+    #[test]
+    fn plane_path_matches_share_path_on_every_small_plan() {
+        // Exhaustive over small cohorts: every degree from 1 past the
+        // complete-graph cut plus the complete graph itself, and every plan
+        // with at most two pre-masking and one post-masking dropout (slots
+        // 0 and n − 1 at the ring's wrap-around, and inconsistent plans,
+        // included). Both paths must agree on the sum or on the error.
+        let bits = 2;
+        for n in 1..=12usize {
+            let (ins, planes) = one_hot_cohort(n, bits, n as u64);
+            let before: Vec<Vec<usize>> = std::iter::once(vec![])
+                .chain((0..n).map(|a| vec![a]))
+                .chain((0..n).flat_map(|a| (a + 1..n).map(move |b| vec![a, b])))
+                .collect();
+            let after: Vec<Vec<usize>> = std::iter::once(vec![])
+                .chain((0..n).map(|a| vec![a]))
+                .collect();
+            for degree in std::iter::once(None).chain((1..=n + 1).map(Some)) {
+                let mut config = SecAggConfig::new(n, n.div_ceil(2), 2 * bits, 0x5EED ^ n as u64);
+                config.neighbors = degree;
+                for b in &before {
+                    for a in &after {
+                        let plan = DropoutPlan {
+                            before_masking: b.iter().copied().collect(),
+                            after_masking: a.iter().copied().collect(),
+                        };
+                        let mut rng = StdRng::seed_from_u64(3);
+                        let shares = run_secure_aggregation(&config, &ins, &plan, &mut rng);
+                        let planes_out = run_secure_aggregation_planes(&config, &planes, &plan);
+                        assert_eq!(planes_out, shares, "n={n} degree={degree:?} plan={plan:?}");
+                    }
+                }
+            }
         }
     }
 

@@ -1032,12 +1032,13 @@ pub(crate) fn frame_secagg_rounds(
     let (members, plan) = (attempt.members, attempt.plan);
     let (session, vector_len) = (attempt.config.session_seed, attempt.config.vector_len);
     let n = members.len();
-    let degree = (attempt.config.neighbors)
-        .unwrap_or(n.saturating_sub(1))
-        .clamp(1, n.max(2) - 1);
+    debug_assert_eq!(n, attempt.config.n, "one member per protocol position");
+    // Every position has as many ring neighbors as the mask graph gives
+    // position 0: one key share goes to each.
+    let neighbors = attempt.config.mask_holders(0).0.size() - 1;
     // Unmask shares cover the dropped (their pairwise-mask seeds), capped
     // at the survivor's neighborhood size.
-    let unmasked = (plan.before_masking.len() + plan.after_masking.len()).min(degree);
+    let unmasked = (plan.before_masking.len() + plan.after_masking.len()).min(neighbors);
     // The round a position last sends in: everyone exchanges keys, members
     // still alive upload masked inputs, survivors send unmask shares.
     let mut last_round = vec![SecAggStep::UnmaskShares as u8; n];
@@ -1057,7 +1058,7 @@ pub(crate) fn frame_secagg_rounds(
         senders.extend((0..n).filter(|&i| last_round[i] >= step as u8));
         let entry_len = step.max_entry_len(match step {
             SecAggStep::KeyAdvertise => 1,
-            SecAggStep::KeyShares => degree,
+            SecAggStep::KeyShares => neighbors,
             SecAggStep::MaskedInput => vector_len,
             SecAggStep::UnmaskShares => unmasked,
         });
@@ -1079,7 +1080,7 @@ pub(crate) fn frame_secagg_rounds(
                 // One encrypted Shamir share per ring neighbor.
                 SecAggStep::KeyShares => {
                     let entries = group_members.map(|(i, member)| {
-                        let shares = (0..degree).map(move |d| {
+                        let shares = (0..neighbors).map(move |d| {
                             let seed = mix(session ^ key(i) << 20 ^ d as u64);
                             let neighbor = i + d + 1;
                             let neighbor = if neighbor < n { neighbor } else { neighbor - n };
@@ -1550,7 +1551,8 @@ mod tests {
                 fill_derived(&mut keys[..32], seed);
                 fill_derived(&mut keys[32..], mix(seed));
                 want[0].push((member, 0, keys.to_vec()));
-                for d in 0..degree {
+                // Degree 3 on a ring of six: one neighbor on each side.
+                for d in 0..2 {
                     let mut ct = [0u8; 48];
                     fill_derived(&mut ct, mix(session ^ key(i) << 20 ^ d as u64));
                     want[1].push((member, members[(i + d + 1) % n], ct.to_vec()));
@@ -1571,6 +1573,60 @@ mod tests {
                 }
             }
             assert_eq!(got, want, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn key_shares_follow_the_ring_mask_graph() {
+        // One KeyShares item per ring neighbor: `2·max(d/2, 1)` below the
+        // complete-graph cut (an odd degree rounds down, degree 1 still has
+        // a neighbor on each side), none for a one-client attempt.
+        use fednum_secagg::protocol::{DropoutPlan, SecAggConfig};
+        use fednum_secagg::ring_neighbors;
+        for (n, degree, want) in [
+            (50, Some(7), 6),
+            (50, Some(1), 2),
+            (50, None, 49),
+            (1, None, 0),
+        ] {
+            let members: Vec<u64> = (0..n as u64).map(|i| 100 + 3 * i).collect();
+            let mut config = SecAggConfig::new(n, 1, 2, 0x5E55);
+            config.neighbors = degree;
+            let attempt = SecAggAttempt {
+                config: &config,
+                members: &members,
+                plan: &DropoutPlan::none(),
+                round_id: 3,
+            };
+            let mut per_sender = std::collections::BTreeMap::<u64, usize>::new();
+            let mut t = InMemoryTransport::new(1);
+            let key = |i: usize| i as u64;
+            frame_secagg_rounds(
+                &mut t,
+                &attempt,
+                0.0,
+                8,
+                key,
+                |_, _| 0,
+                |t, _| {
+                    while let Some((_, env)) = t.poll() {
+                        let Ok(Message::SecAgg(batch)) = Message::decode(&env.payload) else {
+                            panic!("not a secure-aggregation frame");
+                        };
+                        if batch.step() == SecAggStep::KeyShares {
+                            for (sender, _, _) in batch.items() {
+                                *per_sender.entry(sender).or_default() += 1;
+                            }
+                        }
+                    }
+                },
+            );
+            for (i, &member) in members.iter().enumerate() {
+                let ring = ring_neighbors(member, &members, degree.unwrap_or(n - 1)).len();
+                assert_eq!(ring, want, "n={n} degree={degree:?}");
+                let sent = per_sender.get(&member).copied().unwrap_or(0);
+                assert_eq!(sent, ring, "n={n} degree={degree:?} position {i}");
+            }
         }
     }
 
