@@ -79,6 +79,24 @@ exact_test -p fednum-transport --lib \
     tcp::tests::tampered_or_missing_echoes_fail_closed
 exact_test -p fednum-transport --lib \
     tcp::tests::a_scalar_round_blocks_once_per_batch_not_per_event
+# ...and touches the socket without blocking once per TAKE_IN_EVERY
+# deliveries, not once per delivery; a lie deep inside a wide echo window
+# still fails the round closed; and a window's echoes stay far below the
+# daemon's per-connection output bound. Both ends frame in place: every
+# header width emits exactly `varint(len) ‖ payload`.
+exact_test -p fednum-transport --lib \
+    tcp::tests::a_scalar_round_takes_in_echoes_once_per_k_deliveries_not_per_delivery
+exact_test -p fednum-transport --lib \
+    tcp::tests::a_lie_deep_inside_a_wide_window_still_fails_closed
+exact_test -p fednum-transport --lib \
+    tcp::tests::twice_the_echo_window_fits_under_the_daemon_output_bound
+exact_test -p fednum-core --lib \
+    wire::tests::frames_carry_the_same_bytes_at_every_header_width
+# The vendored `rand`'s bounded draw skips the exact-zone division below
+# `u64::MAX - span` and must accept exactly the draws it did before.
+# vendor/ runs only in the workspace step, hence the explicit package.
+exact_test -p rand --lib \
+    tests::uniform_below_matches_the_exact_zone_at_its_boundaries
 # A fleet round's downlink is its cohort's: one CohortAssign per draftee,
 # nothing to standbys, a CohortWait only for a mid-round (re)registration.
 # And a peer that never reads its replies still hits the outgoing bound
@@ -87,6 +105,10 @@ exact_test -p fednum-transport --lib \
     fleet::tests::round_start_sends_one_frame_per_draftee_and_none_to_standbys
 exact_test -p fednum-transport --lib \
     daemon::tests::a_peer_that_never_reads_its_replies_is_dropped_at_the_outgoing_bound
+# An envelope at the frame cap, whose echo cannot be framed, drops its
+# peer as a protocol error instead of taking the daemon down.
+exact_test -p fednum-transport --lib \
+    daemon::tests::an_envelope_whose_echo_would_pass_the_frame_cap_drops_its_peer_not_the_daemon
 # RoundBuilder fails closed on `b_send > 1` (Corollary 3.2): no round
 # shape sends more than one bit per client, so the option must never be
 # dropped silently.

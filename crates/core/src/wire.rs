@@ -147,15 +147,59 @@ pub fn frame_len(payload_len: usize) -> usize {
 /// [`MAX_FRAME_LEN`] (such a frame could never be read back).
 pub fn write_frame<W: Write + ?Sized>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            WireError::InvalidField("frame length"),
-        ));
+        return Err(frame_too_long());
     }
-    let mut header = Vec::with_capacity(5);
-    push_varint(&mut header, payload.len() as u64);
-    w.write_all(&header)?;
+    let (header, n) = varint_array(payload.len() as u64);
+    w.write_all(&header[..n])?;
     w.write_all(payload)
+}
+
+/// Appends one length-delimited frame to `out` — the bytes [`write_frame`]
+/// writes for the same payload — with the payload encoded in place by
+/// `body`, so no payload buffer is built and copied. Returns the frame's
+/// wire length.
+///
+/// # Errors
+/// `InvalidInput` when the payload exceeds [`MAX_FRAME_LEN`]; `out` is
+/// then left as it was.
+pub fn push_frame_with(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) -> io::Result<usize> {
+    let start = out.len();
+    // One header byte covers every payload under 128 bytes, the common
+    // case; a longer payload is shifted right to make room for its header.
+    out.push(0);
+    body(out);
+    let len = out.len() - start - 1;
+    if len > MAX_FRAME_LEN {
+        out.truncate(start);
+        return Err(frame_too_long());
+    }
+    let (header, n) = varint_array(len as u64);
+    if n > 1 {
+        out.resize(out.len() + n - 1, 0);
+        out.copy_within(start + 1..start + 1 + len, start + n);
+    }
+    out[start..start + n].copy_from_slice(&header[..n]);
+    Ok(n + len)
+}
+
+fn frame_too_long() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidInput,
+        WireError::InvalidField("frame length"),
+    )
+}
+
+/// `v` as a varint on the stack: the encoding is `bytes[..len]`.
+fn varint_array(mut v: u64) -> ([u8; 10], usize) {
+    let mut bytes = [0u8; 10];
+    let mut len = 0;
+    while v >= 0x80 {
+        bytes[len] = (v & 0x7F) as u8 | 0x80;
+        v >>= 7;
+        len += 1;
+    }
+    bytes[len] = v as u8;
+    (bytes, len + 1)
 }
 
 /// Reads one length-delimited frame from a blocking byte source, returning
@@ -224,9 +268,14 @@ impl FrameDecoder {
 
     /// Appends bytes read off the stream.
     pub fn feed(&mut self, chunk: &[u8]) {
-        // Compact lazily: drop consumed bytes once they dominate the buffer
-        // so a long-lived connection doesn't grow without bound.
-        if self.pos > 4096 && self.pos * 2 > self.buf.len() {
+        if self.pos == self.buf.len() {
+            // Everything consumed: resetting is free and keeps the steady
+            // state (one frame per read) allocation-stable.
+            self.buf.clear();
+            self.pos = 0;
+        } else if self.pos > 4096 && self.pos * 2 > self.buf.len() {
+            // Compact lazily: drop consumed bytes once they dominate the
+            // buffer so a long-lived connection doesn't grow without bound.
             self.buf.drain(..self.pos);
             self.pos = 0;
         }
@@ -241,6 +290,15 @@ impl FrameDecoder {
     /// After an error the stream is unrecoverable (framing is lost);
     /// callers should drop the connection.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
+        Ok(self.next_frame_ref()?.map(<[u8]>::to_vec))
+    }
+
+    /// [`next_frame`](Self::next_frame) without the copy: the frame is
+    /// borrowed from the decoder's buffer until the next call.
+    ///
+    /// # Errors
+    /// See [`next_frame`](Self::next_frame).
+    pub fn next_frame_ref(&mut self) -> Result<Option<&[u8]>, WireError> {
         let mut pos = self.pos;
         let len = match read_varint(&self.buf, &mut pos) {
             Ok(len) => len,
@@ -256,15 +314,8 @@ impl FrameDecoder {
         if self.buf.len() - pos < len {
             return Ok(None);
         }
-        let payload = self.buf[pos..pos + len].to_vec();
         self.pos = pos + len;
-        if self.pos == self.buf.len() {
-            // Everything consumed: resetting is free and keeps the steady
-            // state (one frame per read) allocation-stable.
-            self.buf.clear();
-            self.pos = 0;
-        }
-        Ok(Some(payload))
+        Ok(Some(&self.buf[pos..pos + len]))
     }
 
     /// Bytes buffered but not yet consumed by a complete frame.
@@ -1238,6 +1289,54 @@ mod tests {
         let big = vec![0u8; MAX_FRAME_LEN + 1];
         let mut sink = Vec::new();
         assert!(write_frame(&mut sink, &big).is_err());
+    }
+
+    #[test]
+    fn frames_carry_the_same_bytes_at_every_header_width() {
+        // Payload lengths on both sides of each varint header width, and
+        // the cap itself: the stack header of `write_frame` and the
+        // in-place header of `push_frame_with` both emit exactly
+        // `push_varint(len) ‖ payload`.
+        for len in [
+            0,
+            127,
+            128,
+            16_383,
+            16_384,
+            (1 << 21) - 1,
+            1 << 21,
+            MAX_FRAME_LEN,
+        ] {
+            let mut payload = vec![0xA5u8; len];
+            if let Some(last) = payload.last_mut() {
+                *last = 0x5A;
+            }
+            let mut expected = Vec::new();
+            push_varint(&mut expected, len as u64);
+            expected.extend_from_slice(&payload);
+            let mut written = Vec::new();
+            write_frame(&mut written, &payload).unwrap();
+            assert!(written == expected, "write_frame at length {len}");
+            // Bytes already in the buffer stay where they are.
+            let mut pushed = vec![0xEE];
+            let n = push_frame_with(&mut pushed, |out| out.extend_from_slice(&payload)).unwrap();
+            assert_eq!(n, frame_len(len));
+            assert!(
+                pushed[0] == 0xEE && pushed[1..] == expected[..],
+                "push_frame_with at length {len}"
+            );
+        }
+        let over = vec![0u8; MAX_FRAME_LEN + 1];
+        let err = write_frame(&mut Vec::new(), &over).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let mut out = vec![1, 2, 3];
+        let err = push_frame_with(&mut out, |o| o.extend_from_slice(&over)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(
+            out,
+            [1, 2, 3],
+            "a rejected frame leaves the buffer as it was"
+        );
     }
 
     #[test]

@@ -54,9 +54,9 @@ use fednum_fedsim::error::FedError;
 
 use crate::fleet::{FleetAction, FleetConfig, FleetEngine, FleetLedger, FleetRoundReport};
 use crate::message::Message;
-use crate::net::{SimNetTransport, Transport};
+use crate::net::{Envelope, SimNetTransport, Transport};
 use crate::reactor::{self, PollFd, INTEREST_READ, INTEREST_WRITE};
-use crate::tcp::{Ctrl, SessionHello, SessionStats, PROTOCOL_VERSION};
+use crate::tcp::{self, Ctrl, SessionHello, SessionStats, PROTOCOL_VERSION};
 
 /// Reactor poll granularity: the latency bound on shutdown notice,
 /// fleet timer ticks, and idle-timeout sweeps.
@@ -594,6 +594,8 @@ struct Conn {
     written: usize,
     kind: ConnKind,
     session: Option<SimNetTransport>,
+    /// One frame's deliveries, between the stage and their echo.
+    staged: Vec<(f64, Envelope)>,
     /// The handshake parameters, kept so campaign rounds can rebuild the
     /// fault stage with fresh per-round seeds.
     hello: Option<SessionHello>,
@@ -617,12 +619,47 @@ impl Conn {
 
     /// Queues one reply frame on this connection's output buffer.
     fn reply(&mut self, ctrl: &Ctrl) {
-        let frame = ctrl.encode();
-        wire::write_frame(&mut self.out, &frame)
-            .expect("writing to a Vec cannot fail under MAX_FRAME_LEN");
-        self.tally.frames_out += 1;
-        self.tally.bytes_out += wire::frame_len(frame.len()) as u64;
+        push_reply(&mut self.out, &mut self.tally, |out| ctrl.encode_into(out))
+            .expect("control replies stay far under MAX_FRAME_LEN");
     }
+
+    /// Queues the `Deliveries` echo of the frame just staged: everything
+    /// the session's fault stage now holds.
+    fn echo_staged(&mut self) {
+        let Conn {
+            session,
+            staged,
+            out,
+            tally,
+            end,
+            ..
+        } = self;
+        let net = session
+            .as_mut()
+            .expect("only a driver session stages frames");
+        staged.extend(std::iter::from_fn(|| net.poll()));
+        // An echo is its frame plus a delivery time and a count, so a frame
+        // near the cap has no echo that fits one: drop the peer that sent it.
+        if push_reply(out, tally, |out| tcp::push_deliveries(out, staged)).is_err() {
+            *end = Some(ConnEnd::Protocol);
+        }
+        staged.clear();
+    }
+}
+
+/// Frames one reply, its payload encoded in place by `body`, onto `out`.
+///
+/// # Errors
+/// `InvalidInput` when the payload exceeds [`wire::MAX_FRAME_LEN`].
+fn push_reply(
+    out: &mut Vec<u8>,
+    tally: &mut ConnTally,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> std::io::Result<()> {
+    let len = wire::push_frame_with(out, body)?;
+    tally.frames_out += 1;
+    tally.bytes_out += len as u64;
+    Ok(())
 }
 
 #[cfg(unix)]
@@ -726,6 +763,7 @@ fn reactor_loop(listener: &TcpListener, shared: &Shared, cfg: &DaemonConfig) {
                                 written: 0,
                                 kind: ConnKind::Fresh,
                                 session: None,
+                                staged: Vec::new(),
                                 hello: None,
                                 campaign: None,
                                 tally: ConnTally::default(),
@@ -791,17 +829,19 @@ fn reactor_loop(listener: &TcpListener, shared: &Shared, cfg: &DaemonConfig) {
         for &id in &read_ids {
             let conn = conns.get_mut(&id).expect("read this pass");
             while conn.end.is_none() {
-                let frame = match conn.decoder.next_frame() {
-                    Ok(Some(frame)) => frame,
+                let decoded = match conn.decoder.next_frame_ref() {
+                    Ok(Some(frame)) => {
+                        conn.tally.frames_in += 1;
+                        conn.tally.bytes_in += wire::frame_len(frame.len()) as u64;
+                        Ctrl::decode(frame)
+                    }
                     Ok(None) => break,
                     Err(_) => {
                         conn.end = Some(ConnEnd::Protocol);
                         break;
                     }
                 };
-                conn.tally.frames_in += 1;
-                conn.tally.bytes_in += wire::frame_len(frame.len()) as u64;
-                match Ctrl::decode(&frame) {
+                match decoded {
                     Ok(ctrl) => handle_frame(conn, id, ctrl, shared, now_ms, &mut fleet_actions),
                     Err(_) => conn.end = Some(ConnEnd::Protocol),
                 }
@@ -1019,11 +1059,7 @@ fn handle_frame(
                 counters.invalid_payloads.fetch_add(1, Ordering::Relaxed);
             }
             net.send(env);
-            let mut items = Vec::with_capacity(1);
-            while let Some((at, out)) = net.poll() {
-                items.push((at, out));
-            }
-            conn.reply(&Ctrl::Deliveries(items));
+            conn.echo_staged();
         }
         Ctrl::Redeliver(env) => {
             let Some(net) = conn.session.as_mut() else {
@@ -1031,11 +1067,7 @@ fn handle_frame(
                 return;
             };
             net.redeliver(env);
-            let mut items = Vec::with_capacity(1);
-            while let Some((at, out)) = net.poll() {
-                items.push((at, out));
-            }
-            conn.reply(&Ctrl::Deliveries(items));
+            conn.echo_staged();
         }
         Ctrl::Window { start, deadline } => {
             let Some(net) = conn.session.as_mut() else {
@@ -1393,5 +1425,57 @@ mod tests {
         let snapshot = handle.shutdown().expect("daemon threads joined");
         assert_eq!(snapshot.overflow_drops, 1);
         assert_eq!(snapshot.protocol_errors, 0);
+    }
+
+    #[test]
+    fn an_envelope_whose_echo_would_pass_the_frame_cap_drops_its_peer_not_the_daemon() {
+        let handle = spawn(DaemonConfig::default()).expect("bind daemon");
+        let mut stream = connect(handle.addr());
+        let mut decoder = FrameDecoder::new();
+        let hello = Ctrl::Hello(SessionHello {
+            version: PROTOCOL_VERSION,
+            seed: 1,
+            round_id: 0,
+            validate: true,
+            faults: None,
+        });
+        let mut bytes = Vec::new();
+        push_ctrl(&mut bytes, &hello);
+        stream.write_all(&bytes).unwrap();
+        assert!(matches!(
+            read_ctrl(&mut stream, &mut decoder),
+            Some(Ctrl::HelloAck { .. })
+        ));
+        // An `Env` frame exactly at the cap: legal to send, while its echo
+        // would pass the cap by a delivery time and a count.
+        let mut env = Envelope {
+            from: 1,
+            to: COORDINATOR,
+            sent_at: 0.0,
+            payload: Vec::new(),
+        };
+        let overhead = Ctrl::Env(env.clone()).encode().len();
+        env.payload = vec![0; wire::MAX_FRAME_LEN - overhead - 3];
+        let frame = Ctrl::Env(env).encode();
+        assert_eq!(frame.len(), wire::MAX_FRAME_LEN);
+        let mut bytes = Vec::new();
+        wire::write_frame(&mut bytes, &frame).unwrap();
+        stream.write_all(&bytes).unwrap();
+        assert!(
+            read_ctrl(&mut stream, &mut decoder).is_none(),
+            "the peer is dropped, with no echo"
+        );
+        // The daemon still serves a fresh session.
+        let mut fresh = connect(handle.addr());
+        let mut bytes = Vec::new();
+        push_ctrl(&mut bytes, &hello);
+        fresh.write_all(&bytes).unwrap();
+        assert!(matches!(
+            read_ctrl(&mut fresh, &mut FrameDecoder::new()),
+            Some(Ctrl::HelloAck { .. })
+        ));
+        drop(fresh);
+        let snapshot = handle.shutdown().expect("daemon threads joined");
+        assert_eq!(snapshot.protocol_errors, 1);
     }
 }

@@ -43,19 +43,23 @@
 //! end on an unchecked one: `poll` and `peek_time` cannot report an empty
 //! timeline, nor `idle` a drained one, until every echo has been verified.
 //!
-//! **Pipelining.** Nothing waits on the daemon per event. Frames are
-//! buffered and flushed in batches; the driver blocks only once
-//! `SYNC_BYTES`/`SYNC_FRAMES` worth of echoes are unverified (so neither
-//! peer's socket buffer can fill while the other is still writing), when
-//! its local timeline runs empty, and in the request/reply exchanges
-//! (campaign control and `close`). Before handing out a delivery it takes
-//! in, without blocking, whatever echoes the socket already holds. One
-//! blocking round trip therefore covers many frames rather than one
-//! (measured by the `tcp_campaign` workload of `benchmark/`).
+//! **Pipelining.** Nothing waits on the daemon per event, and nothing
+//! touches the socket per delivery. Frames are framed in place into one
+//! send buffer and written in batches; the driver blocks only once
+//! `SYNC_BYTES`/`SYNC_FRAMES` worth of echoes are unverified (a window
+//! whose echoes stay far below the daemon's per-connection output bound),
+//! when its local timeline runs empty, and in the request/reply exchanges
+//! (campaign control and `close`). In between, at the first read of the
+//! timeline and then once every `TAKE_IN_EVERY` handed-out deliveries, it
+//! takes in, with one zero-timeout poll, whatever echoes the socket
+//! already holds. Echoes are checked as raw bytes against the predicted
+//! ones, kept framed in one buffer. One blocking round trip therefore
+//! covers thousands of frames (measured by the `tcp_campaign` workload
+//! of `benchmark/`).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::io::{BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -74,12 +78,19 @@ use crate::scheduler::EventQueue;
 pub const PROTOCOL_VERSION: u64 = 1;
 
 /// Flush-and-drain once this many encoded bytes were written since the
-/// last drain: echoes are roughly request-sized, so this bounds the
-/// daemon's pending response bytes far below any platform's socket
-/// buffers.
-const SYNC_BYTES: usize = 16 * 1024;
+/// last drain. An echo is its request plus a delivery time and a count,
+/// or about twice that when the fault stage duplicates; so the daemon's
+/// unread echoes stay far below its per-connection output bound
+/// ([`DaemonConfig::max_conn_buffer`](crate::daemon::DaemonConfig)).
+const SYNC_BYTES: usize = 128 * 1024;
 /// Flush-and-drain once this many echoes are owed and unverified.
-const SYNC_FRAMES: usize = 256;
+const SYNC_FRAMES: usize = 4096;
+/// Framed sends are written to the socket once this many bytes are
+/// buffered (and at every drain and request).
+const WRITE_BUFFER: usize = 64 * 1024;
+
+/// Handed-out deliveries between two non-blocking take-ins of echoes.
+const TAKE_IN_EVERY: usize = 64;
 
 /// Bytes taken off the socket per `read` call.
 const READ_CHUNK: usize = 16 * 1024;
@@ -296,45 +307,63 @@ fn read_str(buf: &[u8], pos: &mut usize) -> Result<String, WireError> {
     String::from_utf8(bytes.to_vec()).map_err(|_| WireError::InvalidField("error detail utf-8"))
 }
 
+/// The payload of a `Deliveries` frame, encoded from a borrowed slice so
+/// an echo can be framed without first building a [`Ctrl`].
+pub(crate) fn push_deliveries(out: &mut Vec<u8>, items: &[(f64, Envelope)]) {
+    out.push(TAG_DELIVERIES);
+    wire::push_varint(out, items.len() as u64);
+    for (at, env) in items {
+        push_f64(out, *at);
+        push_env(out, env);
+    }
+}
+
 impl Ctrl {
     pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the frame payload to `out`, so a caller can frame it in
+    /// place (see [`wire::push_frame_with`]).
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Ctrl::Hello(h) => {
                 out.push(TAG_HELLO);
-                wire::push_varint(&mut out, h.version);
-                wire::push_varint(&mut out, h.seed);
-                wire::push_varint(&mut out, h.round_id);
+                wire::push_varint(out, h.version);
+                wire::push_varint(out, h.seed);
+                wire::push_varint(out, h.round_id);
                 out.push(u8::from(h.validate));
                 match &h.faults {
                     Some(plan) => {
                         out.push(1);
                         for v in rate_fields(&plan.rates()) {
-                            push_f64(&mut out, v);
+                            push_f64(out, v);
                         }
-                        wire::push_varint(&mut out, plan.seed());
+                        wire::push_varint(out, plan.seed());
                     }
                     None => out.push(0),
                 }
             }
             Ctrl::Env(env) => {
                 out.push(TAG_ENV);
-                push_env(&mut out, env);
+                push_env(out, env);
             }
             Ctrl::Window { start, deadline } => {
                 out.push(TAG_WINDOW);
-                push_f64(&mut out, *start);
-                push_f64(&mut out, *deadline);
+                push_f64(out, *start);
+                push_f64(out, *deadline);
             }
             Ctrl::Redeliver(env) => {
                 out.push(TAG_REDELIVER);
-                push_env(&mut out, env);
+                push_env(out, env);
             }
             Ctrl::Close => out.push(TAG_CLOSE),
             Ctrl::Shutdown => out.push(TAG_SHUTDOWN),
             Ctrl::Campaign(msg) => {
                 out.push(TAG_CAMPAIGN);
-                msg.encode_into(&mut out);
+                msg.encode_into(out);
             }
             Ctrl::RoundRequest {
                 round,
@@ -343,14 +372,14 @@ impl Ctrl {
                 clients,
             } => {
                 out.push(TAG_ROUND_REQUEST);
-                wire::push_varint(&mut out, *round);
-                wire::push_varint(&mut out, *net_seed);
-                wire::push_varint(&mut out, *round_id);
-                push_u64_list(&mut out, clients);
+                wire::push_varint(out, *round);
+                wire::push_varint(out, *net_seed);
+                wire::push_varint(out, *round_id);
+                push_u64_list(out, clients);
             }
             Ctrl::RoundCommit { round } => {
                 out.push(TAG_ROUND_COMMIT);
-                wire::push_varint(&mut out, *round);
+                wire::push_varint(out, *round);
             }
             Ctrl::CampaignAck {
                 round_index,
@@ -359,10 +388,10 @@ impl Ctrl {
                 digest,
             } => {
                 out.push(TAG_CAMPAIGN_ACK);
-                wire::push_varint(&mut out, *round_index);
-                wire::push_varint(&mut out, *clients);
-                wire::push_varint(&mut out, *total_bits);
-                wire::push_varint(&mut out, *digest);
+                wire::push_varint(out, *round_index);
+                wire::push_varint(out, *clients);
+                wire::push_varint(out, *total_bits);
+                wire::push_varint(out, *digest);
             }
             Ctrl::RoundAdmit {
                 round,
@@ -372,10 +401,10 @@ impl Ctrl {
                 already_committed,
             } => {
                 out.push(TAG_ROUND_ADMIT);
-                wire::push_varint(&mut out, *round);
-                push_u64_list(&mut out, admitted);
-                wire::push_varint(&mut out, *denied_budget);
-                wire::push_varint(&mut out, *denied_cooldown);
+                wire::push_varint(out, *round);
+                push_u64_list(out, admitted);
+                wire::push_varint(out, *denied_budget);
+                wire::push_varint(out, *denied_cooldown);
                 out.push(u8::from(*already_committed));
             }
             Ctrl::RoundCommitted {
@@ -384,41 +413,33 @@ impl Ctrl {
                 digest,
             } => {
                 out.push(TAG_ROUND_COMMITTED);
-                wire::push_varint(&mut out, *round);
-                wire::push_varint(&mut out, *clients_charged);
-                wire::push_varint(&mut out, *digest);
+                wire::push_varint(out, *round);
+                wire::push_varint(out, *clients_charged);
+                wire::push_varint(out, *digest);
             }
             Ctrl::CampaignErr { code, detail } => {
                 out.push(TAG_CAMPAIGN_ERR);
-                wire::push_varint(&mut out, *code);
-                push_str(&mut out, detail);
+                wire::push_varint(out, *code);
+                push_str(out, detail);
             }
             Ctrl::HelloAck { session_id } => {
                 out.push(TAG_HELLO_ACK);
-                wire::push_varint(&mut out, *session_id);
+                wire::push_varint(out, *session_id);
             }
-            Ctrl::Deliveries(items) => {
-                out.push(TAG_DELIVERIES);
-                wire::push_varint(&mut out, items.len() as u64);
-                for (at, env) in items {
-                    push_f64(&mut out, *at);
-                    push_env(&mut out, env);
-                }
-            }
+            Ctrl::Deliveries(items) => push_deliveries(out, items),
             Ctrl::Stats(s) => {
                 out.push(TAG_STATS);
-                wire::push_varint(&mut out, s.frames_in);
-                wire::push_varint(&mut out, s.frames_out);
-                wire::push_varint(&mut out, s.bytes_in);
-                wire::push_varint(&mut out, s.bytes_out);
+                wire::push_varint(out, s.frames_in);
+                wire::push_varint(out, s.frames_out);
+                wire::push_varint(out, s.bytes_in);
+                wire::push_varint(out, s.bytes_out);
             }
             Ctrl::ShutdownAck => out.push(TAG_SHUTDOWN_ACK),
             Ctrl::Fleet(msg) => {
                 out.push(TAG_FLEET);
-                msg.encode_into(&mut out);
+                msg.encode_into(out);
             }
         }
-        out
     }
 
     pub(crate) fn decode(buf: &[u8]) -> Result<Self, WireError> {
@@ -583,26 +604,95 @@ pub struct CommitReceipt {
     pub digest: u64,
 }
 
+/// The echoes the daemon still owes, kept framed exactly as they must
+/// arrive: bytes read off the socket are checked against them in place,
+/// without being cut into frames first.
+#[derive(Default)]
+struct Owed {
+    /// The owed frames' wire bytes in write order; `bytes[..matched]` has
+    /// arrived and matched.
+    bytes: Vec<u8>,
+    matched: usize,
+    /// End offset in `bytes` of every frame not yet arrived whole.
+    ends: VecDeque<usize>,
+}
+
+impl Owed {
+    fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Appends one owed frame, its payload encoded in place by `body`.
+    fn push(&mut self, body: impl FnOnce(&mut Vec<u8>)) -> std::io::Result<()> {
+        wire::push_frame_with(&mut self.bytes, body)?;
+        self.ends.push_back(self.bytes.len());
+        Ok(())
+    }
+
+    /// Checks bytes just read against the owed ones; returns how many
+    /// frames they completed.
+    fn accept(&mut self, got: &[u8]) -> Result<u64, &'static str> {
+        let rest = &self.bytes[self.matched..];
+        let n = got.len().min(rest.len());
+        if got[..n] != rest[..n] {
+            return Err("echo differs from the staged deliveries");
+        }
+        if got.len() > rest.len() {
+            return Err("frame arrived with no echo owed");
+        }
+        self.matched += n;
+        let mut frames = 0;
+        while self.ends.front().is_some_and(|&end| end <= self.matched) {
+            self.ends.pop_front();
+            frames += 1;
+        }
+        if self.ends.is_empty() {
+            self.clear();
+        }
+        Ok(frames)
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+        self.matched = 0;
+    }
+}
+
 struct Inner {
-    /// The read half; frames are cut out of it by `decoder`.
+    /// Both halves of the connection: sends are written from `out`, and
+    /// reads land in `chunk`.
     stream: TcpStream,
+    /// Framed sends not yet written to the socket.
+    out: Vec<u8>,
+    /// Bytes taken off the socket per `read`, allocated once per session.
+    chunk: Box<[u8]>,
+    /// Cuts the replies to handshake, campaign and close requests into
+    /// frames; echoes are checked against `owed` instead.
     decoder: FrameDecoder,
-    writer: BufWriter<TcpStream>,
     queue: EventQueue<Envelope>,
     /// The daemon's fault stage, replayed: built from the same parameters
     /// and fed the same frames in the same order, so it predicts every
     /// echo before the daemon sends it.
     stage: SimNetTransport,
-    /// Encoded `Deliveries` frames the daemon still owes, in write order;
-    /// each echo read back must equal the head byte for byte.
-    owed: VecDeque<Vec<u8>>,
+    /// One frame's predicted deliveries, between the stage and the queue.
+    staged: Vec<(f64, Envelope)>,
+    /// The `Deliveries` frames the daemon still owes.
+    owed: Owed,
     /// Encoded bytes written since the last flush-and-drain.
     unsynced_bytes: usize,
+    /// Deliveries still to hand out before the next non-blocking take-in;
+    /// zero at session start, so the first read of the timeline checks
+    /// the socket.
+    take_in_due: usize,
     metrics: WireMetrics,
     error: Option<FedError>,
     /// Blocking flush-and-drain passes over echoes, for the round-trip
     /// count test.
     drains: u64,
+    /// Non-blocking take-ins (zero-timeout polls of the socket), for the
+    /// socket-touch count test.
+    take_ins: u64,
 }
 
 impl Inner {
@@ -612,9 +702,10 @@ impl Inner {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(DEFAULT_READ_TIMEOUT))?;
         let mut inner = Inner {
-            stream: stream.try_clone()?,
+            stream,
+            out: Vec::with_capacity(WRITE_BUFFER),
+            chunk: vec![0u8; READ_CHUNK].into_boxed_slice(),
             decoder: FrameDecoder::new(),
-            writer: BufWriter::new(stream),
             queue: EventQueue::new(hello.seed),
             stage: SimNetTransport::with_plan(
                 hello.seed,
@@ -622,17 +713,16 @@ impl Inner {
                 hello.validate,
                 hello.round_id,
             ),
-            owed: VecDeque::new(),
+            staged: Vec::new(),
+            owed: Owed::default(),
             unsynced_bytes: 0,
+            take_in_due: 0,
             metrics: WireMetrics::default(),
             error: None,
             drains: 0,
+            take_ins: 0,
         };
-        let frame = Ctrl::Hello(*hello).encode();
-        wire::write_frame(&mut inner.writer, &frame)?;
-        inner.writer.flush()?;
-        inner.metrics.frames_sent += 1;
-        inner.metrics.bytes_sent += wire::frame_len(frame.len()) as u64;
+        inner.send_now(&Ctrl::Hello(*hello))?;
         let ack = inner.read_frame()?.ok_or_else(|| {
             std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
@@ -648,43 +738,56 @@ impl Inner {
         }
     }
 
-    /// Reads one whole frame, blocking up to the read timeout; `None` when
-    /// the daemon closed the stream.
+    /// Frames `ctrl` onto the send buffer and returns its wire length.
+    fn push(&mut self, ctrl: &Ctrl) -> std::io::Result<usize> {
+        let len = wire::push_frame_with(&mut self.out, |out| ctrl.encode_into(out))?;
+        self.metrics.frames_sent += 1;
+        self.metrics.bytes_sent += len as u64;
+        Ok(len)
+    }
+
+    /// Writes the framed sends to the socket.
+    fn flush(&mut self) -> std::io::Result<()> {
+        let written = (&self.stream).write_all(&self.out);
+        self.out.clear();
+        written
+    }
+
+    /// Writes `ctrl` to the socket at once, with whatever is buffered.
+    fn send_now(&mut self, ctrl: &Ctrl) -> std::io::Result<()> {
+        self.push(ctrl)?;
+        self.flush()
+    }
+
+    /// Reads one whole reply frame, blocking up to the read timeout;
+    /// `None` when the daemon closed the stream. Only for replies to
+    /// requests made with nothing in flight: echoes are checked against
+    /// `owed` instead.
     fn read_frame(&mut self) -> std::io::Result<Option<Vec<u8>>> {
         loop {
-            if let Some(frame) = self.next_buffered()? {
+            let frame = self
+                .decoder
+                .next_frame()
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+            if let Some(frame) = frame {
+                self.metrics.frames_received += 1;
+                self.metrics.bytes_received += wire::frame_len(frame.len()) as u64;
                 return Ok(Some(frame));
             }
-            if !self.fill()? {
+            let n = self.read_chunk()?;
+            if n == 0 {
                 return Ok(None);
             }
+            self.decoder.feed(&self.chunk[..n]);
         }
     }
 
-    /// The next complete frame already taken off the socket, if any.
-    fn next_buffered(&mut self) -> std::io::Result<Option<Vec<u8>>> {
-        let frame = self
-            .decoder
-            .next_frame()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        if let Some(frame) = &frame {
-            self.metrics.frames_received += 1;
-            self.metrics.bytes_received += wire::frame_len(frame.len()) as u64;
-        }
-        Ok(frame)
-    }
-
-    /// One `read` into the frame decoder; `false` at end of stream.
-    fn fill(&mut self) -> std::io::Result<bool> {
-        let mut chunk = [0u8; READ_CHUNK];
+    /// One `read` into `chunk`; 0 at end of stream.
+    fn read_chunk(&mut self) -> std::io::Result<usize> {
         loop {
-            match self.stream.read(&mut chunk) {
-                Ok(n) => {
-                    self.decoder.feed(&chunk[..n]);
-                    return Ok(n > 0);
-                }
+            match (&self.stream).read(&mut self.chunk) {
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+                read => return read,
             }
         }
     }
@@ -696,15 +799,15 @@ impl Inner {
         if self.error.is_some() {
             return;
         }
-        let frame = ctrl.encode();
-        let len = wire::frame_len(frame.len());
-        if let Err(e) = wire::write_frame(&mut self.writer, &frame) {
-            fail(self, "write", &e);
-            return;
+        match self.push(&ctrl) {
+            Ok(len) => self.unsynced_bytes += len,
+            Err(e) => return fail(self, "write", &e),
         }
-        self.metrics.frames_sent += 1;
-        self.metrics.bytes_sent += len as u64;
-        self.unsynced_bytes += len;
+        if self.out.len() >= WRITE_BUFFER {
+            if let Err(e) = self.flush() {
+                return fail(self, "write", &e);
+            }
+        }
         match ctrl {
             Ctrl::Env(env) => self.stage.send(env),
             Ctrl::Redeliver(env) => self.stage.redeliver(env),
@@ -714,42 +817,32 @@ impl Inner {
             }
             _ => unreachable!("only envelope and window frames are staged"),
         }
-        let mut items = Vec::with_capacity(1);
-        while let Some(item) = self.stage.poll() {
-            items.push(item);
+        let stage = &mut self.stage;
+        self.staged.extend(std::iter::from_fn(|| stage.poll()));
+        let staged = &self.staged;
+        if let Err(e) = self.owed.push(|out| push_deliveries(out, staged)) {
+            return fail(self, "write", &e);
         }
-        let echo = Ctrl::Deliveries(items);
-        self.owed.push_back(echo.encode());
-        if let Ctrl::Deliveries(items) = echo {
-            for (at, env) in items {
-                self.queue.push(at, env.from, env);
-            }
+        for (at, env) in self.staged.drain(..) {
+            self.queue.push(at, env.from, env);
         }
-        if self.unsynced_bytes >= SYNC_BYTES || self.owed.len() >= SYNC_FRAMES {
+        if self.unsynced_bytes >= SYNC_BYTES || self.owed.ends.len() >= SYNC_FRAMES {
             self.drain();
         }
     }
 
-    /// Checks every echo already taken off the socket against the oldest
-    /// owed one; bytes left over once nothing is owed can only be a
-    /// surplus frame.
-    fn verify_buffered(&mut self) {
-        while self.error.is_none() && !self.owed.is_empty() {
-            match self.next_buffered() {
-                Ok(Some(echo)) if self.owed.front() == Some(&echo) => {
-                    self.owed.pop_front();
+    /// One `read`, checked against the owed echoes.
+    fn take_echoes(&mut self) {
+        match self.read_chunk() {
+            Ok(0) => fail(self, "read", &closed()),
+            Ok(n) => match self.owed.accept(&self.chunk[..n]) {
+                Ok(frames) => {
+                    self.metrics.frames_received += frames;
+                    self.metrics.bytes_received += n as u64;
                 }
-                Ok(Some(_)) => fail(
-                    self,
-                    "read",
-                    &invalid("echo differs from the staged deliveries"),
-                ),
-                Ok(None) => return,
-                Err(e) => fail(self, "read", &e),
-            }
-        }
-        if self.error.is_none() && self.decoder.pending() > 0 {
-            fail(self, "read", &invalid("frame arrived with no echo owed"));
+                Err(detail) => fail(self, "read", &invalid(detail)),
+            },
+            Err(e) => fail(self, "read", &e),
         }
     }
 
@@ -761,18 +854,12 @@ impl Inner {
             return;
         }
         self.drains += 1;
-        if let Err(e) = self.writer.flush() {
-            fail(self, "write", &e);
-            return;
+        if let Err(e) = self.flush() {
+            return fail(self, "write", &e);
         }
         self.unsynced_bytes = 0;
-        self.verify_buffered();
         while self.error.is_none() && !self.owed.is_empty() {
-            match self.fill() {
-                Ok(true) => self.verify_buffered(),
-                Ok(false) => fail(self, "read", &closed()),
-                Err(e) => fail(self, "read", &e),
-            }
+            self.take_echoes();
         }
     }
 
@@ -781,23 +868,24 @@ impl Inner {
         if self.error.is_some() || self.owed.is_empty() {
             return;
         }
+        self.take_ins += 1;
         let mut fds = [PollFd::new(raw_fd(&self.stream), INTEREST_READ)];
         match reactor::wait(&mut fds, 0) {
-            Ok(_) if fds[0].readable() => match self.fill() {
-                Ok(true) => self.verify_buffered(),
-                Ok(false) => fail(self, "read", &closed()),
-                Err(e) => fail(self, "read", &e),
-            },
+            Ok(_) if fds[0].readable() => self.take_echoes(),
             Ok(_) => {}
             Err(e) => fail(self, "read", &e),
         }
     }
 
-    /// Brings the local timeline up to date before it is read: takes in
-    /// the echoes already here and, if nothing is left to hand out, blocks
-    /// until every owed echo is verified.
+    /// Brings the local timeline up to date before it is read: once every
+    /// [`TAKE_IN_EVERY`] handed-out deliveries takes in the echoes already
+    /// here and, if nothing is left to hand out, blocks until every owed
+    /// echo is verified.
     fn settle(&mut self) {
-        self.take_in();
+        if self.take_in_due == 0 {
+            self.take_in();
+            self.take_in_due = TAKE_IN_EVERY;
+        }
         if self.queue.is_empty() {
             self.drain();
         }
@@ -974,9 +1062,7 @@ impl TcpTransport {
                 detail: e.to_string(),
             }
         };
-        let frame = Ctrl::Close.encode();
-        wire::write_frame(&mut inner.writer, &frame).map_err(io_err("write"))?;
-        inner.writer.flush().map_err(io_err("write"))?;
+        inner.send_now(&Ctrl::Close).map_err(io_err("write"))?;
         let reply = inner
             .read_frame()
             .map_err(io_err("read"))?
@@ -1152,11 +1238,7 @@ impl TcpTransport {
                 detail: e.to_string(),
             }
         };
-        let frame = ctrl.encode();
-        wire::write_frame(&mut inner.writer, &frame).map_err(io_err("write"))?;
-        inner.writer.flush().map_err(io_err("write"))?;
-        inner.metrics.frames_sent += 1;
-        inner.metrics.bytes_sent += wire::frame_len(frame.len()) as u64;
+        inner.send_now(ctrl).map_err(io_err("write"))?;
         let reply = inner
             .read_frame()
             .map_err(io_err("read"))?
@@ -1198,6 +1280,7 @@ fn fail(inner: &mut Inner, op: &'static str, e: &std::io::Error) {
     while inner.queue.pop().is_some() {}
     inner.owed.clear();
     inner.unsynced_bytes = 0;
+    inner.out.clear();
 }
 
 impl Transport for TcpTransport {
@@ -1208,7 +1291,9 @@ impl Transport for TcpTransport {
     fn poll(&mut self) -> Option<(f64, Envelope)> {
         let inner = self.inner.get_mut();
         inner.settle();
-        inner.queue.pop().map(|s| (s.time, s.item))
+        let next = inner.queue.pop()?;
+        inner.take_in_due -= 1;
+        Some((next.time, next.item))
     }
 
     fn peek_time(&self) -> Option<f64> {
@@ -1521,6 +1606,11 @@ mod tests {
     /// through the daemon's own fault stage, except that echo `k` is
     /// corrupted as `tamper` says.
     fn scripted_peer(tamper: Tamper, k: usize) -> (SocketAddr, JoinHandle<()>) {
+        scripted_peer_at(tamper, vec![k])
+    }
+
+    /// [`scripted_peer`] corrupting every echo listed in `ks`.
+    fn scripted_peer_at(tamper: Tamper, ks: Vec<usize>) -> (SocketAddr, JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let peer = std::thread::spawn(move || {
@@ -1559,7 +1649,8 @@ mod tests {
                 while let Some(item) = stage.poll() {
                     items.push(item);
                 }
-                if echoes == k {
+                let tampered = ks.contains(&echoes);
+                if tampered {
                     match tamper {
                         Tamper::TimeBit => items[0].0 = f64::from_bits(items[0].0.to_bits() ^ 1),
                         Tamper::PayloadByte => *items[0].1.payload.last_mut().unwrap() ^= 0x40,
@@ -1568,7 +1659,7 @@ mod tests {
                     }
                 }
                 let mut echo = vec![Ctrl::Deliveries(items)];
-                if echoes == k && matches!(tamper, Tamper::ExtraFrame) {
+                if tampered && matches!(tamper, Tamper::ExtraFrame) {
                     echo.push(Ctrl::Deliveries(Vec::new()));
                 }
                 reply(&echo);
@@ -1610,6 +1701,48 @@ mod tests {
         }
         fn idle(&self) -> bool {
             self.inner.idle()
+        }
+    }
+
+    /// Counts the deliveries a [`TcpTransport`] hands out, and fails the
+    /// test if one is handed out once the session has failed.
+    struct Watched<'a> {
+        tcp: &'a mut TcpTransport,
+        handed: u64,
+    }
+
+    impl Transport for Watched<'_> {
+        fn send(&mut self, env: Envelope) {
+            self.tcp.send(env);
+        }
+        fn poll(&mut self) -> Option<(f64, Envelope)> {
+            let got = self.tcp.poll();
+            if got.is_some() {
+                assert!(
+                    self.tcp.inner.borrow().error.is_none(),
+                    "delivery handed out after detection"
+                );
+                self.handed += 1;
+            }
+            got
+        }
+        fn peek_time(&self) -> Option<f64> {
+            self.tcp.peek_time()
+        }
+        fn open_window(&mut self, start: f64, deadline: f64) {
+            self.tcp.open_window(start, deadline);
+        }
+        fn redeliver(&mut self, env: Envelope) {
+            self.tcp.redeliver(env);
+        }
+        fn idle(&self) -> bool {
+            self.tcp.idle()
+        }
+        fn wire_metrics(&self) -> Option<WireMetrics> {
+            self.tcp.wire_metrics()
+        }
+        fn take_error(&mut self) -> Option<FedError> {
+            self.tcp.take_error()
         }
     }
 
@@ -1730,5 +1863,102 @@ mod tests {
         );
         tcp.close().unwrap();
         handle.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_scalar_round_takes_in_echoes_once_per_k_deliveries_not_per_delivery() {
+        let handle = daemon::spawn(DaemonConfig::default()).unwrap();
+        let vals = values(2_000);
+        let mut tcp = TcpTransport::connect(handle.addr(), 5).unwrap();
+        let mut watched = Watched {
+            tcp: &mut tcp,
+            handed: 0,
+        };
+        RoundBuilder::new(scalar_config(0x7A1C))
+            .via(&mut watched)
+            .run(&vals)
+            .unwrap();
+        let handed = watched.handed;
+        let take_ins = tcp.inner.borrow().take_ins;
+        // One zero-timeout poll at the first read of the timeline, then at
+        // most one per TAKE_IN_EVERY deliveries handed out.
+        let bound = handed.div_ceil(TAKE_IN_EVERY as u64) + 1;
+        assert!(
+            take_ins <= bound,
+            "{take_ins} take-ins for {handed} deliveries (bound {bound})"
+        );
+        assert!(handed > 10 * bound, "only {handed} deliveries");
+        tcp.close().unwrap();
+        handle.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_lie_deep_inside_a_wide_window_still_fails_closed() {
+        let cfg = scalar_config(0x1DEE);
+        let vals = values(4_000);
+        // An honest run through the scripted peer sizes the windows.
+        let (addr, peer) = scripted_peer_at(Tamper::PayloadByte, Vec::new());
+        let mut tcp = TcpTransport::connect(addr, 7).unwrap();
+        let mut watched = Watched {
+            tcp: &mut tcp,
+            handed: 0,
+        };
+        RoundBuilder::new(cfg.clone())
+            .via(&mut watched)
+            .run(&vals)
+            .unwrap();
+        let honest = watched.handed;
+        let wire = tcp.wire_metrics().unwrap();
+        drop(tcp);
+        peer.join().unwrap();
+        // Echoes are numbered from 1; the handshake is not one.
+        let frames = (wire.frames_sent - 1) as usize;
+        let window =
+            SYNC_FRAMES.min(SYNC_BYTES.div_ceil((wire.bytes_sent / wire.frames_sent) as usize));
+        assert!(
+            frames > 2 * window,
+            "{frames} frames fill no second window of {window}"
+        );
+        let deep = 3 * window / 4;
+        let second = window + window / 2;
+        for (tamper, ks) in [
+            (Tamper::PayloadByte, vec![deep]),
+            (Tamper::TimeBit, vec![second]),
+            (Tamper::PayloadByte, vec![deep, second]),
+        ] {
+            let (addr, peer) = scripted_peer_at(tamper, ks.clone());
+            let mut tcp = TcpTransport::connect(addr, 7).unwrap();
+            let mut watched = Watched {
+                tcp: &mut tcp,
+                handed: 0,
+            };
+            let res = RoundBuilder::new(cfg.clone()).via(&mut watched).run(&vals);
+            assert!(
+                matches!(res, Err(FedError::Transport { op: "read", .. })),
+                "{tamper:?} at echoes {ks:?}: round over a lying peer returned {res:?}"
+            );
+            assert!(
+                watched.handed < honest,
+                "{tamper:?} at echoes {ks:?}: caught only after the round ran out"
+            );
+            drop(tcp);
+            peer.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn twice_the_echo_window_fits_under_the_daemon_output_bound() {
+        // The most echo bytes one window can leave unread on the daemon.
+        // An echo holds at most two deliveries (a duplicate) of an envelope
+        // no longer than its request's but for two widened varints (the
+        // duplicate's or replay's nonce and round tag), each with an 8-byte
+        // time, under a tag and a count: less than twice its request plus
+        // 64 bytes.
+        let echo_window = 2 * SYNC_BYTES + 64 * SYNC_FRAMES;
+        let bound = DaemonConfig::default().max_conn_buffer;
+        assert!(
+            2 * echo_window <= bound,
+            "echo window {echo_window} B against the daemon's {bound} B output bound"
+        );
     }
 }
