@@ -109,6 +109,24 @@ exact_test -p fednum-transport --lib \
 # peer as a protocol error instead of taking the daemon down.
 exact_test -p fednum-transport --lib \
     daemon::tests::an_envelope_whose_echo_would_pass_the_frame_cap_drops_its_peer_not_the_daemon
+# The event queue's in-order lane pops exactly what one heap over every
+# entry would, under random interleavings of push, pop and peek.
+exact_test -p fednum-transport --lib \
+    scheduler::tests::lane_queue_pops_exactly_like_a_plain_heap
+# Over a scalar per-client round the wave rides the lane: the heap never
+# holds more than the one reply in flight.
+exact_test -p fednum-transport --lib \
+    net::tests::a_scalar_round_keeps_at_most_one_entry_in_the_queue_heap
+# `Message::validate` gives `decode`'s verdict on every frame, prefix and
+# bit flip without allocating; report frames keep their recorded bytes.
+exact_test -p fednum-transport --test proptest_messages \
+    validate_gives_the_decode_verdict_on_every_prefix_and_bit_flip
+exact_test -p fednum-core --lib \
+    wire::tests::report_frames_match_their_golden_bytes
+# TcpTransport carries an envelope exactly at MAX_ENVELOPE_PAYLOAD and
+# refuses one byte more with a typed error, before writing any of it.
+exact_test -p fednum-transport --lib \
+    tcp::tests::an_envelope_at_the_payload_cap_round_trips_and_one_byte_more_fails_typed
 # RoundBuilder fails closed on `b_send > 1` (Corollary 3.2): no round
 # shape sends more than one bit per client, so the option must never be
 # dropped silently.

@@ -287,36 +287,70 @@ impl BitPlanes {
         if occupancy.len() != bits as usize * words || value.len() != occupancy.len() {
             return Err("bitmap word count mismatch");
         }
+        let at = |j: usize, w: usize| j * words + w;
+        Self::check_words(
+            bits,
+            slots,
+            |j, w| occupancy[at(j, w)],
+            |j, w| value[at(j, w)],
+        )?;
+        Ok(Self::from_checked_words(bits, slots, occupancy, value))
+    }
+
+    /// The canonical-form checks of [`Self::from_words`] past its word
+    /// counts, over the words read through `occupancy(j, w)` and
+    /// `value(j, w)` (plane `j`, word `w < ceil(slots/64)`) — so a wire
+    /// codec can check planes still in their frame.
+    pub(crate) fn check_words(
+        bits: u32,
+        slots: usize,
+        occupancy: impl Fn(usize, usize) -> u64,
+        value: impl Fn(usize, usize) -> u64,
+    ) -> Result<(), &'static str> {
+        let words = slots.div_ceil(64);
+        let planes = 0..bits as usize;
         if !slots.is_multiple_of(64) && words > 0 {
             let pad = !0u64 << (slots % 64);
-            for j in 0..bits as usize {
-                let last = (j + 1) * words - 1;
-                if occupancy[last] & pad != 0 || value[last] & pad != 0 {
+            for j in planes.clone() {
+                if occupancy(j, words - 1) & pad != 0 || value(j, words - 1) & pad != 0 {
                     return Err("padding bits set past the slot count");
                 }
             }
         }
-        if occupancy.iter().zip(&value).any(|(o, v)| v & !o != 0) {
-            return Err("value bit outside occupancy");
+        for j in planes.clone() {
+            if (0..words).any(|w| value(j, w) & !occupancy(j, w) != 0) {
+                return Err("value bit outside occupancy");
+            }
         }
         for w in 0..words {
             let mut seen = 0u64;
-            for j in 0..bits as usize {
-                let o = occupancy[j * words + w];
+            for j in planes.clone() {
+                let o = occupancy(j, w);
                 if seen & o != 0 {
                     return Err("slot occupied on more than one plane");
                 }
                 seen |= o;
             }
         }
-        Ok(Self {
+        Ok(())
+    }
+
+    /// [`Self::from_words`] of words that already passed its checks.
+    pub(crate) fn from_checked_words(
+        bits: u32,
+        slots: usize,
+        occupancy: Vec<u64>,
+        value: Vec<u64>,
+    ) -> Self {
+        let words = slots.div_ceil(64);
+        Self {
             bits,
             slots,
             words,
             stride: words,
             occupancy,
             value,
-        })
+        }
     }
 
     /// Appends `other`'s slots after this plane set's slots (shard fan-in,

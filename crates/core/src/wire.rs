@@ -340,16 +340,10 @@ impl ReportMessage {
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         push_varint(out, self.task_id);
         push_varint(out, self.reports.len() as u64);
-        for &(idx, _) in &self.reports {
-            out.push(idx);
-        }
-        let mut packed = vec![0u8; self.reports.len().div_ceil(8)];
-        for (i, &(_, bit)) in self.reports.iter().enumerate() {
-            if bit {
-                packed[i / 8] |= 1 << (i % 8);
-            }
-        }
-        out.extend_from_slice(&packed);
+        out.extend(self.reports.iter().map(|&(idx, _)| idx));
+        out.extend(self.reports.chunks(8).map(|chunk| {
+            (chunk.iter().enumerate()).fold(0u8, |byte, (i, &(_, bit))| byte | u8::from(bit) << i)
+        }));
     }
 
     /// Decodes a message, requiring the buffer to be fully consumed.
@@ -371,32 +365,59 @@ impl ReportMessage {
     /// # Errors
     /// See [`WireError`].
     pub fn decode_from(buf: &[u8], pos: &mut usize) -> Result<Self, WireError> {
-        let task_id = read_varint(buf, pos)?;
-        let count = read_varint(buf, pos)? as usize;
-        // A count larger than the remaining bytes is impossible for a valid
-        // message; reject before reserving capacity for it.
-        if count > buf.len().saturating_sub(*pos) {
-            return Err(WireError::Truncated);
-        }
-        let mut indices = Vec::with_capacity(count);
-        for _ in 0..count {
-            indices.push(*buf.get(*pos).ok_or(WireError::Truncated)?);
-            *pos += 1;
-        }
-        let packed_len = count.div_ceil(8);
-        let packed = read_bytes(buf, pos, packed_len)?;
-        let reports = indices
-            .into_iter()
-            .enumerate()
-            .map(|(i, idx)| (idx, packed[i / 8] >> (i % 8) & 1 == 1))
-            .collect();
-        Ok(Self { task_id, reports })
+        ReportParts::split_from(buf, pos).map(|parts| parts.to_message())
     }
 
     /// Encoded size in bytes.
     #[must_use]
     pub fn encoded_len(&self) -> usize {
-        self.encode().len()
+        let count = self.reports.len();
+        varint_len(self.task_id) + varint_len(count as u64) + count + count.div_ceil(8)
+    }
+}
+
+/// A [`ReportMessage`] frame split in place: its header read, its bit
+/// indices and packed bits still borrowed from the buffer. Splitting is the
+/// whole of decoding but the one allocation, so a codec that only checks a
+/// frame stops here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReportParts<'a> {
+    /// Task/round identifier.
+    pub task_id: u64,
+    /// One bit index per report.
+    pub indices: &'a [u8],
+    /// The report bits, eight to a byte, lowest bit first.
+    pub packed: &'a [u8],
+}
+
+impl<'a> ReportParts<'a> {
+    /// Splits the message starting at `*pos`, advancing `*pos` past it;
+    /// fails exactly where [`ReportMessage::decode_from`] does.
+    ///
+    /// # Errors
+    /// See [`WireError`].
+    pub fn split_from(buf: &'a [u8], pos: &mut usize) -> Result<Self, WireError> {
+        let task_id = read_varint(buf, pos)?;
+        let count = usize::try_from(read_varint(buf, pos)?).map_err(|_| WireError::Truncated)?;
+        let indices = read_bytes(buf, pos, count)?;
+        let packed = read_bytes(buf, pos, count.div_ceil(8))?;
+        Ok(Self {
+            task_id,
+            indices,
+            packed,
+        })
+    }
+
+    /// The owned message.
+    #[must_use]
+    pub fn to_message(&self) -> ReportMessage {
+        let reports = (self.indices.iter().enumerate())
+            .map(|(i, &idx)| (idx, self.packed[i / 8] >> (i % 8) & 1 == 1))
+            .collect();
+        ReportMessage {
+            task_id: self.task_id,
+            reports,
+        }
     }
 }
 
@@ -472,40 +493,7 @@ impl BatchReportMessage {
     /// # Errors
     /// See [`WireError`].
     pub fn decode_from(buf: &[u8], pos: &mut usize) -> Result<Self, WireError> {
-        let task_id = read_varint(buf, pos)?;
-        let slots_raw = read_varint(buf, pos)?;
-        let bits_raw = read_varint(buf, pos)?;
-        if bits_raw == 0 || bits_raw > MAX_BATCH_BITS {
-            return Err(WireError::InvalidField("batch bit width"));
-        }
-        let bits = bits_raw as u32;
-        let slots =
-            usize::try_from(slots_raw).map_err(|_| WireError::InvalidField("batch slot count"))?;
-        let words = slots.div_ceil(64);
-        // A plane payload larger than the remaining bytes is impossible for
-        // a valid message; reject before reserving capacity for it.
-        let payload = (bits as usize)
-            .checked_mul(words)
-            .and_then(|w| w.checked_mul(16))
-            .ok_or(WireError::InvalidField("batch slot count"))?;
-        if payload > buf.len().saturating_sub(*pos) {
-            return Err(WireError::Truncated);
-        }
-        let mut occupancy = Vec::with_capacity(bits as usize * words);
-        let mut value = Vec::with_capacity(bits as usize * words);
-        for _ in 0..bits {
-            for dst in [&mut occupancy, &mut value] {
-                for _ in 0..words {
-                    let bytes = read_bytes(buf, pos, 8)?;
-                    let mut raw = [0u8; 8];
-                    raw.copy_from_slice(bytes);
-                    dst.push(u64::from_le_bytes(raw));
-                }
-            }
-        }
-        let planes = BitPlanes::from_words(bits, slots, occupancy, value)
-            .map_err(WireError::InvalidField)?;
-        Ok(Self { task_id, planes })
+        BatchReportParts::split_from(buf, pos).map(|parts| parts.to_message())
     }
 
     /// Encoded size in bytes.
@@ -515,6 +503,92 @@ impl BatchReportMessage {
             + varint_len(self.planes.slots() as u64)
             + varint_len(u64::from(self.planes.bits()))
             + self.planes.bits() as usize * self.planes.words_per_plane() * 16
+    }
+}
+
+/// A [`BatchReportMessage`] frame split in place and checked: its header
+/// read, its plane words — canonical, as [`BitPlanes::from_words`]
+/// demands — still borrowed from the buffer as little-endian bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatchReportParts<'a> {
+    /// Task/round identifier.
+    pub task_id: u64,
+    /// Bit planes.
+    pub bits: u32,
+    /// Cohort slots.
+    pub slots: usize,
+    /// Per plane its occupancy words, then its value words.
+    pub words: &'a [u8],
+}
+
+impl<'a> BatchReportParts<'a> {
+    /// Splits and checks the message starting at `*pos`, advancing `*pos`
+    /// past it; fails exactly where [`BatchReportMessage::decode_from`]
+    /// does, having allocated nothing.
+    ///
+    /// # Errors
+    /// See [`WireError`].
+    pub fn split_from(buf: &'a [u8], pos: &mut usize) -> Result<Self, WireError> {
+        let task_id = read_varint(buf, pos)?;
+        let slots_raw = read_varint(buf, pos)?;
+        let bits_raw = read_varint(buf, pos)?;
+        if bits_raw == 0 || bits_raw > MAX_BATCH_BITS {
+            return Err(WireError::InvalidField("batch bit width"));
+        }
+        let bits = bits_raw as u32;
+        let slots =
+            usize::try_from(slots_raw).map_err(|_| WireError::InvalidField("batch slot count"))?;
+        // A plane payload larger than the remaining bytes is impossible for
+        // a valid message; reject it before it sizes anything.
+        let len = (bits as usize)
+            .checked_mul(slots.div_ceil(64))
+            .and_then(|w| w.checked_mul(16))
+            .ok_or(WireError::InvalidField("batch slot count"))?;
+        let parts = Self {
+            task_id,
+            bits,
+            slots,
+            words: read_bytes(buf, pos, len)?,
+        };
+        BitPlanes::check_words(
+            bits,
+            slots,
+            |j, w| parts.word(2 * j, w),
+            |j, w| parts.word(2 * j + 1, w),
+        )
+        .map_err(WireError::InvalidField)?;
+        Ok(parts)
+    }
+
+    /// Word `w` of row `row`: plane `j`'s occupancy is row `2j`, its value
+    /// row `2j + 1`, each `ceil(slots/64)` little-endian words.
+    fn word(&self, row: usize, w: usize) -> u64 {
+        let at = 8 * (row * self.slots.div_ceil(64) + w);
+        let mut raw = [0u8; 8];
+        raw.copy_from_slice(&self.words[at..at + 8]);
+        u64::from_le_bytes(raw)
+    }
+
+    /// The owned message.
+    #[must_use]
+    pub fn to_message(&self) -> BatchReportMessage {
+        let words = self.slots.div_ceil(64);
+        let total = self.bits as usize * words;
+        let (mut occupancy, mut value) = (Vec::with_capacity(total), Vec::with_capacity(total));
+        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("eight bytes"));
+        // Rows alternate occupancy and value; with no words there are none.
+        for (k, row) in self.words.chunks_exact((8 * words).max(1)).enumerate() {
+            let dst = if k % 2 == 0 {
+                &mut occupancy
+            } else {
+                &mut value
+            };
+            dst.extend(row.chunks_exact(8).map(word));
+        }
+        BatchReportMessage {
+            task_id: self.task_id,
+            planes: BitPlanes::from_checked_words(self.bits, self.slots, occupancy, value),
+        }
     }
 }
 
@@ -1020,38 +1094,7 @@ impl ShuffleMessage {
     /// # Errors
     /// See [`WireError`].
     pub fn decode_from(buf: &[u8], pos: &mut usize) -> Result<Self, WireError> {
-        fn read_bit(buf: &[u8], pos: &mut usize) -> Result<bool, WireError> {
-            match read_bytes(buf, pos, 1)?[0] {
-                0 => Ok(false),
-                1 => Ok(true),
-                _ => Err(WireError::InvalidField("shuffle bit")),
-            }
-        }
-        let tag = read_bytes(buf, pos, 1)?[0];
-        match tag {
-            SHUFFLE_TAG_SUBMIT => Ok(ShuffleMessage::Submit {
-                round_id: read_varint(buf, pos)?,
-                bit_index: read_bytes(buf, pos, 1)?[0],
-                bit: read_bit(buf, pos)?,
-            }),
-            SHUFFLE_TAG_BATCH => {
-                let round_id = read_varint(buf, pos)?;
-                let count = read_varint(buf, pos)? as usize;
-                // Each entry is exactly 2 bytes; a count claiming more
-                // entries than the remaining bytes could hold is hostile —
-                // reject before allocating.
-                if count > buf.len().saturating_sub(*pos) / 2 {
-                    return Err(WireError::InvalidField("batch entry count"));
-                }
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let bit_index = read_bytes(buf, pos, 1)?[0];
-                    entries.push((bit_index, read_bit(buf, pos)?));
-                }
-                Ok(ShuffleMessage::Batch { round_id, entries })
-            }
-            other => Err(WireError::UnknownTag(other)),
-        }
+        ShuffleParts::split_from(buf, pos).map(|parts| parts.to_message())
     }
 
     /// Decodes a frame, requiring the buffer to be fully consumed.
@@ -1073,6 +1116,78 @@ impl ShuffleMessage {
         let mut out = Vec::with_capacity(16);
         self.encode_into(&mut out);
         out.len()
+    }
+}
+
+/// A [`ShuffleMessage`] frame split in place and checked: a `Batch`'s
+/// entries stay borrowed as their `bit index · bit` byte pairs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShuffleParts<'a> {
+    /// As [`ShuffleMessage::Submit`].
+    Submit {
+        round_id: u64,
+        bit_index: u8,
+        bit: bool,
+    },
+    /// As [`ShuffleMessage::Batch`], two bytes per entry.
+    Batch { round_id: u64, entries: &'a [u8] },
+}
+
+impl<'a> ShuffleParts<'a> {
+    /// Splits and checks the frame starting at `*pos`, advancing `*pos`
+    /// past it; fails exactly where [`ShuffleMessage::decode_from`] does.
+    ///
+    /// # Errors
+    /// See [`WireError`].
+    pub fn split_from(buf: &'a [u8], pos: &mut usize) -> Result<Self, WireError> {
+        let bad_bit = WireError::InvalidField("shuffle bit");
+        let tag = read_bytes(buf, pos, 1)?[0];
+        match tag {
+            SHUFFLE_TAG_SUBMIT => Ok(ShuffleParts::Submit {
+                round_id: read_varint(buf, pos)?,
+                bit_index: read_bytes(buf, pos, 1)?[0],
+                bit: match read_bytes(buf, pos, 1)?[0] {
+                    0 => false,
+                    1 => true,
+                    _ => return Err(bad_bit),
+                },
+            }),
+            SHUFFLE_TAG_BATCH => {
+                let round_id = read_varint(buf, pos)?;
+                let count = read_varint(buf, pos)? as usize;
+                // Each entry is exactly 2 bytes; a count claiming more
+                // entries than the remaining bytes could hold is hostile.
+                if count > buf.len().saturating_sub(*pos) / 2 {
+                    return Err(WireError::InvalidField("batch entry count"));
+                }
+                let entries = read_bytes(buf, pos, 2 * count)?;
+                if entries.chunks_exact(2).any(|e| e[1] > 1) {
+                    return Err(bad_bit);
+                }
+                Ok(ShuffleParts::Batch { round_id, entries })
+            }
+            other => Err(WireError::UnknownTag(other)),
+        }
+    }
+
+    /// The owned message.
+    #[must_use]
+    pub fn to_message(&self) -> ShuffleMessage {
+        match *self {
+            ShuffleParts::Submit {
+                round_id,
+                bit_index,
+                bit,
+            } => ShuffleMessage::Submit {
+                round_id,
+                bit_index,
+                bit,
+            },
+            ShuffleParts::Batch { round_id, entries } => ShuffleMessage::Batch {
+                round_id,
+                entries: entries.chunks_exact(2).map(|e| (e[0], e[1] == 1)).collect(),
+            },
+        }
     }
 }
 
@@ -1216,6 +1331,38 @@ mod tests {
             Err(WireError::Truncated),
             "offset overflow must not panic"
         );
+    }
+
+    #[test]
+    fn report_frames_match_their_golden_bytes() {
+        // Frames the earlier encoder wrote, byte for byte: the wire format
+        // is fixed, however the encoder packs it.
+        let golden = [
+            (0, "a50500"),
+            (1, "a605010301"),
+            (7, "ac0507030a11181f262d6d"),
+            (8, "ad0508030a11181f262d34db"),
+            (9, "ae0509030a11181f262d343bb601"),
+            (
+                64,
+                "e50540030a11181f262d343b020910171e252c333a01080f161d242b323900070e151c\
+                 232a31383f060d141b222930373e050c131a21282f363d040b121920272e353c6ddbb6\
+                 6ddbb66ddb",
+            ),
+        ];
+        for (n, hex) in golden {
+            let msg = ReportMessage {
+                task_id: 0x2A5 + n as u64,
+                reports: (0..n)
+                    .map(|i| (((i * 7 + 3) % 64) as u8, (i * 5 + n) % 3 != 0))
+                    .collect(),
+            };
+            let bytes = msg.encode();
+            let got: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(got, hex, "{n} reports");
+            assert_eq!(msg.encoded_len(), bytes.len());
+            assert_eq!(ReportMessage::decode(&bytes).unwrap(), msg);
+        }
     }
 
     #[test]

@@ -86,6 +86,12 @@ const MASK61: u64 = (1 << 61) - 1;
 /// entries would pass it (a complete mask graph, a wide chunk) travels as
 /// several frames, none near `MAX_FRAME_LEN`. A lone entry may exceed it.
 const FRAME_BUDGET: usize = 1 << 18;
+// Every frame built to the budget fits the TCP transport's payload cap. A
+// lone entry past the budget is not bounded by this: a key-share entry of a
+// complete mask graph takes about 50-58 bytes per neighbour and passes
+// `MAX_ENVELOPE_PAYLOAD` at roughly 3e5 clients, where `TcpTransport`
+// fails the round with a typed `send` error.
+const _: () = assert!(FRAME_BUDGET < crate::net::MAX_ENVELOPE_PAYLOAD);
 /// Bytes of secure-aggregation frames queued on the transport before the
 /// framer has them delivered.
 const IN_FLIGHT: usize = 1 << 20;

@@ -56,7 +56,7 @@ use crate::fleet::{FleetAction, FleetConfig, FleetEngine, FleetLedger, FleetRoun
 use crate::message::Message;
 use crate::net::{Envelope, SimNetTransport, Transport};
 use crate::reactor::{self, PollFd, INTEREST_READ, INTEREST_WRITE};
-use crate::tcp::{self, Ctrl, SessionHello, SessionStats, PROTOCOL_VERSION};
+use crate::tcp::{self, Ctrl, EnvRef, SessionHello, SessionStats, PROTOCOL_VERSION};
 
 /// Reactor poll granularity: the latency bound on shutdown notice,
 /// fleet timer ticks, and idle-timeout sweeps.
@@ -640,10 +640,36 @@ impl Conn {
         staged.extend(std::iter::from_fn(|| net.poll()));
         // An echo is its frame plus a delivery time and a count, so a frame
         // near the cap has no echo that fits one: drop the peer that sent it.
-        if push_reply(out, tally, |out| tcp::push_deliveries(out, staged)).is_err() {
+        let echo = |out: &mut Vec<u8>| tcp::push_deliveries(out, tcp::delivery_refs(staged));
+        if push_reply(out, tally, echo).is_err() {
             *end = Some(ConnEnd::Protocol);
         }
         staged.clear();
+    }
+
+    /// Stages a driver's envelope, borrowed from its `Env` frame, and
+    /// queues its echo. An envelope the fault stage passes through
+    /// verbatim is echoed straight from the frame and never built; any
+    /// other goes through the stage. The stage is empty between frames, so
+    /// both echo what `send` and [`echo_staged`](Self::echo_staged) would.
+    fn stage_env(&mut self, env: EnvRef<'_>, counters: &Counters) {
+        let Some(net) = self.session.as_mut() else {
+            self.end = Some(ConnEnd::Protocol);
+            return;
+        };
+        if Message::validate(env.payload).is_err() {
+            counters.invalid_payloads.fetch_add(1, Ordering::Relaxed);
+        }
+        if !net.passes_through(env.to, env.payload) {
+            net.send(env.to_envelope());
+            return self.echo_staged();
+        }
+        // As in `echo_staged`: an echo past the frame cap drops the peer.
+        let echo =
+            |out: &mut Vec<u8>| tcp::push_deliveries(out, std::iter::once((env.sent_at, env)));
+        if push_reply(&mut self.out, &mut self.tally, echo).is_err() {
+            self.end = Some(ConnEnd::Protocol);
+        }
     }
 }
 
@@ -828,11 +854,18 @@ fn reactor_loop(listener: &TcpListener, shared: &Shared, cfg: &DaemonConfig) {
         let mut fleet_actions: Vec<FleetAction> = Vec::new();
         for &id in &read_ids {
             let conn = conns.get_mut(&id).expect("read this pass");
+            // Out of the connection while its frames are handled, so an
+            // `Env` frame is staged borrowed, never decoded into a `Ctrl`.
+            let mut decoder = std::mem::take(&mut conn.decoder);
             while conn.end.is_none() {
-                let decoded = match conn.decoder.next_frame_ref() {
+                let decoded = match decoder.next_frame_ref() {
                     Ok(Some(frame)) => {
                         conn.tally.frames_in += 1;
                         conn.tally.bytes_in += wire::frame_len(frame.len()) as u64;
+                        if let Some(env) = tcp::env_frame(frame) {
+                            conn.stage_env(env, &shared.counters);
+                            continue;
+                        }
                         Ctrl::decode(frame)
                     }
                     Ok(None) => break,
@@ -846,6 +879,7 @@ fn reactor_loop(listener: &TcpListener, shared: &Shared, cfg: &DaemonConfig) {
                     Err(_) => conn.end = Some(ConnEnd::Protocol),
                 }
             }
+            conn.decoder = decoder;
             // Read-progress clock: ticking iff a partial frame is
             // buffered. Every completed frame above realigned the buffer,
             // so `pending() > 0` here means a genuinely unfinished frame.
@@ -1050,17 +1084,10 @@ fn handle_frame(
             let session_id = counters.sessions_opened.fetch_add(1, Ordering::Relaxed) + 1;
             conn.reply(&Ctrl::HelloAck { session_id });
         }
-        Ctrl::Env(env) => {
-            let Some(net) = conn.session.as_mut() else {
-                conn.end = Some(ConnEnd::Protocol);
-                return;
-            };
-            if Message::decode(&env.payload).is_err() {
-                counters.invalid_payloads.fetch_add(1, Ordering::Relaxed);
-            }
-            net.send(env);
-            conn.echo_staged();
-        }
+        // Not reached from the reactor, which stages every well-formed
+        // `Env` frame borrowed before decoding; a decoded one is staged the
+        // same way.
+        Ctrl::Env(env) => conn.stage_env((&env).into(), counters),
         Ctrl::Redeliver(env) => {
             let Some(net) = conn.session.as_mut() else {
                 conn.end = Some(ConnEnd::Protocol);

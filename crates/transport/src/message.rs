@@ -17,8 +17,8 @@
 //! accounting in the coordinator.
 
 use fednum_core::wire::{
-    push_varint, read_bytes, read_varint, varint_len, BatchReportMessage, ReportMessage,
-    ShuffleMessage, WireError,
+    push_varint, read_bytes, read_varint, varint_len, BatchReportMessage, BatchReportParts,
+    ReportMessage, ReportParts, ShuffleMessage, ShuffleParts, WireError,
 };
 use fednum_fedsim::traffic::{Direction, TrafficPhase};
 
@@ -445,12 +445,16 @@ impl Message {
     /// See [`WireError`]; [`WireError::UnknownTag`] for an unrecognized
     /// type tag.
     pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        let mut pos = 0;
-        let msg = Self::decode_from(buf, &mut pos)?;
-        if pos != buf.len() {
-            return Err(WireError::TrailingBytes);
-        }
-        Ok(msg)
+        Parts::split(buf).map(Parts::into_message)
+    }
+
+    /// Checks one message without building it: the verdict of
+    /// [`decode`](Self::decode), on every input, with no heap allocation.
+    ///
+    /// # Errors
+    /// The error [`decode`](Self::decode) returns.
+    pub fn validate(buf: &[u8]) -> Result<(), WireError> {
+        Parts::split(buf).map(drop)
     }
 
     /// [`decode`](Self::decode) of a frame the caller owns: a
@@ -473,42 +477,80 @@ impl Message {
     /// # Errors
     /// See [`WireError`].
     pub fn decode_from(buf: &[u8], pos: &mut usize) -> Result<Self, WireError> {
+        Parts::split_from(buf, pos).map(Parts::into_message)
+    }
+}
+
+/// One message split in place: everything [`Message::decode_from`] reads
+/// and checks, with what it would copy into a heap buffer still borrowed
+/// from the frame. Decoding builds the message from its parts; validating
+/// stops at them, so the two share one parser and one verdict.
+enum Parts<'a> {
+    /// A message that owns nothing on the heap.
+    Inline(Message),
+    Report {
+        nonce: u64,
+        body: ReportParts<'a>,
+    },
+    /// A whole validated secure-aggregation frame, tag included.
+    SecAgg(&'a [u8]),
+    Publish {
+        round_id: u64,
+        estimate: f64,
+        reports: u64,
+        /// Eight little-endian bytes per value.
+        feedback: &'a [u8],
+    },
+    Shuffle(ShuffleParts<'a>),
+    BatchReport {
+        nonce: u64,
+        body: BatchReportParts<'a>,
+    },
+}
+
+impl<'a> Parts<'a> {
+    /// Splits a buffer holding exactly one message.
+    fn split(buf: &'a [u8]) -> Result<Self, WireError> {
+        let mut pos = 0;
+        let parts = Self::split_from(buf, &mut pos)?;
+        if pos != buf.len() {
+            return Err(WireError::TrailingBytes);
+        }
+        Ok(parts)
+    }
+
+    fn split_from(buf: &'a [u8], pos: &mut usize) -> Result<Self, WireError> {
         let &tag = buf.get(*pos).ok_or(WireError::Truncated)?;
         *pos += 1;
-        match tag {
-            TAG_HELLO => Ok(Message::Hello {
+        let inline = match tag {
+            TAG_HELLO => Message::Hello {
                 round_id: read_varint(buf, pos)?,
-            }),
+            },
             TAG_ROUND_CONFIG => {
                 let round_id = read_varint(buf, pos)?;
                 let assigned_bit = *buf.get(*pos).ok_or(WireError::Truncated)?;
                 *pos += 1;
-                let secagg = match buf.get(*pos).ok_or(WireError::Truncated)? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::InvalidField("secagg flag")),
-                };
-                *pos += 1;
+                let secagg = read_flag(buf, pos)?;
                 let threshold = read_varint(buf, pos)?;
                 let vector_len = read_varint(buf, pos)?;
-                Ok(Message::RoundConfig(RoundConfig {
+                Message::RoundConfig(RoundConfig {
                     round_id,
                     assigned_bit,
                     secagg,
                     threshold,
                     vector_len,
-                }))
+                })
             }
             TAG_REPORT => {
                 let nonce = read_varint(buf, pos)?;
-                let body = ReportMessage::decode_from(buf, pos)?;
-                Ok(Message::Report(Report { nonce, body }))
+                let body = ReportParts::split_from(buf, pos)?;
+                return Ok(Parts::Report { nonce, body });
             }
             TAG_SECAGG => {
                 let frame = &buf[*pos - 1..];
                 let frame = &frame[..SecAggBatch::validate(frame)?];
                 *pos += frame.len() - 1;
-                Ok(Message::SecAgg(SecAggBatch(frame.to_vec())))
+                return Ok(Parts::SecAgg(frame));
             }
             TAG_PUBLISH => {
                 let round_id = read_varint(buf, pos)?;
@@ -518,54 +560,81 @@ impl Message {
                 let reports = read_varint(buf, pos)?;
                 let count = read_varint(buf, pos)?;
                 let count = usize::try_from(count).map_err(|_| WireError::Truncated)?;
-                // 8 bytes per entry must still fit in the buffer.
-                if buf.len().saturating_sub(*pos) < count.saturating_mul(8) {
-                    return Err(WireError::Truncated);
-                }
-                let mut feedback = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let mut fb = [0u8; 8];
-                    fb.copy_from_slice(read_bytes(buf, pos, 8)?);
-                    feedback.push(f64::from_bits(u64::from_le_bytes(fb)));
-                }
-                Ok(Message::Publish(Publish {
+                let len = count.checked_mul(8).ok_or(WireError::Truncated)?;
+                return Ok(Parts::Publish {
                     round_id,
                     estimate,
                     reports,
-                    feedback,
-                }))
+                    feedback: read_bytes(buf, pos, len)?,
+                });
             }
             TAG_CONFIG_HEADER => {
                 let round_id = read_varint(buf, pos)?;
-                let secagg = match buf.get(*pos).ok_or(WireError::Truncated)? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::InvalidField("secagg flag")),
-                };
-                *pos += 1;
+                let secagg = read_flag(buf, pos)?;
                 let threshold = read_varint(buf, pos)?;
                 let vector_len = read_varint(buf, pos)?;
-                Ok(Message::ConfigHeader(ConfigHeader {
+                Message::ConfigHeader(ConfigHeader {
                     round_id,
                     secagg,
                     threshold,
                     vector_len,
-                }))
+                })
             }
             TAG_ASSIGN_BIT => {
                 let assigned_bit = *buf.get(*pos).ok_or(WireError::Truncated)?;
                 *pos += 1;
-                Ok(Message::AssignBit { assigned_bit })
+                Message::AssignBit { assigned_bit }
             }
-            TAG_SHUFFLE => Ok(Message::Shuffle(ShuffleMessage::decode_from(buf, pos)?)),
+            TAG_SHUFFLE => return Ok(Parts::Shuffle(ShuffleParts::split_from(buf, pos)?)),
             TAG_BATCH_REPORT => {
                 let nonce = read_varint(buf, pos)?;
-                let body = BatchReportMessage::decode_from(buf, pos)?;
-                Ok(Message::BatchReport(BatchReport { nonce, body }))
+                let body = BatchReportParts::split_from(buf, pos)?;
+                return Ok(Parts::BatchReport { nonce, body });
             }
-            other => Err(WireError::UnknownTag(other)),
+            other => return Err(WireError::UnknownTag(other)),
+        };
+        Ok(Parts::Inline(inline))
+    }
+
+    fn into_message(self) -> Message {
+        match self {
+            Parts::Inline(msg) => msg,
+            Parts::Report { nonce, body } => Message::Report(Report {
+                nonce,
+                body: body.to_message(),
+            }),
+            Parts::SecAgg(frame) => Message::SecAgg(SecAggBatch(frame.to_vec())),
+            Parts::Publish {
+                round_id,
+                estimate,
+                reports,
+                feedback,
+            } => Message::Publish(Publish {
+                round_id,
+                estimate,
+                reports,
+                feedback: (feedback.chunks_exact(8))
+                    .map(|b| f64::from_le_bytes(b.try_into().expect("eight bytes")))
+                    .collect(),
+            }),
+            Parts::Shuffle(parts) => Message::Shuffle(parts.to_message()),
+            Parts::BatchReport { nonce, body } => Message::BatchReport(BatchReport {
+                nonce,
+                body: body.to_message(),
+            }),
         }
     }
+}
+
+/// Reads the one-byte `secagg` flag, 0 or 1.
+fn read_flag(buf: &[u8], pos: &mut usize) -> Result<bool, WireError> {
+    let flag = match buf.get(*pos).ok_or(WireError::Truncated)? {
+        0 => false,
+        1 => true,
+        _ => return Err(WireError::InvalidField("secagg flag")),
+    };
+    *pos += 1;
+    Ok(flag)
 }
 
 #[cfg(test)]

@@ -38,6 +38,18 @@ pub const BROADCAST: u64 = u64::MAX - 1;
 /// address carry no (client, frame) linkage.
 pub const SHUFFLER: u64 = u64::MAX - 2;
 
+/// The largest envelope payload every transport carries.
+///
+/// [`TcpTransport`](crate::tcp::TcpTransport) sends each envelope back in a
+/// `Deliveries` echo frame, which adds a tag and a count (a byte each), the
+/// delivery and send times (eight bytes each), both addresses (up to ten
+/// bytes each) and the payload's length (four bytes at this size). The echo
+/// of a payload this long still fits one
+/// [`MAX_FRAME_LEN`](fednum_core::wire::MAX_FRAME_LEN) frame; a longer one
+/// is refused with a typed error before any byte of it is written.
+pub const MAX_ENVELOPE_PAYLOAD: usize =
+    fednum_core::wire::MAX_FRAME_LEN - (1 + 1 + 8 + 8 + 10 + 10 + 4);
+
 /// A framed message in flight.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
@@ -281,6 +293,15 @@ impl SimNetTransport {
         }
     }
 
+    /// Whether [`send`](Transport::send) delivers an envelope to `to`
+    /// carrying `payload` verbatim at its send time, and changes nothing
+    /// else: always without a fault plan, and with one for anything but a
+    /// client → coordinator report frame (configs, secure-aggregation
+    /// rounds and publishes are never fault candidates).
+    pub(crate) fn passes_through(&self, to: u64, payload: &[u8]) -> bool {
+        self.faults.is_none() || to != COORDINATOR || payload.first() != Some(&TAG_REPORT)
+    }
+
     fn deliver(&mut self, at: f64, env: Envelope) {
         self.queue.push(at, env.from, env);
     }
@@ -313,11 +334,8 @@ impl Transport for SimNetTransport {
 
     #[allow(clippy::too_many_lines)]
     fn send(&mut self, env: Envelope) {
-        // Only client → coordinator report frames are fault candidates; all
-        // other traffic (configs, secure-aggregation rounds, publishes)
-        // passes through verbatim.
-        let is_report = env.to == COORDINATOR && env.payload.first() == Some(&TAG_REPORT);
-        let Some(plan) = self.faults.filter(|_| is_report) else {
+        let pass = self.passes_through(env.to, &env.payload);
+        let Some(plan) = self.faults.filter(|_| !pass) else {
             let at = env.sent_at;
             self.deliver(at, env);
             return;
@@ -653,5 +671,59 @@ mod tests {
         };
         t.send(env.clone());
         assert_eq!(t.poll(), Some((0.1, env)));
+    }
+
+    /// Over one scalar per-client round the wave of check-ins rides the
+    /// queue's in-order lane and each reply lands just ahead of it: the heap
+    /// never holds more than the one reply in flight, however deep the
+    /// queue gets.
+    #[test]
+    fn a_scalar_round_keeps_at_most_one_entry_in_the_queue_heap() {
+        use crate::builder::RoundBuilder;
+        use fednum_core::encoding::FixedPointCodec;
+        use fednum_core::protocol::basic::BasicConfig;
+        use fednum_core::sampling::BitSampling;
+        use fednum_fedsim::round::FederatedMeanConfig;
+
+        struct Probe {
+            inner: InMemoryTransport,
+            peak_heap: usize,
+            peak_len: usize,
+        }
+        impl Transport for Probe {
+            fn send(&mut self, env: Envelope) {
+                self.inner.send(env);
+                self.peak_heap = self.peak_heap.max(self.inner.queue.heap_len());
+                self.peak_len = self.peak_len.max(self.inner.queue.len());
+            }
+            fn poll(&mut self) -> Option<(f64, Envelope)> {
+                self.inner.poll()
+            }
+            fn peek_time(&self) -> Option<f64> {
+                self.inner.peek_time()
+            }
+            fn idle(&self) -> bool {
+                self.inner.idle()
+            }
+        }
+
+        let n = 5_000;
+        let values: Vec<f64> = (0..n).map(|i| (i % 64) as f64).collect();
+        let cfg = FederatedMeanConfig::new(BasicConfig::new(
+            FixedPointCodec::integer(6),
+            BitSampling::geometric(6, 1.0),
+        ));
+        let mut probe = Probe {
+            inner: InMemoryTransport::new(5),
+            peak_heap: 0,
+            peak_len: 0,
+        };
+        RoundBuilder::new(cfg)
+            .seed(5)
+            .via(&mut probe)
+            .run(&values)
+            .unwrap();
+        assert!(probe.peak_len >= n, "the queue held {}", probe.peak_len);
+        assert!(probe.peak_heap <= 1, "the heap held {}", probe.peak_heap);
     }
 }

@@ -30,7 +30,12 @@
 //! fault-staged, re-encoded) and its echo is checked against the
 //! prediction, so a round either carries the same payloads at the same
 //! virtual times in the same order or fails. The `tcp_parity` suite pins
-//! this across plain, secagg, salvage, and hierarchical rounds.
+//! this across plain, secagg, salvage, and hierarchical rounds. The
+//! contract covers every envelope whose payload is at most
+//! [`MAX_ENVELOPE_PAYLOAD`] bytes, the largest whose echo still fits one
+//! frame; a longer one fails the session with a typed
+//! [`FedError::Transport`] that names the cap, before any byte of it is
+//! written, where the in-memory transports would deliver it.
 //!
 //! **Failure semantics.** The [`Transport`] call surface is infallible, so
 //! socket errors (including read timeouts) and echoes that are missing,
@@ -70,7 +75,7 @@ use fednum_fedsim::error::FedError;
 use fednum_fedsim::faults::{FaultPlan, FaultRates};
 use fednum_fedsim::round::FederatedMeanConfig;
 
-use crate::net::{Envelope, SimNetTransport, Transport, WireMetrics};
+use crate::net::{Envelope, SimNetTransport, Transport, WireMetrics, MAX_ENVELOPE_PAYLOAD};
 use crate::reactor::{self, PollFd, INTEREST_READ};
 use crate::scheduler::EventQueue;
 
@@ -218,29 +223,67 @@ pub(crate) enum Ctrl {
     Fleet(FleetMessage),
 }
 
-fn push_env(out: &mut Vec<u8>, env: &Envelope) {
+/// An envelope as a control frame carries it, its payload borrowed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EnvRef<'a> {
+    pub(crate) from: u64,
+    pub(crate) to: u64,
+    pub(crate) sent_at: f64,
+    pub(crate) payload: &'a [u8],
+}
+
+impl<'a> From<&'a Envelope> for EnvRef<'a> {
+    fn from(env: &'a Envelope) -> Self {
+        Self {
+            from: env.from,
+            to: env.to,
+            sent_at: env.sent_at,
+            payload: &env.payload,
+        }
+    }
+}
+
+impl EnvRef<'_> {
+    pub(crate) fn to_envelope(self) -> Envelope {
+        Envelope {
+            from: self.from,
+            to: self.to,
+            sent_at: self.sent_at,
+            payload: self.payload.to_vec(),
+        }
+    }
+}
+
+fn push_env(out: &mut Vec<u8>, env: EnvRef<'_>) {
     wire::push_varint(out, env.from);
     wire::push_varint(out, env.to);
     push_f64(out, env.sent_at);
     wire::push_varint(out, env.payload.len() as u64);
-    out.extend_from_slice(&env.payload);
+    out.extend_from_slice(env.payload);
 }
 
-fn read_env(buf: &[u8], pos: &mut usize) -> Result<Envelope, WireError> {
+fn read_env<'a>(buf: &'a [u8], pos: &mut usize) -> Result<EnvRef<'a>, WireError> {
     let from = read_varint(buf, pos)?;
     let to = read_varint(buf, pos)?;
     let sent_at = read_f64(buf, pos)?;
     let len = usize::try_from(read_varint(buf, pos)?).map_err(|_| WireError::Truncated)?;
-    if len > buf.len().saturating_sub(*pos) {
-        return Err(WireError::Truncated);
-    }
-    let payload = wire::read_bytes(buf, pos, len)?.to_vec();
-    Ok(Envelope {
+    Ok(EnvRef {
         from,
         to,
         sent_at,
-        payload,
+        payload: wire::read_bytes(buf, pos, len)?,
     })
+}
+
+/// The envelope of a well-formed `Env` frame, borrowed from it; `None` for
+/// any other frame, which [`Ctrl::decode`] then judges.
+pub(crate) fn env_frame(frame: &[u8]) -> Option<EnvRef<'_>> {
+    if frame.first() != Some(&TAG_ENV) {
+        return None;
+    }
+    let mut pos = 1;
+    let env = read_env(frame, &mut pos).ok()?;
+    (pos == frame.len()).then_some(env)
 }
 
 /// Rate fields in a fixed wire order (must match [`decode_rates`]).
@@ -307,15 +350,26 @@ fn read_str(buf: &[u8], pos: &mut usize) -> Result<String, WireError> {
     String::from_utf8(bytes.to_vec()).map_err(|_| WireError::InvalidField("error detail utf-8"))
 }
 
-/// The payload of a `Deliveries` frame, encoded from a borrowed slice so
-/// an echo can be framed without first building a [`Ctrl`].
-pub(crate) fn push_deliveries(out: &mut Vec<u8>, items: &[(f64, Envelope)]) {
+/// The payload of a `Deliveries` frame, encoded from borrowed envelopes so
+/// an echo can be framed without first building a [`Ctrl`] or an
+/// [`Envelope`].
+pub(crate) fn push_deliveries<'a>(
+    out: &mut Vec<u8>,
+    items: impl ExactSizeIterator<Item = (f64, EnvRef<'a>)>,
+) {
     out.push(TAG_DELIVERIES);
     wire::push_varint(out, items.len() as u64);
     for (at, env) in items {
-        push_f64(out, *at);
+        push_f64(out, at);
         push_env(out, env);
     }
+}
+
+/// The items of owned deliveries, as [`push_deliveries`] takes them.
+pub(crate) fn delivery_refs(
+    items: &[(f64, Envelope)],
+) -> impl ExactSizeIterator<Item = (f64, EnvRef<'_>)> {
+    items.iter().map(|(at, env)| (*at, env.into()))
 }
 
 impl Ctrl {
@@ -348,7 +402,7 @@ impl Ctrl {
             }
             Ctrl::Env(env) => {
                 out.push(TAG_ENV);
-                push_env(out, env);
+                push_env(out, env.into());
             }
             Ctrl::Window { start, deadline } => {
                 out.push(TAG_WINDOW);
@@ -357,7 +411,7 @@ impl Ctrl {
             }
             Ctrl::Redeliver(env) => {
                 out.push(TAG_REDELIVER);
-                push_env(out, env);
+                push_env(out, env.into());
             }
             Ctrl::Close => out.push(TAG_CLOSE),
             Ctrl::Shutdown => out.push(TAG_SHUTDOWN),
@@ -426,7 +480,7 @@ impl Ctrl {
                 out.push(TAG_HELLO_ACK);
                 wire::push_varint(out, *session_id);
             }
-            Ctrl::Deliveries(items) => push_deliveries(out, items),
+            Ctrl::Deliveries(items) => push_deliveries(out, delivery_refs(items)),
             Ctrl::Stats(s) => {
                 out.push(TAG_STATS);
                 wire::push_varint(out, s.frames_in);
@@ -473,12 +527,12 @@ impl Ctrl {
                     faults,
                 })
             }
-            TAG_ENV => Ctrl::Env(read_env(buf, &mut pos)?),
+            TAG_ENV => Ctrl::Env(read_env(buf, &mut pos)?.to_envelope()),
             TAG_WINDOW => Ctrl::Window {
                 start: read_f64(buf, &mut pos)?,
                 deadline: read_f64(buf, &mut pos)?,
             },
-            TAG_REDELIVER => Ctrl::Redeliver(read_env(buf, &mut pos)?),
+            TAG_REDELIVER => Ctrl::Redeliver(read_env(buf, &mut pos)?.to_envelope()),
             TAG_CLOSE => Ctrl::Close,
             TAG_SHUTDOWN => Ctrl::Shutdown,
             TAG_CAMPAIGN => Ctrl::Campaign(CampaignMessage::decode_from(buf, &mut pos)?),
@@ -531,7 +585,7 @@ impl Ctrl {
                 let mut items = Vec::with_capacity(count);
                 for _ in 0..count {
                     let at = read_f64(buf, &mut pos)?;
-                    items.push((at, read_env(buf, &mut pos)?));
+                    items.push((at, read_env(buf, &mut pos)?.to_envelope()));
                 }
                 Ctrl::Deliveries(items)
             }
@@ -799,6 +853,19 @@ impl Inner {
         if self.error.is_some() {
             return;
         }
+        if let Ctrl::Env(env) | Ctrl::Redeliver(env) = &ctrl {
+            if env.payload.len() > MAX_ENVELOPE_PAYLOAD {
+                let detail = format!(
+                    "a {}-byte envelope payload exceeds MAX_ENVELOPE_PAYLOAD = {MAX_ENVELOPE_PAYLOAD} bytes",
+                    env.payload.len()
+                );
+                return fail(
+                    self,
+                    "send",
+                    &std::io::Error::new(std::io::ErrorKind::InvalidInput, detail),
+                );
+            }
+        }
         match self.push(&ctrl) {
             Ok(len) => self.unsynced_bytes += len,
             Err(e) => return fail(self, "write", &e),
@@ -820,7 +887,10 @@ impl Inner {
         let stage = &mut self.stage;
         self.staged.extend(std::iter::from_fn(|| stage.poll()));
         let staged = &self.staged;
-        if let Err(e) = self.owed.push(|out| push_deliveries(out, staged)) {
+        if let Err(e) = self
+            .owed
+            .push(|out| push_deliveries(out, delivery_refs(staged)))
+        {
             return fail(self, "write", &e);
         }
         for (at, env) in self.staged.drain(..) {
@@ -1960,5 +2030,53 @@ mod tests {
             2 * echo_window <= bound,
             "echo window {echo_window} B against the daemon's {bound} B output bound"
         );
+    }
+
+    #[test]
+    fn an_envelope_at_the_payload_cap_round_trips_and_one_byte_more_fails_typed() {
+        // The cap is exact: the echo of a capped payload between the widest
+        // addresses fills a frame to the byte.
+        let widest = env(u64::MAX, 1.5, vec![0; MAX_ENVELOPE_PAYLOAD]);
+        let mut echo = Vec::new();
+        push_deliveries(&mut echo, delivery_refs(&[(f64::MAX, widest)]));
+        assert_eq!(echo.len(), wire::MAX_FRAME_LEN);
+
+        let handle = daemon::spawn(DaemonConfig::default()).unwrap();
+        let mut tcp = TcpTransport::connect(handle.addr(), 9).unwrap();
+        let mut mem = InMemoryTransport::new(9);
+        let payload: Vec<u8> = (0..MAX_ENVELOPE_PAYLOAD).map(|i| (i * 31) as u8).collect();
+        let at_cap = env(u64::MAX - 3, 2.5, payload);
+        tcp.send(at_cap.clone());
+        mem.send(at_cap);
+        let got = tcp.poll().expect("the capped envelope is delivered");
+        let want = mem.poll().unwrap();
+        assert_eq!(got.0.to_bits(), want.0.to_bits());
+        assert!(got.1 == want.1, "the payload came back byte-identical");
+        assert!(tcp.idle(), "its echo was verified");
+        assert!(tcp.take_error().is_none());
+        let sent = tcp.wire_metrics().unwrap();
+
+        tcp.send(env(1, 3.0, vec![7; MAX_ENVELOPE_PAYLOAD + 1]));
+        let cap = MAX_ENVELOPE_PAYLOAD.to_string();
+        match tcp.take_error() {
+            Some(FedError::Transport { op: "send", detail }) => {
+                assert!(detail.contains(&cap), "{detail}");
+            }
+            other => panic!("one byte over the cap returned {other:?}"),
+        }
+        assert!(tcp.poll().is_none());
+        assert_eq!(
+            tcp.wire_metrics().unwrap(),
+            sent,
+            "nothing more was written"
+        );
+        drop(tcp);
+        let snapshot = handle.shutdown().unwrap();
+        assert_eq!(snapshot.frames_in, sent.frames_sent);
+        assert_eq!(
+            snapshot.bytes_in, sent.bytes_sent,
+            "the daemon got nothing more"
+        );
+        assert_eq!(snapshot.protocol_errors, 0);
     }
 }

@@ -194,6 +194,38 @@ proptest! {
         let decoded = Message::decode(&bytes).unwrap();
         prop_assert_eq!(decoded.encode(), bytes);
     }
+
+    /// `Message::validate` returns `decode`'s verdict, the same error
+    /// included, on every frame, every prefix of it and every single-bit
+    /// flip of it, and never allocates; a report's computed length is its
+    /// encoded length.
+    #[test]
+    fn validate_gives_the_decode_verdict_on_every_prefix_and_bit_flip(
+        pick in 0u8..9,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let msg = arb_message(pick, &mut rng);
+        if let Message::Report(r) = &msg {
+            prop_assert_eq!(r.body.encoded_len(), r.body.encode().len());
+        }
+        let check = |bytes: &[u8]| {
+            let before = ALLOCATIONS.with(std::cell::Cell::get);
+            let verdict = Message::validate(bytes);
+            let allocated = ALLOCATIONS.with(std::cell::Cell::get) - before;
+            assert_eq!(allocated, 0, "validate allocated on {bytes:02x?}");
+            assert_eq!(verdict, Message::decode(bytes).map(drop), "{bytes:02x?}");
+        };
+        let mut frame = msg.encode();
+        for cut in 0..=frame.len() {
+            check(&frame[..cut]);
+        }
+        for bit in 0..8 * frame.len() {
+            frame[bit / 8] ^= 1 << (bit % 8);
+            check(&frame);
+            frame[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
 }
 
 // Named regression anchors: deterministic single cases replayed by ci.sh's
