@@ -25,7 +25,9 @@ exact_test() {
 }
 
 step "cargo build --release"
-cargo build --release --offline --workspace
+# --locked: a dependency change must edit Cargo.lock on purpose, never as a
+# side effect of a build.
+cargo build --release --offline --locked --workspace
 
 step "proptest regression seeds (deterministic smoke)"
 # The shrunk cases recorded in tests/proptests.proptest-regressions are
@@ -166,6 +168,11 @@ step "benchmark selftest + quick traced run (correctness harness, 10 min budget)
 # op. The three in-process workloads must each publish all three
 # decomposed rounds bit-identically to the engine. Timings printed here
 # are not gated: claims go through `benchmark/run.sh compare`.
+# benchmark/run.sh builds with --offline but not --locked, so first check
+# that the tracked benchmark/Cargo.lock already matches its dependency
+# graph: a build must never rewrite it silently.
+cargo metadata --locked --offline --format-version 1 \
+    --manifest-path benchmark/Cargo.toml >/dev/null
 timeout 600 bash benchmark/run.sh selftest
 BENCH_QUICK_LOG=$(mktemp)
 timeout 600 bash benchmark/run.sh --quick --trace | tee "$BENCH_QUICK_LOG"

@@ -110,12 +110,6 @@ impl FixedPointCodec {
         self.decode(self.max_encoded())
     }
 
-    /// Smallest decodable value, `decode(0)`.
-    #[must_use]
-    pub fn min_value(&self) -> f64 {
-        self.offset
-    }
-
     /// Encodes a value, clipping into the representable range.
     #[must_use]
     pub fn encode(&self, x: f64) -> u64 {

@@ -20,7 +20,7 @@
 //! the bit means and re-optimizes the sampling weights for the remainder —
 //! run once, on the federated round driver in `fednum-fedsim`, which also
 //! holds the reductions built on a mean estimate (variance, moments,
-//! normalization, multi-feature aggregation).
+//! multi-feature aggregation).
 //!
 //! Privacy layers ([`privacy`]): per-bit ε-LDP randomized response with
 //! server-side debiasing, bit squashing for noisy means, distributed DP via
@@ -34,7 +34,6 @@ pub mod accumulator;
 pub mod bits;
 pub mod bounds;
 pub mod encoding;
-pub mod histogram;
 pub mod privacy;
 pub mod protocol;
 pub mod quantile;
@@ -43,7 +42,6 @@ pub mod wire;
 
 pub use accumulator::BitAccumulator;
 pub use encoding::FixedPointCodec;
-pub use histogram::{FederatedHistogram, HistogramConfig, HistogramOutcome};
 pub use protocol::basic::{BasicBitPushing, BasicConfig, Outcome};
 pub use quantile::{QuantileConfig, QuantileEstimator, QuantileOutcome};
 pub use sampling::{AssignmentMode, BitSampling};

@@ -19,14 +19,12 @@
 //!   (local ε₀, n, δ) → central ε bound a shuffled round charges, with a
 //!   conservative local-ε fallback below the bound's validity threshold.
 
-pub mod accountant;
 pub mod amplification;
 pub mod distributed;
 pub mod durable;
 pub mod metering;
 pub mod squash;
 
-pub use accountant::{CompositionAccountant, InvalidEpsilon};
 pub use amplification::{Amplification, AmplificationError, ShuffleCharge};
 pub use distributed::{BernoulliNoise, SampleThreshold};
 pub use durable::{

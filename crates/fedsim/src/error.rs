@@ -7,7 +7,7 @@
 //! is allowed to panic on runtime conditions. [`FedError`] is the single
 //! taxonomy those paths return.
 
-use fednum_core::privacy::{AmplificationError, BudgetExceeded, InvalidEpsilon};
+use fednum_core::privacy::{AmplificationError, BudgetExceeded};
 use fednum_secagg::protocol::SecAggError;
 
 /// Failure modes of the federated pipeline.
@@ -102,12 +102,6 @@ impl From<BudgetExceeded> for FedError {
     }
 }
 
-impl From<InvalidEpsilon> for FedError {
-    fn from(e: InvalidEpsilon) -> Self {
-        FedError::InvalidConfig(e.to_string())
-    }
-}
-
 impl From<AmplificationError> for FedError {
     fn from(e: AmplificationError) -> Self {
         FedError::InvalidConfig(e.to_string())
@@ -149,8 +143,6 @@ mod tests {
 
     #[test]
     fn privacy_parameter_errors_convert_to_invalid_config() {
-        let e: FedError = InvalidEpsilon { epsilon: -1.0 }.into();
-        assert!(matches!(&e, FedError::InvalidConfig(m) if m.contains("positive and finite")));
         let e: FedError = AmplificationError::InvalidDelta(2.0).into();
         assert!(matches!(&e, FedError::InvalidConfig(m) if m.contains("delta")));
     }

@@ -22,14 +22,12 @@
 //! the aggregation and dropout-recovery semantics the paper relies on are
 //! preserved exactly (see `DESIGN.md` §2).
 
-pub mod enclave;
 pub mod field;
 pub mod masking;
 pub mod prg;
 pub mod protocol;
 pub mod shamir;
 
-pub use enclave::{EnclaveAggregator, SanitizedAggregate, Sanitizer};
 pub use field::Fe;
 pub use masking::{
     accumulate_mask, add_assign, client_mask_ring, mask_from_seed, ring_neighbors, RingWindow,

@@ -178,12 +178,6 @@ impl RoundStream {
         self.recovery
     }
 
-    /// Campaigns currently held by the scheduler.
-    #[must_use]
-    pub fn campaign_count(&self) -> usize {
-        self.campaigns.len()
-    }
-
     /// Opens or resumes the campaign named by `config.campaign_id` and
     /// returns its committed position `(round_index, clients, total_bits,
     /// digest)`.

@@ -90,12 +90,6 @@ impl WireMetrics {
         self.bytes_sent += other.bytes_sent;
         self.bytes_received += other.bytes_received;
     }
-
-    /// Total frames, both directions.
-    #[must_use]
-    pub fn total_frames(&self) -> u64 {
-        self.frames_sent + self.frames_received
-    }
 }
 
 /// Message delivery between protocol endpoints.

@@ -123,6 +123,37 @@ fn streaming_snapshot_feeds_distributed_dp() {
 }
 
 #[test]
+fn thresholding_costs_nothing_at_deployment_scale() {
+    use fednum::core::accumulator::BitAccumulator;
+    use fednum::core::privacy::SampleThreshold;
+
+    // Section 4.3's central DP by thresholding: the server only ever sees
+    // the thresholded per-bit histograms, and at 20k clients under
+    // geometric sampling that removes nothing.
+    let bits = 8u32;
+    let codec = FixedPointCodec::integer(bits);
+    let ds = Dataset::draw(&Uniform::new(0.0, 200.0), 20_000, 21);
+    let (codes, _) = codec.encode_all(ds.values());
+    let sampling = BitSampling::geometric(bits, 1.0);
+    let mut rng = StdRng::seed_from_u64(22);
+    let assignment = sampling.assign_qmc(codes.len(), &mut rng);
+
+    let mut acc = BitAccumulator::new(bits);
+    for (&code, &j) in codes.iter().zip(&assignment) {
+        acc.record(j, ((code >> j) & 1) as f64);
+    }
+    let released = SampleThreshold::new(1.0, 10).apply(&acc, &mut rng);
+    let estimate = codec.decode_float(released.estimate());
+    let truth = ds.mean();
+    assert!(
+        (estimate - truth).abs() / truth < 0.1,
+        "thresholded estimate {estimate} vs truth {truth}"
+    );
+    // Every bit cell is well above the threshold, so no cell was zeroed.
+    assert_eq!(released, acc);
+}
+
+#[test]
 fn second_moment_and_geometric_mean_end_to_end() {
     let ds = Dataset::draw(&Uniform::new(1.0, 100.0), 60_000, 10);
     let mut rng = StdRng::seed_from_u64(11);

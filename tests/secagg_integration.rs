@@ -110,45 +110,6 @@ fn dropout_recovery_excludes_only_the_dropped() {
 }
 
 #[test]
-fn enclave_path_reproduces_bitpushing_estimate_with_central_dp() {
-    use fednum::core::bits::reconstruct;
-    use fednum::secagg::{EnclaveAggregator, Sanitizer};
-
-    // Clients report bits into the enclave; the server only ever sees the
-    // thresholded aggregate — Section 4.3's central-DP deployment mode.
-    let bits = 8u32;
-    let codec = FixedPointCodec::integer(bits);
-    let ds = Dataset::draw(&Uniform::new(0.0, 200.0), 20_000, 21);
-    let (codes, _) = codec.encode_all(ds.values());
-    let sampling = BitSampling::geometric(bits, 1.0);
-    let mut rng = StdRng::seed_from_u64(22);
-    let assignment = sampling.assign_qmc(codes.len(), &mut rng);
-
-    let mut enclave = EnclaveAggregator::new(bits as usize, Sanitizer::Threshold { min_count: 10 });
-    for (i, &j) in assignment.iter().enumerate() {
-        enclave.ingest(j as usize, (codes[i] >> j) & 1 == 1);
-    }
-    let released = enclave.release("mean-of-metric", &mut rng);
-    assert_eq!(released.audit.reports_in, 20_000);
-
-    let means: Vec<f64> = released
-        .ones
-        .iter()
-        .zip(&released.totals)
-        .map(|(&o, &t)| if t == 0 { 0.0 } else { o / t as f64 })
-        .collect();
-    let estimate = codec.decode_float(reconstruct(&means));
-    let truth = ds.mean();
-    assert!(
-        (estimate - truth).abs() / truth < 0.1,
-        "enclave estimate {estimate} vs truth {truth}"
-    );
-    // With geometric sampling over 20k clients, every bit cell is well
-    // above the threshold, so thresholding cost nothing (the §4.3 finding).
-    assert_eq!(released.audit.cells_suppressed, 0);
-}
-
-#[test]
 fn threshold_failure_is_loud_not_wrong() {
     let bits = 4u32;
     let inputs: Vec<Vec<u64>> = (0..10).map(|_| vec![0u64; 2 * bits as usize]).collect();
